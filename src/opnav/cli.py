@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import skysim
-from .config import PipelineConfig, load_config, save_config
-from .ephemeris import EphemerisEntry, EphemerisTable, load_ephemeris, save_ephemeris
+from .config import PipelineConfig, load_config, read_kv, save_config
+from .ephemeris import planets_at, save_ephemeris
 from .geometry import PointingAngles
 from .harness import (
     detect_beacons,
@@ -32,8 +32,7 @@ from .harness import (
     write_report,
     write_scenarios_csv,
 )
-from .renderer import PlanetSource, SceneSpec, read_pgm, render, write_pgm, write_truth
-from .skysim import AU_KM, PlanetBody
+from .renderer import SceneSpec, read_pgm, render, write_pgm, write_truth
 from .star_catalog import (
     build_kvector,
     build_pair_database,
@@ -118,46 +117,17 @@ def _cmd_synth_sky(args) -> int:
     save_catalog(catalog, args.catalog_out)
     print(f"wrote {len(catalog)} stars to {args.catalog_out}")
     if args.ephemeris_out:
-        entries = tuple(
-            EphemerisEntry(
-                name=p.name,
-                epoch="t0",
-                position_km=p.position_km,
-                apparent_magnitude=p.mag_at_1au,
-            )
-            for p in skysim.solar_system()
-        )
-        save_ephemeris(EphemerisTable(entries=entries), args.ephemeris_out)
-        print(f"wrote {len(entries)} beacons to {args.ephemeris_out}")
+        planets = skysim.solar_system()  # magnitudes at 1 AU
+        save_ephemeris({"t0": planets}, args.ephemeris_out)
+        print(f"wrote {len(planets)} beacons to {args.ephemeris_out}")
     return 0
 
 
-def _parse_kv_file(path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path} line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
-
-
 def _cmd_render(args) -> int:
-    kv = _parse_kv_file(args.scene)
+    kv = {key: value for _, key, value in read_kv(args.scene)}
     cfg = load_config(kv["config"]) if "config" in kv else PipelineConfig()
     catalog = load_catalog(kv["catalog"])
-    planets: tuple[PlanetSource, ...] = ()
-    if "ephemeris" in kv:
-        table = load_ephemeris(kv["ephemeris"])
-        epoch = kv.get("epoch", table.epochs[0] if table.epochs else "")
-        planets = tuple(
-            PlanetSource(e.name, e.position_km, e.apparent_magnitude)
-            for e in table.at_epoch(epoch)
-        )
+    planets = planets_at(kv["ephemeris"], kv.get("epoch")) if "ephemeris" in kv else ()
     scene = SceneSpec(
         camera=cfg.camera(),
         true_attitude=PointingAngles(
@@ -208,12 +178,7 @@ def _cmd_process(args) -> int:
     print(f"spikes: {list(attitude_out.spike_centroids)}")
 
     if args.ephemeris:
-        table = load_ephemeris(args.ephemeris)
-        epoch = args.epoch or (table.epochs[0] if table.epochs else "")
-        planets = tuple(
-            PlanetSource(e.name, e.position_km, e.apparent_magnitude)
-            for e in table.at_epoch(epoch)
-        )
+        planets = planets_at(args.ephemeris, args.epoch)
         if args.sc_pos is None:
             raise ValueError("--sc-pos is required for beacon detection")
         est = np.array([float(x) for x in args.sc_pos.split(",")])
@@ -243,15 +208,7 @@ def _cmd_montecarlo(args) -> int:
         catalog = skysim.synthetic_catalog(
             cfg.sky_star_count, cfg.sky_seed, cfg.sky_mag_bright, cfg.sky_mag_faint, cfg.sky_mag_slope
         )
-    if args.ephemeris:
-        table = load_ephemeris(args.ephemeris)
-        epoch = args.epoch or (table.epochs[0] if table.epochs else "")
-        planets = tuple(
-            PlanetBody(e.name, e.position_km, e.apparent_magnitude)
-            for e in table.at_epoch(epoch)
-        )
-    else:
-        planets = skysim.solar_system()
+    planets = planets_at(args.ephemeris, args.epoch) if args.ephemeris else skysim.solar_system()
     sigma_r = [float(s) for s in args.sigma_r.split(",") if s]
     if not sigma_r:
         raise ValueError("empty --sigma-r list")

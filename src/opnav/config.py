@@ -28,7 +28,6 @@ class PipelineConfig:
     f_number: float = 2.2
     exposure_ms: float = 400.0
     qe_tlens: float = 0.49
-    sea_deg: float = 20.0  # solar exclusion angle; carried, not enforced
     defocus_sigma_px: float = 0.9
 
     # Star identification
@@ -109,10 +108,9 @@ class PipelineConfig:
         return math.radians(self.max_pair_angle_deg)
 
 
-def load_config(path) -> PipelineConfig:
-    """Parse key=value lines (``#`` comments) over the defaults."""
-    cfg = PipelineConfig()
-    types = {f.name: f.type for f in fields(PipelineConfig)}
+def read_kv(path):
+    """Yield ``(lineno, key, value)`` for each ``key=value`` line of a
+    text file; blank lines and ``#`` comments are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -121,16 +119,27 @@ def load_config(path) -> PipelineConfig:
             if "=" not in line:
                 raise ValueError(f"{path} line {lineno}: expected key=value")
             key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in types:
-                raise ValueError(f"{path} line {lineno}: unknown key '{key}'")
-            current = getattr(cfg, key)
-            if isinstance(current, bool):
-                setattr(cfg, key, value.lower() in ("1", "true", "yes", "on"))
-            elif isinstance(current, int):
-                setattr(cfg, key, int(value))
-            else:
-                setattr(cfg, key, float(value))
+            yield lineno, key.strip(), value.strip()
+
+
+def load_config(path) -> PipelineConfig:
+    """Parse key=value lines (``#`` comments) over the defaults."""
+    cfg = PipelineConfig()
+    names = {f.name for f in fields(PipelineConfig)}
+    for lineno, key, value in read_kv(path):
+        if key not in names:
+            raise ValueError(f"{path} line {lineno}: unknown key '{key}'")
+        current = getattr(cfg, key)
+        if isinstance(current, bool):
+            setattr(cfg, key, value.lower() in ("1", "true", "yes", "on"))
+            continue
+        kind = int if isinstance(current, int) else float
+        try:
+            setattr(cfg, key, kind(value))
+        except ValueError:
+            raise ValueError(
+                f"{path} line {lineno}: {key} expects {kind.__name__}, got '{value}'"
+            ) from None
     return cfg
 
 

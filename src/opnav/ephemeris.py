@@ -1,9 +1,9 @@
-"""Planet position/brightness snapshots for scene generation and the
-expected-projection step.
+"""The planet type and its position/brightness snapshot tables.
 
-Each entry is one beacon at one instant; no propagation or interpolation
-happens here.  File format: ``name,epoch,x_km,y_km,z_km,app_mag`` per
-line, ``#`` starts a comment.
+A ``Planet`` is a name, an inertial position and an apparent magnitude.
+A table maps each epoch to the planets listed for it; no propagation or
+interpolation happens here.  File format: ``name,epoch,x_km,y_km,z_km,app_mag``
+per line, ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -18,77 +18,57 @@ class EphemerisError(ValueError):
 
 
 @dataclass(frozen=True)
-class EphemerisEntry:
+class Planet:
     name: str
-    epoch: str
     position_km: np.ndarray
-    apparent_magnitude: float
+    magnitude: float
 
     def __post_init__(self):
-        pos = np.asarray(self.position_km, dtype=float)
+        pos = np.array(self.position_km, dtype=float)
         if pos.shape != (3,) or not np.all(np.isfinite(pos)):
             raise EphemerisError(f"bad position for {self.name}: {self.position_km}")
         pos.setflags(write=False)
         object.__setattr__(self, "position_km", pos)
 
 
-@dataclass(frozen=True)
-class EphemerisTable:
-    entries: tuple[EphemerisEntry, ...]
-
-    def __post_init__(self):
-        seen = set()
-        for e in self.entries:
-            key = (e.name, e.epoch)
-            if key in seen:
-                raise EphemerisError(f"duplicate entry {key}")
-            seen.add(key)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def at_epoch(self, epoch: str) -> tuple[EphemerisEntry, ...]:
-        return tuple(e for e in self.entries if e.epoch == epoch)
-
-    @property
-    def epochs(self) -> tuple[str, ...]:
-        out = []
-        for e in self.entries:
-            if e.epoch not in out:
-                out.append(e.epoch)
-        return tuple(out)
-
-
-def load_ephemeris(path) -> EphemerisTable:
-    entries = []
+def load_ephemeris(path) -> dict[str, tuple[Planet, ...]]:
+    """Epoch -> planets, both in file order; a repeated (name, epoch) is an error."""
+    table: dict[str, list[Planet]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
+            parts = [p.strip() for p in line.split(",")]
             if len(parts) != 6:
                 raise EphemerisError(f"line {lineno}: expected 6 fields, got {len(parts)}")
+            name, epoch = parts[0], parts[1]
             try:
-                entries.append(
-                    EphemerisEntry(
-                        name=parts[0].strip(),
-                        epoch=parts[1].strip(),
-                        position_km=np.array([float(parts[2]), float(parts[3]), float(parts[4])]),
-                        apparent_magnitude=float(parts[5]),
-                    )
-                )
+                x, y, z, mag = (float(v) for v in parts[2:])
             except ValueError as exc:
-                if isinstance(exc, EphemerisError):
-                    raise
                 raise EphemerisError(f"line {lineno}: unparseable field ({exc})") from None
-    return EphemerisTable(entries=tuple(entries))
+            planets = table.setdefault(epoch, [])
+            if any(p.name == name for p in planets):
+                raise EphemerisError(f"duplicate entry {(name, epoch)}")
+            planets.append(Planet(name, [x, y, z], mag))
+    return {epoch: tuple(planets) for epoch, planets in table.items()}
 
 
-def save_ephemeris(table: EphemerisTable, path) -> None:
-    """Write entries in order; float repr keeps the round trip bit-exact."""
+def save_ephemeris(table: dict[str, tuple[Planet, ...]], path) -> None:
+    """Write planets in order; float repr keeps the round trip bit-exact."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# name,epoch,x_km,y_km,z_km,app_mag\n")
-        for e in table.entries:
-            x, y, z = (float(v) for v in e.position_km)
-            fh.write(f"{e.name},{e.epoch},{x!r},{y!r},{z!r},{float(e.apparent_magnitude)!r}\n")
+        for epoch, planets in table.items():
+            for p in planets:
+                x, y, z = (float(v) for v in p.position_km)
+                fh.write(f"{p.name},{epoch},{x!r},{y!r},{z!r},{float(p.magnitude)!r}\n")
+
+
+def planets_at(path, epoch: str | None = None) -> tuple[Planet, ...]:
+    """The planets of one epoch of a table file (default: its first epoch)."""
+    table = load_ephemeris(path)
+    if epoch is None:
+        return next(iter(table.values()), ())
+    if epoch not in table:
+        raise EphemerisError(f"{path}: no epoch '{epoch}'")
+    return table[epoch]

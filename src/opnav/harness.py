@@ -41,6 +41,7 @@ import numpy as np
 from .attitude_solver import AttitudeSolution, RansacConfig, principal_axis_angle, ransac_attitude
 from .beacon_detection import ProjectionPrediction, UncertaintyBudget, detect_beacon, predict_projection
 from .config import PipelineConfig
+from .ephemeris import Planet
 from .geometry import (
     RAD_TO_ARCSEC,
     Attitude,
@@ -48,9 +49,10 @@ from .geometry import (
     PointingAngles,
     angular_separation,
     attitude_from_axis_azimuth,
+    project_point,
 )
-from .renderer import GroundTruth, PlanetSource, SceneSpec, TruthObject, render
-from .skysim import AU_KM, PlanetBody
+from .renderer import GroundTruth, SceneSpec, TruthObject, render
+from .skysim import AU_KM, seen_from
 from .star_catalog import KVectorIndex, PairDatabase, StarCatalog
 from .star_id import IdentifyConfig, RetryResult, identify_with_retry
 
@@ -62,7 +64,7 @@ class ScenarioSpec:
     index: int
     sc_position_km: np.ndarray
     pointing: PointingAngles
-    planets: tuple[PlanetSource, ...]
+    planets: tuple[Planet, ...]  # magnitudes as seen from sc_position_km
     planet_in_frame: bool
     sigma_r_km: float | None = None
 
@@ -308,11 +310,17 @@ def sample_scenarios(
     master_seed: int,
     cfg: PipelineConfig,
     camera: CameraModel,
-    planets: tuple[PlanetBody, ...],
+    planets: tuple[Planet, ...],
 ) -> list[ScenarioSpec]:
-    """Deterministic scenario draws; flags whether a planet is in frame."""
+    """Deterministic scenario draws; flags whether a planet is in frame.
+
+    ``planets`` carry their magnitudes at 1 AU; each spec carries them as
+    seen from its own spacecraft position.
+    """
     if n < 1:
         raise ValueError("need at least one scenario")
+    if not cfg.delta_max_rad > 0:
+        raise ValueError("delta_max_rad must be > 0")
     specs = []
     for idx in range(n):
         rng = np.random.default_rng(np.random.SeedSequence((master_seed, idx, 0)))
@@ -324,31 +332,14 @@ def sample_scenarios(
         phi = rng.uniform(0.0, 2.0 * math.pi)
         pointing = PointingAngles(alpha=alpha, delta=delta, phi=phi)
         attitude = attitude_from_axis_azimuth(pointing)
-        sources = tuple(
-            PlanetSource(
-                name=p.name,
-                position_km=p.position_km,
-                apparent_magnitude=p.apparent_magnitude(pos),
-            )
-            for p in planets
-        )
-        in_frame = False
-        for p in planets:
-            rho_c = attitude @ (p.position_km - pos)
-            if rho_c[2] <= 0:
-                continue
-            x = camera.focal_px * rho_c[0] / rho_c[2] + camera.width / 2.0
-            y = camera.focal_px * rho_c[1] / rho_c[2] + camera.height / 2.0
-            if camera.in_frame(x, y):
-                in_frame = True
-                break
+        pixels = (project_point(camera, attitude, pos, p.position_km) for p in planets)
         specs.append(
             ScenarioSpec(
                 index=idx,
                 sc_position_km=pos,
                 pointing=pointing,
-                planets=sources,
-                planet_in_frame=in_frame,
+                planets=tuple(seen_from(p, pos) for p in planets),
+                planet_in_frame=any(px is not None and camera.in_frame(*px) for px in pixels),
             )
         )
     return specs
@@ -369,7 +360,7 @@ def run_campaign(
     catalog: StarCatalog,
     db: PairDatabase,
     index: KVectorIndex,
-    planets: tuple[PlanetBody, ...],
+    planets: tuple[Planet, ...],
 ) -> CampaignReport:
     """Render and solve each scenario once, sweep sigma_r on the beacon
     stage, classify everything, and aggregate per-sigma_r statistics."""

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
+from .ephemeris import Planet
 from .geometry import CameraModel, PointingAngles, attitude_from_axis_azimuth, project_point, project_unit_vectors
 from .star_catalog import StarCatalog
 
@@ -35,19 +36,12 @@ PSF_TRUNCATION_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
-class PlanetSource:
-    name: str
-    position_km: np.ndarray
-    apparent_magnitude: float
-
-
-@dataclass(frozen=True)
 class SceneSpec:
     camera: CameraModel
     true_attitude: PointingAngles
     sc_position_km: np.ndarray
     star_catalog: StarCatalog
-    planets: tuple[PlanetSource, ...] = ()
+    planets: tuple[Planet, ...] = ()  # magnitudes as seen from sc_position_km
     render_mag_cutoff: float = 6.5
     background_mean_dn: float = 5.0
     background_sigma_dn: float = 2.0
@@ -67,7 +61,8 @@ class Image:
     data: np.ndarray  # (height, width) uint8
 
     def __post_init__(self):
-        assert self.data.shape == (self.height, self.width)
+        if self.data.shape != (self.height, self.width):
+            raise ValueError(f"image data shape {self.data.shape} is not ({self.height}, {self.width})")
         self.data.setflags(write=False)
 
 
@@ -118,16 +113,26 @@ def magnitude_to_flux(
     return anchor_total * throughput * 10.0 ** (-0.4 * (m - anchor_mag))
 
 
-def _deposit(field: np.ndarray, x: float, y: float, flux: float, sigma: float) -> None:
-    """Add one pixel-integrated Gaussian spot to the float field."""
-    height, width = field.shape
+def _psf_box(shape, x: float, y: float, sigma: float) -> tuple[int, int, int, int] | None:
+    """Inclusive (x0, x1, y0, y1) of the 4-sigma box around (x, y) clipped
+    to the frame, or None when the box misses the frame."""
+    height, width = shape
     r = PSF_TRUNCATION_SIGMAS * sigma
     x0 = max(int(math.floor(x - r)), 0)
     x1 = min(int(math.ceil(x + r)), width - 1)
     y0 = max(int(math.floor(y - r)), 0)
     y1 = min(int(math.ceil(y + r)), height - 1)
     if x0 > x1 or y0 > y1:
+        return None
+    return x0, x1, y0, y1
+
+
+def _deposit(field: np.ndarray, x: float, y: float, flux: float, sigma: float) -> None:
+    """Add one pixel-integrated Gaussian spot to the float field."""
+    box = _psf_box(field.shape, x, y, sigma)
+    if box is None:
         return
+    x0, x1, y0, y1 = box
     xs = np.arange(x0, x1 + 1)
     ys = np.arange(y0, y1 + 1)
     fx = ndtr((xs + 0.5 - x) / sigma) - ndtr((xs - 0.5 - x) / sigma)
@@ -180,7 +185,7 @@ def render_field(scene: SceneSpec) -> tuple[np.ndarray, list[_PendingObject]]:
         if px is None:
             objects.append(_PendingObject("planet", planet.name, math.nan, math.nan, False))
             continue
-        flux = magnitude_to_flux(planet.apparent_magnitude, cam, scene.anchor_mag, scene.anchor_peak_dn)
+        flux = magnitude_to_flux(planet.magnitude, cam, scene.anchor_mag, scene.anchor_peak_dn)
         _deposit(field, float(px[0]), float(px[1]), flux, cam.defocus_sigma_px)
         objects.append(_PendingObject("planet", planet.name, float(px[0]), float(px[1]), True))
 
@@ -219,14 +224,10 @@ def render(scene: SceneSpec) -> tuple[Image, GroundTruth]:
 
 def _peak_near(data: np.ndarray, x: float, y: float, sigma: float) -> float:
     """Max rendered DN within the 4-sigma footprint of a true position."""
-    height, width = data.shape
-    r = PSF_TRUNCATION_SIGMAS * sigma
-    x0 = max(int(math.floor(x - r)), 0)
-    x1 = min(int(math.ceil(x + r)), width - 1)
-    y0 = max(int(math.floor(y - r)), 0)
-    y1 = min(int(math.ceil(y + r)), height - 1)
-    if x0 > x1 or y0 > y1:
+    box = _psf_box(data.shape, x, y, sigma)
+    if box is None:
         return 0.0
+    x0, x1, y0, y1 = box
     return float(data[y0 : y1 + 1, x0 : x1 + 1].max())
 
 
@@ -254,12 +255,17 @@ def read_pgm(path) -> Image:
         start = pos
         while pos < len(blob) and not blob[pos : pos + 1].isspace():
             pos += 1
+        if start == pos:
+            raise ValueError(f"{path}: truncated PGM header")
         fields.append(int(blob[start:pos]))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
-    data = np.frombuffer(blob[pos : pos + width * height], dtype=np.uint8).reshape(height, width)
+    n_data = max(len(blob) - pos, 0)
+    if n_data != width * height:
+        raise ValueError(f"{path}: expected {width * height} data bytes, got {n_data}")
+    data = np.frombuffer(blob[pos:], dtype=np.uint8).reshape(height, width)
     return Image(width=width, height=height, data=data.copy())
 
 

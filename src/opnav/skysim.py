@@ -13,10 +13,10 @@ square brightness law anchored at 1 AU.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .ephemeris import Planet
 from .star_catalog import StarCatalog, StarRecord, catalog_from_records
 
 AU_KM = 1.495978707e8
@@ -40,15 +40,10 @@ _PLANETS = (
 )
 
 
-@dataclass(frozen=True)
-class PlanetBody:
-    name: str
-    position_km: np.ndarray
-    mag_at_1au: float
-
-    def apparent_magnitude(self, observer_km: np.ndarray) -> float:
-        d = float(np.linalg.norm(self.position_km - np.asarray(observer_km, float)))
-        return self.mag_at_1au + 5.0 * math.log10(max(d, 1.0) / AU_KM)
+def seen_from(planet: Planet, observer_km) -> Planet:
+    """The planet with its 1 AU magnitude rescaled to the observer's distance."""
+    d = float(np.linalg.norm(planet.position_km - np.asarray(observer_km, float)))
+    return Planet(planet.name, planet.position_km, planet.magnitude + 5.0 * math.log10(max(d, 1.0) / AU_KM))
 
 
 def synthetic_star_records(
@@ -84,12 +79,10 @@ def synthetic_catalog(
     )
 
 
-def solar_system() -> tuple[PlanetBody, ...]:
-    """The fixed planet snapshot used by the default campaign."""
-    bodies = []
-    for name, r_au, lon, z_au, mag in _PLANETS:
-        pos = np.array(
-            [r_au * math.cos(lon) * AU_KM, r_au * math.sin(lon) * AU_KM, z_au * AU_KM]
-        )
-        bodies.append(PlanetBody(name=name, position_km=pos, mag_at_1au=mag))
-    return tuple(bodies)
+def solar_system() -> tuple[Planet, ...]:
+    """The fixed planet snapshot used by the default campaign; magnitudes
+    are the values at 1 AU observer distance (see ``seen_from``)."""
+    return tuple(
+        Planet(name, [r_au * math.cos(lon) * AU_KM, r_au * math.sin(lon) * AU_KM, z_au * AU_KM], mag)
+        for name, r_au, lon, z_au, mag in _PLANETS
+    )

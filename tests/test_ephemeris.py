@@ -1,30 +1,25 @@
 import numpy as np
 import pytest
 
-from opnav.ephemeris import (
-    EphemerisEntry,
-    EphemerisError,
-    EphemerisTable,
-    load_ephemeris,
-    save_ephemeris,
-)
+from opnav.ephemeris import EphemerisError, Planet, load_ephemeris, planets_at, save_ephemeris
 
 
 def test_single_entry(tmp_path):
     path = tmp_path / "eph.csv"
     path.write_text("# header\nmars,t0,2.2e8,0,0,-1.0\n")
     table = load_ephemeris(path)
-    assert len(table) == 1
-    entry = table.entries[0]
-    assert entry.name == "mars" and entry.epoch == "t0"
-    np.testing.assert_array_equal(entry.position_km, [2.2e8, 0.0, 0.0])
-    assert entry.apparent_magnitude == -1.0
+    assert list(table) == ["t0"] and len(table["t0"]) == 1
+    planet = table["t0"][0]
+    assert planet.name == "mars"
+    np.testing.assert_array_equal(planet.position_km, [2.2e8, 0.0, 0.0])
+    assert planet.magnitude == -1.0
 
 
 def test_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    assert len(load_ephemeris(path)) == 0
+    assert load_ephemeris(path) == {}
+    assert planets_at(path) == ()
 
 
 def test_duplicate_name_epoch_rejected(tmp_path):
@@ -34,15 +29,16 @@ def test_duplicate_name_epoch_rejected(tmp_path):
         load_ephemeris(path)
 
 
-def test_same_name_different_epoch_ok():
-    table = EphemerisTable(
-        entries=(
-            EphemerisEntry("mars", "t0", np.array([1.0, 2, 3]), 0.5),
-            EphemerisEntry("mars", "t1", np.array([4.0, 5, 6]), 0.6),
-        )
-    )
-    assert table.epochs == ("t0", "t1")
-    assert len(table.at_epoch("t1")) == 1
+def test_same_name_different_epoch_ok(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("mars,t0,1,2,3,0.5\nmars,t1,4,5,6,0.6\n")
+    table = load_ephemeris(path)
+    assert tuple(table) == ("t0", "t1")
+    assert len(table["t1"]) == 1
+    assert planets_at(path)[0].magnitude == 0.5  # first epoch by default
+    assert planets_at(path, "t1")[0].magnitude == 0.6
+    with pytest.raises(EphemerisError, match="no epoch 't2'"):
+        planets_at(path, "t2")
 
 
 def test_parse_error_names_line(tmp_path):
@@ -54,28 +50,29 @@ def test_parse_error_names_line(tmp_path):
 
 def test_nonfinite_position_rejected():
     with pytest.raises(EphemerisError):
-        EphemerisEntry("x", "t0", np.array([np.inf, 0, 0]), 1.0)
+        Planet("x", np.array([np.inf, 0, 0]), 1.0)
+    with pytest.raises(EphemerisError):
+        Planet("x", np.zeros(2), 1.0)
 
 
 def test_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(13)
-    entries = tuple(
-        EphemerisEntry(
-            name=f"planet{i}",
-            epoch=f"t{i % 2}",
-            position_km=rng.uniform(-5e8, 5e8, 3),
-            apparent_magnitude=float(rng.uniform(-4, 9)),
+    table = {
+        epoch: tuple(
+            Planet(f"planet{i}", rng.uniform(-5e8, 5e8, 3), float(rng.uniform(-4, 9)))
+            for i in range(5)
         )
-        for i in range(10)
-    )
-    table = EphemerisTable(entries=entries)
+        for epoch in ("t0", "t1")
+    }
     path = tmp_path / "round.csv"
     save_ephemeris(table, path)
     back = load_ephemeris(path)
-    assert len(back) == len(table)
-    for a, b in zip(back.entries, table.entries):
-        assert a.name == b.name and a.epoch == b.epoch
-        np.testing.assert_array_equal(a.position_km, b.position_km)
-        assert a.apparent_magnitude == b.apparent_magnitude
+    assert list(back) == list(table)
+    for epoch in table:
+        assert len(back[epoch]) == len(table[epoch])
+        for a, b in zip(back[epoch], table[epoch]):
+            assert a.name == b.name
+            np.testing.assert_array_equal(a.position_km, b.position_km)
+            assert a.magnitude == b.magnitude
     save_ephemeris(back, tmp_path / "round2.csv")
     assert (tmp_path / "round2.csv").read_bytes() == path.read_bytes()

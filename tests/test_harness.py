@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from opnav.harness import (
     write_scenarios_csv,
 )
 from opnav.renderer import GroundTruth, TruthObject
-from opnav.skysim import solar_system, synthetic_catalog
+from opnav.skysim import AU_KM, seen_from, solar_system, synthetic_catalog
 from opnav.star_catalog import build_kvector, build_pair_database
 from opnav.star_id import MatchResult, RetryResult
 from conftest import DESK_POINTING
@@ -227,12 +228,32 @@ class TestSampleScenarios:
     def test_position_spread_matches_config(self, cfg, camera):
         specs = sample_scenarios(400, 13, cfg, camera, solar_system())
         pos = np.array([s.sc_position_km for s in specs])
-        from opnav.skysim import AU_KM
-
         std = pos.std(axis=0) / AU_KM
         assert std[0] == pytest.approx(3.0, rel=0.25)
         assert std[1] == pytest.approx(3.0, rel=0.25)
         assert std[2] == pytest.approx(0.07, rel=0.25)
+
+    def test_planet_magnitudes_seen_from_scenario_position(self, cfg, camera):
+        planets = solar_system()
+        for spec in sample_scenarios(5, 3, cfg, camera, planets):
+            for seen, p in zip(spec.planets, planets, strict=True):
+                assert seen.name == p.name
+                assert seen.magnitude == seen_from(p, spec.sc_position_km).magnitude
+                np.testing.assert_array_equal(seen.position_km, p.position_km)
+
+    def test_seen_from_inverse_square(self):
+        mars = solar_system()[3]
+        unit = mars.position_km / np.linalg.norm(mars.position_km)
+        assert seen_from(mars, mars.position_km - AU_KM * unit).magnitude == pytest.approx(mars.magnitude)
+        far = seen_from(mars, mars.position_km - 10.0 * AU_KM * unit)
+        assert far.magnitude == pytest.approx(mars.magnitude + 5.0)
+        np.testing.assert_array_equal(far.position_km, mars.position_km)
+
+    @pytest.mark.parametrize("bound", [0.0, -0.1, math.nan])
+    def test_nonpositive_delta_max_rejected(self, cfg, camera, bound):
+        bad = dataclasses.replace(cfg, delta_max_rad=bound)
+        with pytest.raises(ValueError, match="delta_max_rad must be > 0"):
+            sample_scenarios(3, 1, bad, camera, solar_system())
 
 
 # --- campaign ----------------------------------------------------------------
@@ -362,6 +383,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             load_config(path)
 
+    def test_bad_value_names_file_line_and_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("# comment\nthreshold_t=25\nthreshold_max_iterations=1e3\n")
+        expected = f"{path} line 3: threshold_max_iterations expects int, got '1e3'"
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == expected
+
     def test_defaults_match_reference_setup(self):
         cfg = PipelineConfig()
         assert cfg.fov_deg == 20.0
@@ -446,6 +475,31 @@ class TestCli:
             assert (out / name).exists()
         lines = (out / "scenarios.csv").read_text().splitlines()
         assert len(lines) == 1 + 6 * 2
+
+    def test_ephemeris_file_matches_builtin_snapshot(self, tmp_path):
+        # synth-sky writes 1 AU magnitudes; montecarlo rescales them per
+        # scenario exactly as it does the built-in planets
+        eph = tmp_path / "planets.csv"
+        r = _cli("synth-sky", "--catalog-out", str(tmp_path / "catalog.csv"), "--ephemeris-out", str(eph))
+        assert r.returncode == 0, r.stderr
+        common = ("montecarlo", "--n", "4", "--sigma-r", "1e4,1e7", "--seed", "1")
+        r = _cli(*common, "--out", str(tmp_path / "builtin"))
+        assert r.returncode == 0, r.stderr
+        r = _cli(*common, "--out", str(tmp_path / "file"), "--ephemeris", str(eph))
+        assert r.returncode == 0, r.stderr
+        builtin = (tmp_path / "builtin" / "scenarios.csv").read_bytes()
+        assert (tmp_path / "file" / "scenarios.csv").read_bytes() == builtin
+
+    def test_montecarlo_zero_delta_max_fails_fast(self, tmp_path):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("delta_max_rad=0\nsky_star_count=200\n")
+        r = subprocess.run(
+            [sys.executable, "-m", "opnav.cli", "montecarlo", "--n", "2", "--sigma-r", "1e4",
+             "--seed", "1", "--out", str(tmp_path / "mc"), "--config", str(cfgfile)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert r.returncode == 1
+        assert r.stderr == "error: delta_max_rad must be > 0\n"
 
     def test_error_exit_nonzero(self, tmp_path):
         r = _cli("build-catalog", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x.npz"))

@@ -7,6 +7,7 @@ from opnav.centroiding import find_centroids
 from opnav.geometry import PointingAngles
 from opnav.renderer import (
     DETECTABILITY_DN,
+    Image,
     PSF_TRUNCATION_SIGMAS,
     SceneSpec,
     central_pixel_fraction,
@@ -189,3 +190,16 @@ class TestIO:
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
         with pytest.raises(ValueError):
             read_pgm(path)
+
+    def test_truncated_pgm_rejected(self, tmp_path):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(b"P5\n1024 1024\n255\n" + bytes(1000))
+        with pytest.raises(ValueError, match="short.pgm: expected 1048576 data bytes, got 1000"):
+            read_pgm(path)
+        path.write_bytes(b"P5\n1024")
+        with pytest.raises(ValueError, match="truncated PGM header"):
+            read_pgm(path)
+
+    def test_image_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            Image(width=4, height=3, data=np.zeros((4, 3), dtype=np.uint8))
