@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ARCSEC_TO_RAD, Attitude, angular_separation, quaternion_from_matrix
+from .geometry import ARCSEC_TO_RAD, Attitude, angular_separations, quaternion_from_matrix
 
 _DEGENERATE_AXIS_ANGLE = 1e-9  # rad; below this the rotation axis is noise
 
@@ -87,12 +87,25 @@ def principal_axis_angle(rotation: np.ndarray) -> AxisAngle:
     return AxisAngle(axis=q.vector / qv_norm, angle=angle)
 
 
-def _axes_agree(a: AxisAngle, b: AxisAngle, threshold_rad: float) -> bool:
-    # Indeterminate axes carry no direction: they only agree with each
-    # other.  Axis sign is meaningful and *not* collapsed.
-    if a.indeterminate or b.indeterminate:
-        return a.indeterminate and b.indeterminate
-    return angular_separation(a.axis, b.axis) <= threshold_rad
+def _agreement(axes, threshold_rad: float, row: int | None = None) -> np.ndarray:
+    """agree[k, j]: sample axes k and j agree; only row ``row`` if given.
+
+    The test is angular_separation(a, b) <= threshold, taken bit for bit
+    as the scalar form takes it.  None (degenerate) samples agree with
+    nothing.  Indeterminate axes carry no direction: they only agree with
+    each other.  Axis sign is meaningful and *not* collapsed.
+    """
+    n = len(axes)
+    valid = np.array([ax is not None for ax in axes], dtype=bool)
+    ind = np.array([ax is not None and ax.indeterminate for ax in axes], dtype=bool)
+    vec = np.array([(0.0, 0.0, 1.0) if ax is None else ax.axis for ax in axes], dtype=float)
+    vec = vec.reshape(n, 3)
+    rows = slice(None) if row is None else slice(row, row + 1)
+    within = angular_separations(vec[rows, None, :], vec[None, :, :]) <= threshold_rad
+    either = ind[rows, None] | ind[None, :]
+    agree = np.where(either, ind[rows, None] & ind[None, :], within)
+    agree &= valid[rows, None] & valid[None, :]
+    return agree if row is None else agree[0]
 
 
 def consensus_scores(axes, threshold_rad: float) -> np.ndarray:
@@ -101,16 +114,10 @@ def consensus_scores(axes, threshold_rad: float) -> np.ndarray:
     ``axes`` holds AxisAngle entries; None marks a sample whose Wahba
     solve was degenerate (scored -1, never in any consensus set).
     """
-    scores = np.full(len(axes), -1, dtype=int)
-    for i, ax_i in enumerate(axes):
-        if ax_i is None:
-            continue
-        scores[i] = sum(
-            1
-            for j, ax_j in enumerate(axes)
-            if j != i and ax_j is not None and _axes_agree(ax_i, ax_j, threshold_rad)
-        )
-    return scores
+    agree = _agreement(axes, threshold_rad)
+    np.fill_diagonal(agree, False)
+    degenerate = np.array([ax is None for ax in axes], dtype=bool)
+    return np.where(degenerate, -1, agree.sum(axis=1))
 
 
 def ransac_attitude(matches, config: RansacConfig) -> AttitudeSolution | None:
@@ -129,11 +136,11 @@ def ransac_attitude(matches, config: RansacConfig) -> AttitudeSolution | None:
     rng = np.random.default_rng(config.seed)
     threshold_rad = config.threshold_arcsec * ARCSEC_TO_RAD
 
-    subsets: list[np.ndarray] = []
+    subsets = np.empty((config.n_samples, 3), dtype=np.int64)
     axes: list[AxisAngle | None] = []
-    for _ in range(config.n_samples):
+    for k in range(config.n_samples):
         idx = rng.choice(m, size=3, replace=False)
-        subsets.append(idx)
+        subsets[k] = idx
         try:
             axes.append(principal_axis_angle(wahba_svd(c_all[idx], n_all[idx])))
         except DegenerateGeometryError:
@@ -144,41 +151,33 @@ def ransac_attitude(matches, config: RansacConfig) -> AttitudeSolution | None:
         return None
     best = int(np.argmax(scores))  # ties: lowest sample index wins
 
-    consensus = [
-        i
-        for i, ax in enumerate(axes)
-        if ax is not None and (i == best or _axes_agree(axes[best], ax, threshold_rad))
-    ]
-    inlier_set = sorted({int(k) for i in consensus for k in subsets[i]})
+    # Row ``best`` of the agreement matrix again (n angles): consensus_scores
+    # returns the scores alone.  ``best`` agrees with itself.
+    consensus = _agreement(axes, threshold_rad, best)
+    inlier = np.zeros(m, dtype=bool)
+    inlier[subsets[consensus]] = True
 
     try:
-        attitude = wahba_svd(c_all[inlier_set], n_all[inlier_set])
+        attitude = wahba_svd(c_all[inlier], n_all[inlier])
     except DegenerateGeometryError:
         return None
 
     # Data-fitting pass: matches never drawn into a consensus sample are
     # kept when they agree with the consensus attitude, so thin sampling
     # cannot demote a perfectly consistent star.
-    residual_ok = [
-        k
-        for k in range(m)
-        if k not in inlier_set
-        and angular_separation(c_all[k], attitude @ n_all[k]) <= threshold_rad
-    ]
-    if residual_ok:
-        inlier_set = sorted(inlier_set + residual_ok)
+    predicted = (attitude @ n_all[:, :, None])[:, :, 0]
+    residual_ok = ~inlier & (angular_separations(c_all, predicted) <= threshold_rad)
+    if residual_ok.any():
+        inlier |= residual_ok
         try:
-            attitude = wahba_svd(c_all[inlier_set], n_all[inlier_set])
+            attitude = wahba_svd(c_all[inlier], n_all[inlier])
         except DegenerateGeometryError:
             return None
 
-    inlier_idx = set(inlier_set)
     return AttitudeSolution(
         matrix=attitude,
         quaternion=quaternion_from_matrix(attitude),
-        inlier_centroids=tuple(match_list[k].centroid_index for k in inlier_set),
-        outlier_centroids=tuple(
-            match_list[k].centroid_index for k in range(m) if k not in inlier_idx
-        ),
+        inlier_centroids=tuple(match_list[k].centroid_index for k in np.flatnonzero(inlier)),
+        outlier_centroids=tuple(match_list[k].centroid_index for k in np.flatnonzero(~inlier)),
         consensus_score=int(scores[best]),
     )

@@ -1,14 +1,20 @@
 """Dynamic thresholding, ROI extraction, and weighted-moment centroids.
 
 The threshold is mean + T * std over the whole frame (population std);
-pixels strictly above it form 8-connected components.  Each component is
-boxed with a one-pixel margin and the sub-pixel centroid is computed
-from intensity-weighted moments over every pixel inside the box, with
-weights w = I / I_max normalized by the brightest pixel of the box.
+an 8-bit frame takes both moments exactly from its 256-bin histogram.
+Pixels strictly above the threshold form 8-connected components.  Only
+the few rows that hold such pixels are labelled: they are packed into a
+small array, with one blank row between runs of rows that are not
+adjacent in the frame, so that connectivity is the frame's own, and the
+labels are mapped back to frame rows.  Each component is boxed with a
+one-pixel margin and the sub-pixel centroid is computed from
+intensity-weighted moments over every pixel inside the box, with weights
+w = I / I_max normalized by the brightest pixel of the box.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +55,25 @@ class Centroid:
 
 
 def compute_threshold(image: np.ndarray, t: float) -> float:
-    """Intensity threshold mean + t * std over all pixels of the frame."""
+    """Intensity threshold mean + t * std over all pixels of the frame.
+
+    An 8-bit frame takes both moments from a 256-bin histogram with exact
+    integer sums: the mean is the correctly rounded quotient, the variance
+    the correctly rounded (n * sum(v^2) - sum(v)^2) / n^2.
+    """
     if image.size == 0:
         raise ValueError("empty image")
-    data = image.astype(np.float64, copy=False)
-    return float(data.mean() + t * data.std())
+    if image.dtype != np.uint8:
+        data = image.astype(np.float64, copy=False)
+        return float(data.mean() + t * data.std())
+    counts = np.bincount(image.ravel(), minlength=256)
+    levels = np.arange(256, dtype=np.int64)
+    n = image.size
+    s1 = int(counts @ levels)
+    s2 = int(counts @ (levels * levels))
+    mean = s1 / n
+    std = math.sqrt((n * s2 - s1 * s1) / (n * n))
+    return float(mean + t * std)
 
 
 def extract_rois(image: np.ndarray, threshold: float) -> list[Roi]:
@@ -61,32 +81,50 @@ def extract_rois(image: np.ndarray, threshold: float) -> list[Roi]:
 
     Components are returned in row-major order of their first (seed)
     pixel, each boxed with a one-pixel margin clipped to the frame.
+
+    Only rows holding a pixel above the threshold are labelled.  They are
+    packed into a small array in frame order, with one blank row between
+    runs of rows that are not adjacent in the frame, so two pixels touch
+    in the packed array exactly when they touch in the frame.
     """
     height, width = image.shape
-    mask = image > threshold
-    labels, n_components = ndimage.label(mask, structure=_EIGHT_CONNECTED)
-    if n_components == 0:
+    if image.size == 0:
         return []
+    rows = np.flatnonzero(np.fmax.reduce(image, axis=1) > threshold)  # fmax: NaN pixels never count
+    if len(rows) == 0:
+        return []
+    packed_rows = np.arange(len(rows)) + np.concatenate(([0], np.cumsum(np.diff(rows) > 1)))
+    packed = np.zeros((packed_rows[-1] + 1, width), dtype=bool)
+    packed[packed_rows] = image[rows] > threshold
+    labels, _ = ndimage.label(packed, structure=_EIGHT_CONNECTED)
+    frame_row = np.zeros(len(packed), dtype=np.int64)
+    frame_row[packed_rows] = rows
+
+    py, px = np.nonzero(labels)  # row-major
+    component = labels[py, px]
+    order = np.argsort(component, kind="stable")  # by component, row-major within
+    ys = frame_row[py[order]]
+    xs = px[order]
+    intensity = image[ys, xs].astype(np.float64)
+    starts = np.flatnonzero(np.diff(component[order], prepend=0))
+    ends = np.append(starts[1:], len(order))
+    x_min = np.minimum.reduceat(xs, starts)
+    x_max = np.maximum.reduceat(xs, starts)
     out = []
-    seeds = []
-    for k, sl in enumerate(ndimage.find_objects(labels), start=1):
-        ys, xs = np.nonzero(labels[sl] == k)
-        ys = ys + sl[0].start
-        xs = xs + sl[1].start
-        seeds.append(int(ys[0]) * width + int(xs[0]))
+    for k in np.argsort(ys[starts] * width + xs[starts], kind="stable"):
+        members = slice(starts[k], ends[k])
         out.append(
             Roi(
-                x0=max(int(xs.min()) - 1, 0),
-                y0=max(int(ys.min()) - 1, 0),
-                x1=min(int(xs.max()) + 1, width - 1),
-                y1=min(int(ys.max()) + 1, height - 1),
-                member_x=xs.astype(np.int64),
-                member_y=ys.astype(np.int64),
-                member_intensity=image[ys, xs].astype(np.float64),
+                x0=max(int(x_min[k]) - 1, 0),
+                y0=max(int(ys[starts[k]]) - 1, 0),
+                x1=min(int(x_max[k]) + 1, width - 1),
+                y1=min(int(ys[ends[k] - 1]) + 1, height - 1),
+                member_x=xs[members],
+                member_y=ys[members],
+                member_intensity=intensity[members],
             )
         )
-    order = np.argsort(seeds, kind="stable")
-    return [out[i] for i in order]
+    return out
 
 
 def compute_centroid(roi: Roi, image: np.ndarray) -> Centroid:

@@ -157,9 +157,14 @@ def _cmd_render(args) -> int:
 def _cmd_process(args) -> int:
     cfg = load_config(args.config)
     camera = cfg.camera()
+    image = read_pgm(args.image)
+    if (image.width, image.height) != (camera.width, camera.height):
+        raise ValueError(
+            f"{args.image}: image is {image.width}x{image.height} px, "
+            f"the camera config expects {camera.width}x{camera.height}"
+        )
     catalog = load_catalog(args.catalog)
     db, index = load_pair_database(args.db)
-    image = read_pgm(args.image)
     attitude_out = solve_attitude(
         image.data, camera, catalog, db, index, cfg.identify_config(), cfg.ransac_config()
     )

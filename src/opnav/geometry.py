@@ -212,6 +212,24 @@ def angular_separation(u, v) -> float:
     return math.atan2(cross, dot)
 
 
+def angular_separations(u, v) -> np.ndarray:
+    """``angular_separation`` over broadcast (..., 3) arrays, bit for bit.
+
+    The row dot products go through stacked ``matmul``, which takes the
+    same dot kernel as the scalar form, and the final step is the same
+    ``math.atan2``, so a threshold test on the result decides exactly as
+    the scalar form would.
+    """
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    u = np.ascontiguousarray(u)
+    v = np.ascontiguousarray(v)
+    cross = np.cross(u, v)
+    sin = np.sqrt((cross[..., None, :] @ cross[..., :, None])[..., 0, 0])
+    cos = (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+    angles = map(math.atan2, sin.ravel().tolist(), cos.ravel().tolist())
+    return np.fromiter(angles, dtype=float, count=sin.size).reshape(sin.shape)
+
+
 def project_point(
     camera: CameraModel,
     attitude_matrix: np.ndarray,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .centroiding import Centroid, find_centroids
-from .geometry import CameraModel, angular_separation, los_from_pixel
+from .geometry import CameraModel, angular_separations, los_from_pixel
 from .star_catalog import KVectorIndex, PairDatabase, StarCatalog, kvector_range_query
 
 MIN_ASTERISM = 3
@@ -59,25 +59,69 @@ class RetryResult:
     centroids: tuple[Centroid, ...]
 
 
-def _pair_partner_maps(
+def _candidate_table(
     los: np.ndarray,
     db: PairDatabase,
     index: KVectorIndex,
     epsilon_rad: float,
-) -> dict[tuple[int, int], dict[int, set[int]]]:
-    """For each centroid pair, map candidate star -> set of partner stars."""
+) -> tuple[np.ndarray, tuple[int, int, int, int], np.ndarray]:
+    """Every candidate assignment of every ordered centroid pair, as keys.
+
+    Each k-vector row (star s, star t) of the centroid pair {x, y} says
+    that x, y may be s, t or t, s, seen from either centroid: four
+    entries (cx, sx, cy, sy), centroid cx as star sx and centroid cy as
+    star sy.  Stars are numbered compactly; the entries are returned as
+    sorted unique ``np.ravel_multi_index`` keys over ``dims`` together
+    with the catalog id of every compact star number.
+    """
     n = len(los)
-    maps: dict[tuple[int, int], dict[int, set[int]]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            gamma = angular_separation(los[i], los[j])
-            rows = kvector_range_query(index, db, gamma, epsilon_rad)
-            partners: dict[int, set[int]] = defaultdict(set)
-            for a, b in zip(db.star_i[rows].tolist(), db.star_j[rows].tolist()):
-                partners[a].add(b)
-                partners[b].add(a)
-            maps[(i, j)] = partners
-    return maps
+    ci, cj = np.triu_indices(n, k=1)
+    gammas = angular_separations(los[ci], los[cj])
+    rows = [kvector_range_query(index, db, gamma, epsilon_rad) for gamma in gammas.tolist()]
+    x = np.repeat(ci, [len(r) for r in rows])
+    y = np.repeat(cj, [len(r) for r in rows])
+    rows = np.concatenate(rows)
+    star_ids, compact = np.unique(np.concatenate((db.star_i[rows], db.star_j[rows])), return_inverse=True)
+    s, t = compact[: len(rows)], compact[len(rows) :]
+    dims = (n, len(star_ids), n, len(star_ids))
+    keys = np.ravel_multi_index(
+        (np.concatenate((x, x, y, y)), np.concatenate((s, t, t, s)),
+         np.concatenate((y, y, x, x)), np.concatenate((t, s, s, t))),
+        dims,
+    )
+    keys.sort()
+    return keys[np.diff(keys, prepend=-1) != 0], dims, star_ids
+
+
+def _count_votes(keys: np.ndarray, dims: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Reference-star votes as (centroid, compact star) keys and counts.
+
+    For each leg (i -> a, j -> b) with i < j and each third centroid r,
+    the reference stars c with (i -> a, r -> c) and (j -> b, r -> c) both
+    candidates are joined; exactly one such c confirms the triangle and
+    it votes for (i, a), (j, b) and (r, c).
+    """
+    n, n_stars = dims[0], dims[1]
+    cx, sx, cy, sy = np.unravel_index(keys, dims)
+    leg = cx < cy
+    i, a, j, b = cx[leg], sx[leg], cy[leg], sy[leg]
+    # The entries (i -> a, r -> c) of a leg are one contiguous run of the sorted keys.
+    head = (i * n_stars + a) * (n * n_stars)
+    lo = np.searchsorted(keys, head)
+    length = np.searchsorted(keys, head + n * n_stars) - lo
+    which = np.repeat(np.arange(len(i)), length)
+    ref = np.repeat(lo - np.cumsum(length) + length, length) + np.arange(len(which))
+    r, c = cy[ref], sy[ref]
+    query = np.ravel_multi_index((j[which], b[which], r, c), dims)
+    found = keys[np.minimum(np.searchsorted(keys, query), len(keys) - 1)] == query
+    confirm = (r != j[which]) & found
+    which, r, c = which[confirm], r[confirm], c[confirm]
+    # Exactly one reference star per (leg, r): a run of length one.
+    _, first, runs = np.unique(which * n + r, return_index=True, return_counts=True)
+    k = first[runs == 1]
+    voters = np.concatenate((i[which[k]], j[which[k]], r[k]))
+    stars = np.concatenate((a[which[k]], b[which[k]], c[k]))
+    return np.unique(voters * n_stars + stars, return_counts=True)
 
 
 def identify_stars(
@@ -97,39 +141,14 @@ def identify_stars(
     if n < MIN_ASTERISM:
         return None
     los = np.array([los_from_pixel(camera, (c.x, c.y)) for c in centroids])
-    maps = _pair_partner_maps(los, db, index, epsilon_rad)
-
-    votes: dict[tuple[int, int], int] = defaultdict(int)
-    empty: dict[int, set[int]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            partners_ij = maps[(i, j)]
-            if not partners_ij:
-                continue
-            candidates = [
-                (a, sorted(bs)) for a, bs in sorted(partners_ij.items())
-            ]
-            for r in range(n):
-                if r == i or r == j:
-                    continue
-                m_ir = maps[(i, r) if i < r else (r, i)]
-                m_jr = maps[(j, r) if j < r else (r, j)]
-                if not m_ir or not m_jr:
-                    continue
-                for a, bs in candidates:
-                    ref_a = m_ir.get(a)
-                    if not ref_a:
-                        continue
-                    for b in bs:
-                        ref_b = m_jr.get(b)
-                        if not ref_b:
-                            continue
-                        common = ref_a & ref_b
-                        if len(common) == 1:
-                            c = next(iter(common))
-                            votes[(i, a)] += 1
-                            votes[(j, b)] += 1
-                            votes[(r, c)] += 1
+    keys, dims, star_ids = _candidate_table(los, db, index, epsilon_rad)
+    voted, counts = _count_votes(keys, dims)
+    votes = {
+        (i, star): v
+        for i, star, v in zip(
+            (voted // dims[1]).tolist(), star_ids[voted % dims[1]].tolist(), counts.tolist()
+        )
+    }
 
     assignment = _resolve_votes(votes, n)
     matches = tuple(

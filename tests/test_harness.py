@@ -26,9 +26,9 @@ from opnav.harness import (
     sample_scenarios,
     write_scenarios_csv,
 )
-from opnav.renderer import GroundTruth, TruthObject
+from opnav.renderer import GroundTruth, Image, TruthObject, write_pgm
 from opnav.skysim import AU_KM, seen_from, solar_system, synthetic_catalog
-from opnav.star_catalog import build_kvector, build_pair_database
+from opnav.star_catalog import build_kvector, build_pair_database, save_catalog, save_pair_database
 from opnav.star_id import MatchResult, RetryResult
 from conftest import DESK_POINTING
 
@@ -500,6 +500,23 @@ class TestCli:
         )
         assert r.returncode == 1
         assert r.stderr == "error: delta_max_rad must be > 0\n"
+
+    def test_process_rejects_mis_sized_image(self, tmp_path, desk_catalog, desk_db):
+        cfgfile = tmp_path / "camera.cfg"
+        save_config(PipelineConfig(), cfgfile)  # 1024 x 1024 camera
+        catalog = tmp_path / "catalog.csv"
+        save_catalog(desk_catalog, catalog)
+        db = tmp_path / "onboard.npz"
+        save_pair_database(*desk_db, db)
+        pgm = tmp_path / "small.pgm"
+        write_pgm(Image(width=640, height=480, data=np.zeros((480, 640), dtype=np.uint8)), pgm)
+        r = _cli(
+            "process", "--image", str(pgm), "--db", str(db), "--config", str(cfgfile),
+            "--catalog", str(catalog),
+        )
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == f"error: {pgm}: image is 640x480 px, the camera config expects 1024x1024\n"
 
     def test_error_exit_nonzero(self, tmp_path):
         r = _cli("build-catalog", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x.npz"))

@@ -1,0 +1,78 @@
+"""Property: the k-vector range query equals a linear scan of db.cos_angles."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opnav.star_catalog import (
+    CatalogError,
+    StarRecord,
+    build_kvector,
+    build_pair_database,
+    catalog_from_records,
+    kvector_range_query,
+)
+
+
+@st.composite
+def pair_databases(draw):
+    """A random star patch and its pair database; some patches repeat
+    positions so that several pairs share one cosine."""
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    ra = rng.uniform(0.0, spread, n)
+    dec = rng.uniform(-spread / 2, spread / 2, n)
+    if draw(st.booleans()):  # a regular grid: many equal pair angles
+        ra = np.round(ra / (spread / 4)) * (spread / 4)
+        dec = np.round(dec / (spread / 4)) * (spread / 4)
+    records = [StarRecord(id=100 + k, right_ascension=ra[k], declination=dec[k], magnitude=1.0) for k in range(n)]
+    # distinct positions only: a zero-angle pair is not a star pair
+    records = list({(r.right_ascension, r.declination): r for r in records}.values())
+    if len(records) < 3:
+        return None
+    try:
+        db = build_pair_database(catalog_from_records(records), 5.5, math.radians(35.0))
+    except CatalogError:  # no pair within the angle limit
+        return None
+    if len(db) < 2 or db.cos_angles[0] >= db.cos_angles[-1]:
+        return None
+    return db
+
+
+def linear_scan(db, gamma, epsilon):
+    lo = math.cos(gamma + epsilon)
+    hi = math.cos(gamma - epsilon)
+    return np.flatnonzero((db.cos_angles >= lo) & (db.cos_angles <= hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    db=pair_databases(),
+    gamma=st.floats(0.0, 0.7),
+    epsilon=st.sampled_from([0.0, 1e-9, 3.4e-5, 1e-3, 0.05]),
+)
+def test_random_angles(db, gamma, epsilon):
+    if db is None:
+        return
+    index = build_kvector(db)
+    got = kvector_range_query(index, db, gamma, epsilon)
+    np.testing.assert_array_equal(got, linear_scan(db, gamma, epsilon))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    db=pair_databases(),
+    pick=st.integers(0, 10**6),
+    epsilon=st.sampled_from([0.0, 1e-12, 3.4e-5]),
+)
+def test_angles_of_stored_pairs(db, pick, epsilon):
+    # query right on a stored cosine, where the bins and ties bite
+    if db is None:
+        return
+    index = build_kvector(db)
+    gamma = math.acos(float(db.cos_angles[pick % len(db)]))
+    got = kvector_range_query(index, db, gamma, epsilon)
+    np.testing.assert_array_equal(got, linear_scan(db, gamma, epsilon))

@@ -1,0 +1,153 @@
+"""identify_stars against frozen frames and against the nested-loop rule.
+
+``data/star_id_frames.json`` holds, per workload sky, the centroids that
+``find_centroids`` found on frames of ``harness.sample_scenarios`` with
+master seed 1 (rendered as the campaign renders them), plus one perturbed
+copy (first star dropped, two false detections added), together with the
+matches and spikes the reference-star voting gave for them.  The
+centroids are frozen too, so the test pins star identification alone and
+does not move when the renderer does.
+
+The second test replays the reference-star voting as nested loops over
+per-pair partner sets on a sparse sky, once with the flight tolerance and
+once with a tolerance so wide that ambiguous (two or more shared stars)
+intersections are common.  The last test gives it centroids whose pair
+angles match no k-vector row at all.
+"""
+
+import json
+import math
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from opnav.centroiding import Centroid
+from opnav.config import PipelineConfig
+from opnav.geometry import (
+    ARCSEC_TO_RAD,
+    PointingAngles,
+    angular_separation,
+    attitude_from_axis_azimuth,
+    los_from_pixel,
+    project_star,
+)
+from opnav.skysim import synthetic_catalog
+from opnav.star_catalog import build_kvector, build_pair_database, kvector_range_query
+from opnav.star_id import _resolve_votes, identify_stars
+
+FRAMES = json.loads((Path(__file__).parent / "data" / "star_id_frames.json").read_text())
+
+SKIES = {
+    "flight": PipelineConfig(),
+    "crowded": PipelineConfig(
+        sky_star_count=9000, sky_mag_faint=7.5, render_mag_cutoff=7.5, exposure_ms=800.0
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SKIES))
+def workload(request):
+    cfg = SKIES[request.param]
+    catalog = synthetic_catalog(
+        cfg.sky_star_count, cfg.sky_seed, cfg.sky_mag_bright, cfg.sky_mag_faint, cfg.sky_mag_slope
+    )
+    db = build_pair_database(catalog, cfg.mag_limit, cfg.max_pair_angle_rad)
+    return request.param, cfg, catalog, db, build_kvector(db)
+
+
+def test_matches_and_spikes_frozen(workload):
+    name, cfg, catalog, db, index = workload
+    for case in FRAMES[name]:
+        centroids = [Centroid(x, y, 1.0, 1.0, None) for x, y in case["centroids"]]
+        result = identify_stars(
+            centroids, cfg.camera(), catalog, db, index, cfg.identify_config().epsilon_rad
+        )
+        assert result is not None, case["frame"]
+        got = [[m.centroid_index, m.star_id] for m in result.matches]
+        assert got == case["matches"], case["frame"]
+        assert list(result.spikes) == case["spikes"], case["frame"]
+
+
+def reference_identify(centroids, camera, db, index, epsilon_rad):
+    """Matches and spikes by the nested dict/set voting loop."""
+    n = len(centroids)
+    los = [los_from_pixel(camera, (c.x, c.y)) for c in centroids]
+    maps = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows = kvector_range_query(index, db, angular_separation(los[i], los[j]), epsilon_rad)
+            partners = defaultdict(set)
+            for a, b in zip(db.star_i[rows].tolist(), db.star_j[rows].tolist()):
+                partners[a].add(b)
+                partners[b].add(a)
+            maps[(i, j)] = partners
+    votes = defaultdict(int)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for r in range(n):
+                if r in (i, j):
+                    continue
+                m_ir = maps[(min(i, r), max(i, r))]
+                m_jr = maps[(min(j, r), max(j, r))]
+                for a, bs in maps[(i, j)].items():
+                    for b in bs:
+                        common = m_ir.get(a, set()) & m_jr.get(b, set())
+                        if len(common) == 1:
+                            votes[(i, a)] += 1
+                            votes[(j, b)] += 1
+                            votes[(r, next(iter(common)))] += 1
+    assignment = _resolve_votes(votes, n)
+    if len(assignment) < 3:
+        return None
+    return sorted(assignment.items()), tuple(i for i in range(n) if i not in assignment)
+
+
+@pytest.fixture(scope="module")
+def sparse_sky(cfg):
+    """A 1000-star sky: few pairs, so a wide tolerance stays cheap."""
+    catalog = synthetic_catalog(1000, cfg.sky_seed, cfg.sky_mag_bright, cfg.sky_mag_faint, cfg.sky_mag_slope)
+    db = build_pair_database(catalog, cfg.mag_limit, cfg.max_pair_angle_rad)
+    return catalog, db, build_kvector(db)
+
+
+@pytest.mark.parametrize("tolerance_arcsec", [7.0, 1800.0])
+def test_equals_nested_loop_voting(camera, cfg, sparse_sky, tolerance_arcsec):
+    catalog, db, index = sparse_sky
+    rng = np.random.default_rng(int(tolerance_arcsec))
+    bright = [s for s in catalog.stars if s.magnitude <= cfg.mag_limit]
+    eps = tolerance_arcsec * ARCSEC_TO_RAD
+    compared = 0
+    for _ in range(30):
+        pointing = PointingAngles(
+            alpha=rng.uniform(0, 2 * math.pi), delta=rng.uniform(-0.6, 0.6), phi=rng.uniform(0, 2 * math.pi)
+        )
+        att = attitude_from_axis_azimuth(pointing)
+        pixels = [project_star(camera, att, s.right_ascension, s.declination) for s in bright]
+        pixels = [p for p in pixels if p is not None and camera.in_frame(*p)]
+        pixels += list(rng.uniform(0, camera.width - 1, (rng.integers(0, 4), 2)))  # false detections
+        rng.shuffle(pixels)
+        centroids = [
+            Centroid(float(x) + rng.normal(0, 0.2), float(y) + rng.normal(0, 0.2), 1.0, 1.0, None)
+            for x, y in pixels[:8]
+        ]
+        if len(centroids) < 3:
+            continue
+        result = identify_stars(centroids, camera, catalog, db, index, eps)
+        got = None if result is None else ([(m.centroid_index, m.star_id) for m in result.matches], result.spikes)
+        assert got == reference_identify(centroids, camera, db, index, eps)
+        compared += 1
+    assert compared >= 25
+
+
+def test_no_pair_has_a_candidate(camera, cfg, sparse_sky):
+    catalog, db, index = sparse_sky
+    eps = 7.0 * ARCSEC_TO_RAD
+    centroids = [Centroid(x, y, 1.0, 1.0, None) for x, y in [(100, 100), (101, 100), (100, 102), (103, 103)]]
+    los = [los_from_pixel(camera, (c.x, c.y)) for c in centroids]
+    for i in range(len(los)):
+        for j in range(i + 1, len(los)):
+            assert len(kvector_range_query(index, db, angular_separation(los[i], los[j]), eps)) == 0
+    assert identify_stars(centroids, camera, catalog, db, index, eps) is None
+    assert reference_identify(centroids, camera, db, index, eps) is None
