@@ -1,7 +1,7 @@
 """Dynamic thresholding, ROI extraction, and weighted-moment centroids.
 
 The threshold is mean + T * std over the whole frame (population std);
-an 8-bit frame takes both moments exactly from its 256-bin histogram.
+an 8-bit frame takes both moments as exact integer sums.
 Pixels strictly above the threshold form 8-connected components.  Only
 the few rows that hold such pixels are labelled: they are packed into a
 small array, with one blank row between runs of rows that are not
@@ -57,20 +57,19 @@ class Centroid:
 def compute_threshold(image: np.ndarray, t: float) -> float:
     """Intensity threshold mean + t * std over all pixels of the frame.
 
-    An 8-bit frame takes both moments from a 256-bin histogram with exact
-    integer sums: the mean is the correctly rounded quotient, the variance
-    the correctly rounded (n * sum(v^2) - sum(v)^2) / n^2.
+    An 8-bit frame takes both moments as exact unsigned-integer sums, with
+    no widening of the frame beyond uint16: the mean is the correctly
+    rounded quotient, the variance the correctly rounded
+    (n * sum(v^2) - sum(v)^2) / n^2.
     """
     if image.size == 0:
         raise ValueError("empty image")
     if image.dtype != np.uint8:
         data = image.astype(np.float64, copy=False)
         return float(data.mean() + t * data.std())
-    counts = np.bincount(image.ravel(), minlength=256)
-    levels = np.arange(256, dtype=np.int64)
     n = image.size
-    s1 = int(counts @ levels)
-    s2 = int(counts @ (levels * levels))
+    s1 = int(image.sum(dtype=np.uint64))
+    s2 = int(np.square(image, dtype=np.uint16).sum(dtype=np.uint64))  # 255**2 fits in uint16
     mean = s1 / n
     std = math.sqrt((n * s2 - s1 * s1) / (n * n))
     return float(mean + t * std)

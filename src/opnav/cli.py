@@ -123,8 +123,25 @@ def _cmd_synth_sky(args) -> int:
     return 0
 
 
+_SCENE_REQUIRED = ("catalog", "alpha_rad", "delta_rad", "phi_rad")
+_SCENE_OPTIONAL = ("config", "ephemeris", "epoch", "sc_x_km", "sc_y_km", "sc_z_km", "mag_cutoff", "seed")
+
+
+def _read_scene(path) -> dict[str, str]:
+    """Scene key=value lines; an unknown or missing key names the file."""
+    kv = {}
+    for lineno, key, value in read_kv(path):
+        if key not in _SCENE_REQUIRED and key not in _SCENE_OPTIONAL:
+            raise ValueError(f"{path} line {lineno}: unknown scene key '{key}'")
+        kv[key] = value
+    missing = [key for key in _SCENE_REQUIRED if key not in kv]
+    if missing:
+        raise ValueError(f"{path}: missing scene key(s) {', '.join(missing)}")
+    return kv
+
+
 def _cmd_render(args) -> int:
-    kv = {key: value for _, key, value in read_kv(args.scene)}
+    kv = _read_scene(args.scene)
     cfg = load_config(kv["config"]) if "config" in kv else PipelineConfig()
     catalog = load_catalog(kv["catalog"])
     planets = planets_at(kv["ephemeris"], kv.get("epoch")) if "ephemeris" in kv else ()

@@ -10,8 +10,15 @@ Qe*Tlens 0.49, 40 mm / f2.2 optics); everything else follows from the
 and aperture area.
 
 Rendering order: float signal field -> optional per-pixel Poisson shot
-noise -> additive Gaussian background -> clamp to [0, 255] -> round to
-integer DN.  With a fixed seed, output is bit-identical.
+noise -> additive Gaussian background -> round to integer DN -> clamp to
+[0, 255].  With a fixed seed, output is bit-identical.
+
+Shot noise is drawn only on the pixels whose signal is non-zero, in C
+order.  numpy's ``Generator.poisson`` returns 0 for a zero rate without
+taking a draw, so this leaves the random stream, and every output byte,
+exactly as a draw over the whole frame would; a default frame has about
+0.3 % of its pixels lit.  The background is drawn into the one float
+buffer that is then rounded, clamped and cast.
 """
 
 from __future__ import annotations
@@ -200,14 +207,7 @@ def render(scene: SceneSpec) -> tuple[Image, GroundTruth]:
     """Render the scene to an 8-bit frame and its ground-truth sidecar."""
     cam = scene.camera
     field, pending = render_field(scene)
-    rng = np.random.default_rng(scene.seed)
-    if scene.photon_noise:
-        field = rng.poisson(field).astype(np.float64)
-    if scene.background_sigma_dn > 0 or scene.background_mean_dn != 0:
-        field = field + rng.normal(
-            scene.background_mean_dn, scene.background_sigma_dn, size=field.shape
-        )
-    data = np.clip(np.rint(field), 0, 255).astype(np.uint8)
+    data = _add_noise_and_quantize(field, scene)
     image = Image(width=cam.width, height=cam.height, data=data)
 
     objects = []
@@ -220,6 +220,26 @@ def render(scene: SceneSpec) -> tuple[Image, GroundTruth]:
         )
         objects.append(TruthObject(o.kind, o.ident, o.x, o.y, peak, visible))
     return image, GroundTruth(objects=tuple(objects), attitude=scene.true_attitude)
+
+
+def _add_noise_and_quantize(field: np.ndarray, scene: SceneSpec) -> np.ndarray:
+    """Shot noise on the lit pixels, then the Gaussian background, in one
+    float buffer rounded and clamped in place and cast once to uint8."""
+    rng = np.random.default_rng(scene.seed)
+    flat = field.ravel()
+    if scene.photon_noise:
+        lit = np.flatnonzero(flat != 0)  # != 0, not > 0: poisson still raises on a negative or NaN signal
+        signal = rng.poisson(flat[lit])
+    else:
+        lit, signal = slice(None), flat
+    if scene.background_sigma_dn > 0 or scene.background_mean_dn != 0:
+        out = rng.normal(scene.background_mean_dn, scene.background_sigma_dn, size=flat.size)
+    else:
+        out = np.zeros(flat.size)
+    out[lit] += signal
+    np.rint(out, out=out)
+    np.clip(out, 0, 255, out=out)
+    return out.astype(np.uint8).reshape(field.shape)
 
 
 def _peak_near(data: np.ndarray, x: float, y: float, sigma: float) -> float:

@@ -458,6 +458,24 @@ class TestCli:
         assert "attitude quaternion" in r.stdout
         assert "beacon" in r.stdout
 
+    def test_render_rejects_unknown_scene_key(self, tmp_path):
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(
+            f"catalog={tmp_path / 'catalog.csv'}\nalpha_rad=0.7\ndelta_rad=0.21\n"
+            "phi_rad=1.01\n# a typo must not render at the default cutoff\nmag_cuttoff=5.0\n"
+        )
+        r = _cli("render", "--scene", str(scene), "--out", str(tmp_path / "f.pgm"), "--truth", str(tmp_path / "t.csv"))
+        assert r.returncode == 1
+        assert r.stderr == f"error: {scene} line 6: unknown scene key 'mag_cuttoff'\n"
+        assert not (tmp_path / "f.pgm").exists()
+
+    def test_render_rejects_missing_scene_key(self, tmp_path):
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(f"catalog={tmp_path / 'catalog.csv'}\nalpha_rad=0.7\ndelta_rad=0.21\n")
+        r = _cli("render", "--scene", str(scene), "--out", str(tmp_path / "f.pgm"), "--truth", str(tmp_path / "t.csv"))
+        assert r.returncode == 1
+        assert r.stderr == f"error: {scene}: missing scene key(s) phi_rad\n"
+
     def test_montecarlo_outputs(self, tmp_path):
         out = tmp_path / "mc"
         cfgfile = tmp_path / "small.cfg"

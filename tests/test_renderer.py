@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -108,6 +109,46 @@ class TestRender:
         img2, t2 = make()
         np.testing.assert_array_equal(img1.data, img2.data)
         assert t1 == t2
+
+    # SHA-256 of the uint8 frame, default sky at DESK_POINTING, seed 99;
+    # recorded before shot noise was drawn on the lit pixels only.
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            ({}, "f6b6e65a6c2b7074956b81bdf322e0bec82fa503db9a75b236c916d53b556f27"),
+            (
+                {"photon_noise": False},
+                "f71ebe5b381f6b5553b12e6d20b458df7a5a24d6b6abdb6a45e7ff96bed2a310",
+            ),
+            (
+                {"background_mean_dn": 0.0, "background_sigma_dn": 0.0},
+                "7bbdfe4b3569e63ff407a60aac8f342d682c42d1d7ea72db10256e11669664a8",
+            ),
+        ],
+        ids=["default", "no_photon_noise", "no_background"],
+    )
+    def test_frozen_frame_digest(self, camera, sky, overrides, digest):
+        catalog, _, _ = sky
+        scene = SceneSpec(
+            camera=camera,
+            true_attitude=DESK_POINTING,
+            sc_position_km=np.zeros(3),
+            star_catalog=catalog,
+            seed=99,
+            **overrides,
+        )
+        image, _ = render(scene)
+        assert hashlib.sha256(image.data.tobytes()).hexdigest() == digest
+
+    def test_negative_flux_rejected_by_shot_noise(self, camera):
+        scene = _empty_scene(camera, photon_noise=True, extra_sources=((200.0, 300.0, -50.0),))
+        with pytest.raises(ValueError, match="lam < 0"):
+            render(scene)
+
+    def test_negative_background_sigma_rejected(self, camera):
+        scene = _empty_scene(camera, background_mean_dn=5.0, background_sigma_dn=-1.0)
+        with pytest.raises(ValueError, match="scale < 0"):
+            render(scene)
 
     def test_different_seed_differs(self, camera, sky):
         catalog, _, _ = sky

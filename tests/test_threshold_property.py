@@ -1,0 +1,62 @@
+"""Property: the threshold of an 8-bit frame equals the histogram form.
+
+The reference takes both moments from a 256-bin ``np.bincount`` with
+exact integer sums, as ``compute_threshold`` did before it summed the
+frame directly; the threshold must match bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from opnav.centroiding import compute_threshold
+
+
+def histogram_threshold(image, t):
+    counts = np.bincount(image.ravel(), minlength=256)
+    levels = np.arange(256, dtype=np.int64)
+    n = image.size
+    s1 = int(counts @ levels)
+    s2 = int(counts @ (levels * levels))
+    return float(s1 / n + t * math.sqrt((n * s2 - s1 * s1) / (n * n)))
+
+
+t_values = st.one_of(st.sampled_from([0.0, 1.0, 20.0]), st.floats(-50.0, 50.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    image=arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=64)),
+    t=t_values,
+)
+def test_threshold_equals_histogram_form(image, t):
+    assert compute_threshold(image, t) == histogram_threshold(image, t)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), high=st.integers(1, 256), t=t_values)
+def test_threshold_equals_histogram_form_full_frame(seed, high, t):
+    image = np.random.default_rng(seed).integers(0, high, (1024, 1024), dtype=np.uint8)
+    assert compute_threshold(image, t) == histogram_threshold(image, t)
+
+
+@pytest.mark.parametrize(
+    "image",
+    [
+        np.full((1, 1), 173, dtype=np.uint8),
+        np.zeros((37, 41), dtype=np.uint8),
+        np.full((37, 41), 255, dtype=np.uint8),
+        # a row whose sum of squares overflows 32 bits
+        np.full((1, 70_000), 255, dtype=np.uint8),
+        np.random.default_rng(5).integers(0, 256, (1, 70_000), dtype=np.uint8),
+        np.random.default_rng(6).integers(0, 256, (1024, 1024), dtype=np.uint8)[::2, 1::3],
+    ],
+    ids=["1x1", "all_0", "all_255", "1x70000_all_255", "1x70000_random", "strided"],
+)
+@pytest.mark.parametrize("t", [0.0, 20.0])
+def test_threshold_edge_frames(image, t):
+    assert compute_threshold(image, t) == histogram_threshold(image, t)
