@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Attitude, CameraModel, matrix_from_quaternion, skew
+from .geometry import Attitude, CameraModel, matrix_from_quaternion, project_point, skew
 
 # Inverse chi-square cdf with 2 dof at 0.9973 (the 3-sigma probability).
 CHI2_GATE_3SIGMA = 11.8292
@@ -135,15 +135,6 @@ def covariance_ellipse(p: np.ndarray) -> Ellipse:
     )
 
 
-def ellipse_points(ellipse: Ellipse, center, angles) -> np.ndarray:
-    """Parametric boundary points of the uncertainty ellipse (for reports)."""
-    t = np.asarray(angles, dtype=float)
-    c, s = math.cos(ellipse.psi), math.sin(ellipse.psi)
-    rot = np.array([[c, s], [-s, c]])
-    xy = np.column_stack([ellipse.a * np.cos(t), ellipse.b * np.sin(t)]) @ rot
-    return xy + np.asarray(center, dtype=float)
-
-
 def floor_covariance(p: np.ndarray, floor_px: float = DEFAULT_ELLIPSE_FLOOR_PX) -> np.ndarray:
     """Raise the eigenvalues of P so the semiminor axis is at least
     ``floor_px``; encodes the centroiding error the budget omits and
@@ -164,14 +155,12 @@ def predict_projection(
 ) -> ProjectionPrediction | None:
     """Expected pixel, floored covariance, and ellipse for one beacon.
 
-    Returns None when the expected projection is behind the camera.
+    Returns None when the expected projection is behind the camera;
+    raises ValueError when the beacon sits at the spacecraft position.
     """
-    a = matrix_from_quaternion(attitude_q)
-    rho_c = a @ (np.asarray(beacon_position_km, float) - np.asarray(sc_position_km, float))
-    if rho_c[2] <= 0:
+    expected = project_point(camera, matrix_from_quaternion(attitude_q), sc_position_km, beacon_position_km)
+    if expected is None:
         return None
-    h = camera.intrinsic @ rho_c
-    expected = np.array([h[0] / h[2], h[1] / h[2]])
     jac = projection_jacobian(camera, attitude_q, sc_position_km, beacon_position_km)
     p = floor_covariance(projection_covariance(jac, budget), floor_px)
     return ProjectionPrediction(expected_px=expected, covariance=p, ellipse=covariance_ellipse(p))

@@ -26,31 +26,20 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 @dataclass(frozen=True)
 class Roi:
     """Inclusive pixel box (grown one pixel per side, clipped at borders)
-    around one connected bright component."""
+    around one connected bright component, and the component's span: the
+    larger of its member pixels' x and y extents."""
 
     x0: int
     y0: int
     x1: int
     y1: int
-    member_x: np.ndarray
-    member_y: np.ndarray
-    member_intensity: np.ndarray
-
-    def __post_init__(self):
-        for a in (self.member_x, self.member_y, self.member_intensity):
-            a.setflags(write=False)
-
-    @property
-    def n_members(self) -> int:
-        return len(self.member_x)
+    span: int
 
 
 @dataclass(frozen=True)
 class Centroid:
     x: float
     y: float
-    total_weighted_intensity: float
-    peak_dn: float
     roi: Roi
 
 
@@ -79,7 +68,8 @@ def extract_rois(image: np.ndarray, threshold: float) -> list[Roi]:
     """8-connected components of pixels strictly above the threshold.
 
     Components are returned in row-major order of their first (seed)
-    pixel, each boxed with a one-pixel margin clipped to the frame.
+    pixel, the order in which ``ndimage.label`` numbers them, each boxed
+    with a one-pixel margin clipped to the frame.
 
     Only rows holding a pixel above the threshold are labelled.  They are
     packed into a small array in frame order, with one blank row between
@@ -99,28 +89,17 @@ def extract_rois(image: np.ndarray, threshold: float) -> list[Roi]:
     frame_row = np.zeros(len(packed), dtype=np.int64)
     frame_row[packed_rows] = rows
 
-    py, px = np.nonzero(labels)  # row-major
-    component = labels[py, px]
-    order = np.argsort(component, kind="stable")  # by component, row-major within
-    ys = frame_row[py[order]]
-    xs = px[order]
-    intensity = image[ys, xs].astype(np.float64)
-    starts = np.flatnonzero(np.diff(component[order], prepend=0))
-    ends = np.append(starts[1:], len(order))
-    x_min = np.minimum.reduceat(xs, starts)
-    x_max = np.maximum.reduceat(xs, starts)
     out = []
-    for k in np.argsort(ys[starts] * width + xs[starts], kind="stable"):
-        members = slice(starts[k], ends[k])
+    for rows_k, cols_k in ndimage.find_objects(labels):
+        x_min, x_max = cols_k.start, cols_k.stop - 1
+        y_min, y_max = int(frame_row[rows_k.start]), int(frame_row[rows_k.stop - 1])
         out.append(
             Roi(
-                x0=max(int(x_min[k]) - 1, 0),
-                y0=max(int(ys[starts[k]]) - 1, 0),
-                x1=min(int(x_max[k]) + 1, width - 1),
-                y1=min(int(ys[ends[k] - 1]) + 1, height - 1),
-                member_x=xs[members],
-                member_y=ys[members],
-                member_intensity=intensity[members],
+                x0=max(x_min - 1, 0),
+                y0=max(y_min - 1, 0),
+                x1=min(x_max + 1, width - 1),
+                y1=min(y_max + 1, height - 1),
+                span=max(x_max - x_min, y_max - y_min),
             )
         )
     return out
@@ -132,8 +111,6 @@ def compute_centroid(roi: Roi, image: np.ndarray) -> Centroid:
     Moments sum over the full box including the margin ring, so faint
     PSF tails below the threshold still pull the estimate.
     """
-    if roi.n_members == 0:
-        raise ValueError("ROI has no member pixels")
     box = image[roi.y0 : roi.y1 + 1, roi.x0 : roi.x1 + 1].astype(np.float64)
     peak = box.max()
     if peak <= 0:
@@ -146,13 +123,7 @@ def compute_centroid(roi: Roi, image: np.ndarray) -> Centroid:
     ys, xs = np.mgrid[roi.y0 : roi.y1 + 1, roi.x0 : roi.x1 + 1]
     m10 = (xs * iw).sum()
     m01 = (ys * iw).sum()
-    return Centroid(
-        x=float(m10 / m00),
-        y=float(m01 / m00),
-        total_weighted_intensity=float(m00),
-        peak_dn=float(roi.member_intensity.max()),
-        roi=roi,
-    )
+    return Centroid(x=float(m10 / m00), y=float(m01 / m00), roi=roi)
 
 
 def find_centroids(image: np.ndarray, t: float) -> tuple[list[Centroid], float]:

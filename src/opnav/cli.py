@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import skysim
-from .config import PipelineConfig, load_config, read_kv, save_config
+from .config import PipelineConfig, load_config, parse_value, read_kv, save_config
 from .ephemeris import planets_at, save_ephemeris
 from .geometry import PointingAngles
 from .harness import (
@@ -123,17 +123,22 @@ def _cmd_synth_sky(args) -> int:
     return 0
 
 
+_SCENE_KINDS = {
+    "catalog": str, "alpha_rad": float, "delta_rad": float, "phi_rad": float,
+    "config": str, "ephemeris": str, "epoch": str,
+    "sc_x_km": float, "sc_y_km": float, "sc_z_km": float, "mag_cutoff": float, "seed": int,
+}
 _SCENE_REQUIRED = ("catalog", "alpha_rad", "delta_rad", "phi_rad")
-_SCENE_OPTIONAL = ("config", "ephemeris", "epoch", "sc_x_km", "sc_y_km", "sc_z_km", "mag_cutoff", "seed")
 
 
-def _read_scene(path) -> dict[str, str]:
-    """Scene key=value lines; an unknown or missing key names the file."""
+def _read_scene(path) -> dict:
+    """Typed scene values; an unknown key, a bad value or a missing key
+    names the file."""
     kv = {}
     for lineno, key, value in read_kv(path):
-        if key not in _SCENE_REQUIRED and key not in _SCENE_OPTIONAL:
+        if key not in _SCENE_KINDS:
             raise ValueError(f"{path} line {lineno}: unknown scene key '{key}'")
-        kv[key] = value
+        kv[key] = parse_value(path, lineno, key, value, _SCENE_KINDS[key])
     missing = [key for key in _SCENE_REQUIRED if key not in kv]
     if missing:
         raise ValueError(f"{path}: missing scene key(s) {', '.join(missing)}")
@@ -147,19 +152,15 @@ def _cmd_render(args) -> int:
     planets = planets_at(kv["ephemeris"], kv.get("epoch")) if "ephemeris" in kv else ()
     scene = SceneSpec(
         camera=cfg.camera(),
-        true_attitude=PointingAngles(
-            alpha=float(kv["alpha_rad"]), delta=float(kv["delta_rad"]), phi=float(kv["phi_rad"])
-        ),
-        sc_position_km=np.array(
-            [float(kv.get("sc_x_km", 0)), float(kv.get("sc_y_km", 0)), float(kv.get("sc_z_km", 0))]
-        ),
+        true_attitude=PointingAngles(alpha=kv["alpha_rad"], delta=kv["delta_rad"], phi=kv["phi_rad"]),
+        sc_position_km=np.array([kv.get("sc_x_km", 0.0), kv.get("sc_y_km", 0.0), kv.get("sc_z_km", 0.0)]),
         star_catalog=catalog,
         planets=planets,
-        render_mag_cutoff=float(kv.get("mag_cutoff", cfg.render_mag_cutoff)),
+        render_mag_cutoff=kv.get("mag_cutoff", cfg.render_mag_cutoff),
         background_mean_dn=cfg.background_mean_dn,
         background_sigma_dn=cfg.background_sigma_dn,
         photon_noise=cfg.photon_noise,
-        seed=int(kv.get("seed", 0)),
+        seed=kv.get("seed", 0),
         anchor_mag=cfg.anchor_mag,
         anchor_peak_dn=cfg.anchor_peak_dn,
     )
@@ -182,6 +183,9 @@ def _cmd_process(args) -> int:
         )
     catalog = load_catalog(args.catalog)
     db, index = load_pair_database(args.db)
+    missing = np.setdiff1d(np.concatenate([db.star_i, db.star_j]), [s.id for s in catalog.stars])
+    if len(missing):
+        raise ValueError(f"{args.db}: star id {missing[0]} is not in {args.catalog}")
     attitude_out = solve_attitude(
         image.data, camera, catalog, db, index, cfg.identify_config(), cfg.ransac_config()
     )

@@ -122,6 +122,17 @@ def read_kv(path):
             yield lineno, key.strip(), value.strip()
 
 
+def parse_value(path, lineno: int, key: str, value: str, kind: type):
+    """``value`` as a ``kind`` (bool, int, float or str); a value that does
+    not parse names the file, line and key."""
+    if kind is bool:
+        return value.lower() in ("1", "true", "yes", "on")
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{path} line {lineno}: {key} expects {kind.__name__}, got '{value}'") from None
+
+
 def load_config(path) -> PipelineConfig:
     """Parse key=value lines (``#`` comments) over the defaults."""
     cfg = PipelineConfig()
@@ -129,17 +140,7 @@ def load_config(path) -> PipelineConfig:
     for lineno, key, value in read_kv(path):
         if key not in names:
             raise ValueError(f"{path} line {lineno}: unknown key '{key}'")
-        current = getattr(cfg, key)
-        if isinstance(current, bool):
-            setattr(cfg, key, value.lower() in ("1", "true", "yes", "on"))
-            continue
-        kind = int if isinstance(current, int) else float
-        try:
-            setattr(cfg, key, kind(value))
-        except ValueError:
-            raise ValueError(
-                f"{path} line {lineno}: {key} expects {kind.__name__}, got '{value}'"
-            ) from None
+        setattr(cfg, key, parse_value(path, lineno, key, value, type(getattr(cfg, key))))
     return cfg
 
 

@@ -75,8 +75,9 @@ class PointingAngles:
     def __post_init__(self):
         if not -math.pi / 2 <= self.delta <= math.pi / 2:
             raise ValueError(f"declination {self.delta} outside [-pi/2, pi/2]")
-        object.__setattr__(self, "alpha", self.alpha % TWO_PI)
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
+        # twice: a tiny negative angle % TWO_PI rounds to TWO_PI itself
+        object.__setattr__(self, "alpha", self.alpha % TWO_PI % TWO_PI)
+        object.__setattr__(self, "phi", self.phi % TWO_PI % TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -105,13 +106,6 @@ class Attitude:
     @property
     def vector(self) -> np.ndarray:
         return self.q[1:]
-
-    def to_matrix(self) -> np.ndarray:
-        return matrix_from_quaternion(self)
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Attitude":
-        return quaternion_from_matrix(m)
 
 
 def _first_nonzero_sign(v: np.ndarray) -> float:

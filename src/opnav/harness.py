@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class ScenarioSpec:
     pointing: PointingAngles
     planets: tuple[Planet, ...]  # magnitudes as seen from sc_position_km
     planet_in_frame: bool
-    sigma_r_km: float | None = None
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,6 @@ class AttitudeOutput:
 
 @dataclass(frozen=True)
 class BeaconObservation:
-    name: str
     prediction: ProjectionPrediction | None
     attempted: bool  # False when the expected projection is off-frame
     spike_index: int | None  # index into spike_positions
@@ -132,7 +130,7 @@ def detect_beacons(
     solution = attitude_out.solution
     for planet in planets:
         if solution is None:
-            out[planet.name] = BeaconObservation(planet.name, None, False, None, None)
+            out[planet.name] = BeaconObservation(None, False, None, None)
             continue
         prediction = predict_projection(
             camera, solution.quaternion, est_position_km, planet.position_km, budget, floor_px
@@ -144,7 +142,7 @@ def detect_beacons(
             spike_index = detect_beacon(attitude_out.spike_positions, prediction)
             if spike_index is not None:
                 selected = attitude_out.spike_positions[spike_index]
-        out[planet.name] = BeaconObservation(planet.name, prediction, attempted, spike_index, selected)
+        out[planet.name] = BeaconObservation(prediction, attempted, spike_index, selected)
     return out
 
 
@@ -239,17 +237,9 @@ def _failure_forensics(
         return "1.III.F"
     if nearest not in attitude_out.spike_centroids:
         return "1.III.A"  # the planet's centroid survived as a star match
-    roi = retry.centroids[nearest].roi
-    if roi.n_members and _roi_member_span(roi) > 1 and nearest_dist > 1.0:
+    if retry.centroids[nearest].roi.span > 1 and nearest_dist > 1.0:
         return "1.III.E"
     return "1.III.B"
-
-
-def _roi_member_span(roi) -> float:
-    return max(
-        roi.member_x.max() - roi.member_x.min(),
-        roi.member_y.max() - roi.member_y.min(),
-    )
 
 
 @dataclass(frozen=True)
@@ -484,11 +474,7 @@ def aggregate(records: list[ScenarioRecord], sigma_r: float) -> CampaignRow:
     fails = sum(1 for r in converged if is_beacon_failure(r))
     fails_right = sum(1 for r in right if is_beacon_failure(r))
 
-    ok = [
-        r
-        for r in converged
-        if r.outcome.label == "1.I" and not math.isnan(r.detected_x)
-    ]
+    ok = [r for r in converged if r.outcome.label == "1.I"]
     if ok:
         errs = np.array(
             [[r.detected_x - r.truth_x, r.detected_y - r.truth_y] for r in ok]
@@ -565,7 +551,7 @@ def write_pdf_errors_csv(records: list[ScenarioRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("sigma_r_km,err_x_px,err_y_px\n")
         for r in records:
-            if r.outcome.label == "1.I" and not math.isnan(r.detected_x):
+            if r.outcome.label == "1.I":
                 fh.write(
                     f"{_fmt(r.sigma_r_km)},{_fmt(r.detected_x - r.truth_x)},"
                     f"{_fmt(r.detected_y - r.truth_y)}\n"

@@ -24,7 +24,7 @@ buffer that is then rounded, clamped and cast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -147,25 +147,19 @@ def _deposit(field: np.ndarray, x: float, y: float, flux: float, sigma: float) -
     field[y0 : y1 + 1, x0 : x1 + 1] += flux * np.outer(fy, fx)
 
 
-@dataclass(frozen=True)
-class _PendingObject:
-    kind: str
-    ident: str
-    x: float
-    y: float
-    in_front: bool
-
-
-def render_field(scene: SceneSpec) -> tuple[np.ndarray, list[_PendingObject]]:
+def render_field(scene: SceneSpec) -> tuple[np.ndarray, list[TruthObject]]:
     """Noise-free, unclamped float signal field plus the projected objects.
 
-    Exposed separately so photometric linearity can be checked without
-    quantization in the way; ``render`` adds noise and quantizes.
+    The objects carry ``peak_dn=0.0, visible=False``; ``render`` fills
+    both in from the quantized frame.  A planet behind the camera has NaN
+    coordinates.  Exposed separately so photometric linearity can be
+    checked without quantization in the way; ``render`` adds noise and
+    quantizes.
     """
     cam = scene.camera
     att = attitude_from_axis_azimuth(scene.true_attitude)
     field = np.zeros((cam.height, cam.width))
-    objects: list[_PendingObject] = []
+    objects: list[TruthObject] = []
     margin = PSF_TRUNCATION_SIGMAS * cam.defocus_sigma_px + 1.0
 
     stars = scene.star_catalog
@@ -185,20 +179,20 @@ def render_field(scene: SceneSpec) -> tuple[np.ndarray, list[_PendingObject]]:
             x, y = pixels[row]
             flux = magnitude_to_flux(mags[row], cam, scene.anchor_mag, scene.anchor_peak_dn)
             _deposit(field, x, y, flux, cam.defocus_sigma_px)
-            objects.append(_PendingObject("star", str(stars.stars[row].id), float(x), float(y), True))
+            objects.append(TruthObject("star", str(stars.stars[row].id), float(x), float(y), 0.0, False))
 
     for planet in scene.planets:
         px = project_point(cam, att, scene.sc_position_km, planet.position_km)
         if px is None:
-            objects.append(_PendingObject("planet", planet.name, math.nan, math.nan, False))
+            objects.append(TruthObject("planet", planet.name, math.nan, math.nan, 0.0, False))
             continue
         flux = magnitude_to_flux(planet.magnitude, cam, scene.anchor_mag, scene.anchor_peak_dn)
         _deposit(field, float(px[0]), float(px[1]), flux, cam.defocus_sigma_px)
-        objects.append(_PendingObject("planet", planet.name, float(px[0]), float(px[1]), True))
+        objects.append(TruthObject("planet", planet.name, float(px[0]), float(px[1]), 0.0, False))
 
     for i, (x, y, flux) in enumerate(scene.extra_sources):
         _deposit(field, x, y, flux, cam.defocus_sigma_px)
-        objects.append(_PendingObject("artifact", f"artifact-{i}", float(x), float(y), True))
+        objects.append(TruthObject("artifact", f"artifact-{i}", float(x), float(y), 0.0, False))
 
     return field, objects
 
@@ -206,20 +200,19 @@ def render_field(scene: SceneSpec) -> tuple[np.ndarray, list[_PendingObject]]:
 def render(scene: SceneSpec) -> tuple[Image, GroundTruth]:
     """Render the scene to an 8-bit frame and its ground-truth sidecar."""
     cam = scene.camera
-    field, pending = render_field(scene)
+    field, objects = render_field(scene)
     data = _add_noise_and_quantize(field, scene)
     image = Image(width=cam.width, height=cam.height, data=data)
 
-    objects = []
-    for o in pending:
-        peak = _peak_near(data, o.x, o.y, cam.defocus_sigma_px) if o.in_front else 0.0
-        visible = (
-            o.in_front
-            and cam.in_frame(o.x, o.y)
-            and peak >= DETECTABILITY_DN
-        )
-        objects.append(TruthObject(o.kind, o.ident, o.x, o.y, peak, visible))
-    return image, GroundTruth(objects=tuple(objects), attitude=scene.true_attitude)
+    scored = []
+    for o in objects:
+        if math.isnan(o.x):  # a planet behind the camera: no peak, not visible
+            scored.append(o)
+            continue
+        peak = _peak_near(data, o.x, o.y, cam.defocus_sigma_px)
+        visible = cam.in_frame(o.x, o.y) and peak >= DETECTABILITY_DN
+        scored.append(TruthObject(o.kind, o.ident, o.x, o.y, peak, visible))
+    return image, GroundTruth(objects=tuple(scored), attitude=scene.true_attitude)
 
 
 def _add_noise_and_quantize(field: np.ndarray, scene: SceneSpec) -> np.ndarray:

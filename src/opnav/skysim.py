@@ -46,27 +46,6 @@ def seen_from(planet: Planet, observer_km) -> Planet:
     return Planet(planet.name, planet.position_km, planet.magnitude + 5.0 * math.log10(max(d, 1.0) / AU_KM))
 
 
-def synthetic_star_records(
-    n_stars: int,
-    seed: int,
-    mag_bright: float = -1.0,
-    mag_faint: float = 6.5,
-    slope: float = 0.35,
-) -> list[StarRecord]:
-    """Full-sky star list, ids 1..n, deterministic for a given seed."""
-    rng = np.random.default_rng(seed)
-    ra = rng.uniform(0.0, 2.0 * math.pi, n_stars)
-    dec = np.arcsin(rng.uniform(-1.0, 1.0, n_stars))
-    u = rng.uniform(0.0, 1.0, n_stars)
-    lo = 10.0 ** (slope * mag_bright)
-    hi = 10.0 ** (slope * mag_faint)
-    mags = np.log10(lo + u * (hi - lo)) / slope
-    return [
-        StarRecord(id=i + 1, right_ascension=float(ra[i]), declination=float(dec[i]), magnitude=float(mags[i]))
-        for i in range(n_stars)
-    ]
-
-
 def synthetic_catalog(
     n_stars: int,
     seed: int,
@@ -74,8 +53,17 @@ def synthetic_catalog(
     mag_faint: float = 6.5,
     slope: float = 0.35,
 ) -> StarCatalog:
+    """Full-sky star catalog, ids 1..n, deterministic for a given seed."""
+    rng = np.random.default_rng(seed)
+    ra = rng.uniform(0.0, 2.0 * math.pi, n_stars)
+    dec = np.arcsin(rng.uniform(-1.0, 1.0, n_stars))
+    u = rng.uniform(0.0, 1.0, n_stars)
+    lo = 10.0 ** (slope * mag_bright)
+    hi = 10.0 ** (slope * mag_faint)
+    mags = np.log10(lo + u * (hi - lo)) / slope
     return catalog_from_records(
-        synthetic_star_records(n_stars, seed, mag_bright, mag_faint, slope)
+        StarRecord(id=i + 1, right_ascension=float(ra[i]), declination=float(dec[i]), magnitude=float(mags[i]))
+        for i in range(n_stars)
     )
 
 

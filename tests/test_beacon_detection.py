@@ -9,7 +9,6 @@ from opnav.beacon_detection import (
     UncertaintyBudget,
     covariance_ellipse,
     detect_beacon,
-    ellipse_points,
     floor_covariance,
     predict_projection,
     projection_covariance,
@@ -17,6 +16,16 @@ from opnav.beacon_detection import (
 )
 from opnav.geometry import Attitude, matrix_from_quaternion, project_point
 from opnav.skysim import AU_KM
+
+
+def _ellipse_points(ellipse: Ellipse, center, angles) -> np.ndarray:
+    """Boundary points center + R(psi)^T (a cos t, b sin t): the (a, b, psi)
+    convention of ``covariance_ellipse``, psi measured from the image x axis."""
+    t = np.asarray(angles, dtype=float)
+    c, s = math.cos(ellipse.psi), math.sin(ellipse.psi)
+    rot = np.array([[c, s], [-s, c]])
+    xy = np.column_stack([ellipse.a * np.cos(t), ellipse.b * np.sin(t)]) @ rot
+    return xy + np.asarray(center, dtype=float)
 
 
 def _random_config(rng):
@@ -148,7 +157,7 @@ class TestCovarianceEllipse:
             p = m @ m.T + 0.05 * np.eye(2)
             ellipse = covariance_ellipse(p)
             center = rng.standard_normal(2) * 100
-            pts = ellipse_points(ellipse, center, np.linspace(0, 2 * math.pi, 64))
+            pts = _ellipse_points(ellipse, center, np.linspace(0, 2 * math.pi, 64))
             pinv = np.linalg.inv(p)
             d = pts - center
             mahal = np.einsum("ni,ij,nj->n", d, pinv, d)
@@ -191,6 +200,26 @@ class TestFloor:
     def test_large_covariance_untouched(self):
         p = np.diag([4.0, 1.0])
         np.testing.assert_allclose(floor_covariance(p, 0.5), p, atol=1e-12)
+
+
+class TestPredictProjection:
+    def test_expected_pixel_is_the_pinhole_projection(self, camera):
+        rng = np.random.default_rng(48)
+        for _ in range(20):
+            q, sc, beacon = _random_config(rng)
+            pred = predict_projection(camera, q, sc, beacon, UncertaintyBudget())
+            expected = project_point(camera, matrix_from_quaternion(q), sc, beacon)
+            np.testing.assert_array_equal(pred.expected_px, expected)
+
+    def test_behind_camera_gives_none(self, camera):
+        q = Attitude(np.array([1.0, 0.0, 0.0, 0.0]))
+        assert predict_projection(camera, q, np.zeros(3), np.array([0.0, 0.0, -1e8]), UncertaintyBudget()) is None
+
+    def test_beacon_at_spacecraft_rejected(self, camera):
+        q = Attitude(np.array([1.0, 0.0, 0.0, 0.0]))
+        sc = np.array([1e8, 2e8, 3e8])
+        with pytest.raises(ValueError, match="coincides"):
+            predict_projection(camera, q, sc, sc.copy(), UncertaintyBudget())
 
 
 class TestDetectBeacon:

@@ -68,8 +68,8 @@ class TestExtractRois:
         for x, y in [(25, 3), (4, 10), (15, 20)]:
             img[y, x] = 100.0
         rois = extract_rois(img, 50.0)
-        seeds = [(r.member_y[0], r.member_x[0]) for r in rois]
-        assert seeds == [(3, 25), (10, 4), (20, 15)]
+        centers = [(r.y0 + 1, r.x0 + 1) for r in rois]
+        assert centers == [(3, 25), (10, 4), (20, 15)]
 
 
 class TestComputeCentroid:
@@ -78,21 +78,13 @@ class TestComputeCentroid:
         img[20, 10] = 150.0
         c = compute_centroid(extract_rois(img, 50.0)[0], img)
         assert (c.x, c.y) == (10.0, 20.0)
-        assert c.peak_dn == 150.0
+        assert c.roi.span == 0
 
     def test_symmetric_plateau(self):
         img = np.zeros((40, 40))
         img[9:12, 19:22] = 80.0
         c = compute_centroid(extract_rois(img, 50.0)[0], img)
         assert (c.x, c.y) == pytest.approx((20.0, 10.0))
-
-    def test_empty_roi_rejected(self):
-        img = np.zeros((8, 8))
-        img[4, 4] = 100.0
-        roi = extract_rois(img, 50.0)[0]
-        object.__setattr__(roi, "member_x", np.array([], dtype=np.int64))
-        with pytest.raises(ValueError):
-            compute_centroid(roi, img)
 
     def test_rendered_spot_subpixel(self, camera):
         cat = catalog_from_records([])

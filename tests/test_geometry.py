@@ -210,6 +210,13 @@ def test_projected_interstar_angle_matches_catalog(camera):
         assert abs(gamma_measured - gamma_catalog) < 1e-8
 
 
+def test_pointing_angles_wrap_into_half_open_range():
+    # -1e-300 % 2 pi rounds to 2 pi itself; the stored angle must be 0
+    ang = PointingAngles(alpha=-1e-300, delta=0.0, phi=-2.0 * math.pi)
+    assert (ang.alpha, ang.phi) == (0.0, 0.0)
+    assert PointingAngles(alpha=-1.0, delta=0.0, phi=7.0).alpha == -1.0 % (2.0 * math.pi)
+
+
 def test_pointing_angles_validate_ranges():
     with pytest.raises(ValueError):
         PointingAngles(alpha=0.0, delta=2.0, phi=0.0)

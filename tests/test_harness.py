@@ -28,7 +28,13 @@ from opnav.harness import (
 )
 from opnav.renderer import GroundTruth, Image, TruthObject, write_pgm
 from opnav.skysim import AU_KM, seen_from, solar_system, synthetic_catalog
-from opnav.star_catalog import build_kvector, build_pair_database, save_catalog, save_pair_database
+from opnav.star_catalog import (
+    build_kvector,
+    build_pair_database,
+    catalog_from_records,
+    save_catalog,
+    save_pair_database,
+)
 from opnav.star_id import MatchResult, RetryResult
 from conftest import DESK_POINTING
 
@@ -38,17 +44,9 @@ from conftest import DESK_POINTING
 TRUE_POINTING = PointingAngles(alpha=0.7, delta=0.21, phi=1.01)
 
 
-def _centroid(x, y, peak=200.0):
-    roi = Roi(
-        x0=int(x) - 2,
-        y0=int(y) - 2,
-        x1=int(x) + 2,
-        y1=int(y) + 2,
-        member_x=np.array([int(x)]),
-        member_y=np.array([int(y)]),
-        member_intensity=np.array([peak]),
-    )
-    return Centroid(x=x, y=y, total_weighted_intensity=peak, peak_dn=peak, roi=roi)
+def _centroid(x, y, span=0):
+    roi = Roi(x0=int(x) - 2, y0=int(y) - 2, x1=int(x) + 2, y1=int(y) + 2, span=span)
+    return Centroid(x=x, y=y, roi=roi)
 
 
 def _attitude_output(pointing_err_arcsec=0.0, centroids=(), spikes=(), matched=()):
@@ -86,7 +84,6 @@ def _obs(expected=(400.0, 300.0), attempted=True, spike_index=None, selected=Non
     )
     return {
         "mars": BeaconObservation(
-            name="mars",
             prediction=pred,
             attempted=attempted,
             spike_index=spike_index,
@@ -181,6 +178,22 @@ class TestClassifyOutcome:
         att = _attitude_output(centroids=(c,), spikes=(0,))
         label = classify_outcome(_truth(), att, _obs(), camera, cfg)
         assert label.label == "1.III.B"
+
+    @pytest.mark.parametrize(
+        "dx, span, expected",
+        [
+            (1.5, 2, "1.III.E"),  # a wide blob off the planet: merged with a neighbour
+            (4.9, 2, "1.III.E"),
+            (1.5, 1, "1.III.B"),  # a compact blob off the planet: the gate missed it
+            (1.0, 2, "1.III.B"),  # on the planet: the gate missed it, whatever the span
+            (0.5, 3, "1.III.B"),
+        ],
+    )
+    def test_forensics_merged_with_neighbour(self, camera, cfg, dx, span, expected):
+        c = _centroid(400.0 + dx, 300.0, span=span)
+        att = _attitude_output(centroids=(c,), spikes=(0,))
+        label = classify_outcome(_truth(), att, _obs(), camera, cfg)
+        assert label.label == expected
 
     def test_forensics_no_centroid(self, camera, cfg):
         att = _attitude_output()
@@ -476,6 +489,18 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr == f"error: {scene}: missing scene key(s) phi_rad\n"
 
+    @pytest.mark.parametrize(
+        "line, expected",
+        [("alpha_rad=0.7rad", "alpha_rad expects float, got '0.7rad'"), ("seed=5.0", "seed expects int, got '5.0'")],
+    )
+    def test_render_rejects_bad_scene_value_before_loading_catalog(self, tmp_path, line, expected):
+        scene = tmp_path / "scene.cfg"
+        # the catalog does not exist: the value must be rejected before it is read
+        scene.write_text(f"catalog={tmp_path / 'missing.csv'}\ndelta_rad=0.21\nphi_rad=1.01\n{line}\nalpha_rad=0.7\n")
+        r = _cli("render", "--scene", str(scene), "--out", str(tmp_path / "f.pgm"), "--truth", str(tmp_path / "t.csv"))
+        assert r.returncode == 1
+        assert r.stderr == f"error: {scene} line 4: {expected}\n"
+
     def test_montecarlo_outputs(self, tmp_path):
         out = tmp_path / "mc"
         cfgfile = tmp_path / "small.cfg"
@@ -535,6 +560,27 @@ class TestCli:
         assert r.returncode == 1
         assert r.stdout == ""
         assert r.stderr == f"error: {pgm}: image is 640x480 px, the camera config expects 1024x1024\n"
+
+    def test_process_rejects_db_from_another_catalog(self, tmp_path, desk_catalog, desk_db):
+        cfgfile = tmp_path / "camera.cfg"
+        save_config(PipelineConfig(), cfgfile)
+        db = tmp_path / "onboard.npz"
+        save_pair_database(*desk_db, db)
+        # the same stars renumbered: star 2 is now star 20
+        catalog = tmp_path / "renumbered.csv"
+        save_catalog(
+            catalog_from_records(dataclasses.replace(s, id=20) if s.id == 2 else s for s in desk_catalog.stars),
+            catalog,
+        )
+        pgm = tmp_path / "frame.pgm"
+        write_pgm(Image(width=1024, height=1024, data=np.zeros((1024, 1024), dtype=np.uint8)), pgm)
+        r = _cli(
+            "process", "--image", str(pgm), "--db", str(db), "--config", str(cfgfile),
+            "--catalog", str(catalog),
+        )
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == f"error: {db}: star id 2 is not in {catalog}\n"
 
     def test_error_exit_nonzero(self, tmp_path):
         r = _cli("build-catalog", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x.npz"))

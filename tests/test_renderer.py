@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from opnav.centroiding import find_centroids
-from opnav.geometry import PointingAngles
+from opnav.ephemeris import Planet
+from opnav.geometry import PointingAngles, attitude_from_axis_azimuth
 from opnav.renderer import (
     DETECTABILITY_DN,
     Image,
@@ -196,6 +197,21 @@ class TestRender:
             peak = image.data[y0:y1, x0:x1].max() if (x1 > x0 and y1 > y0) else 0
             in_frame = camera.in_frame(o.x, o.y)
             assert o.visible == (in_frame and peak >= DETECTABILITY_DN)
+
+    def test_render_field_objects_are_unscored(self, camera):
+        boresight = attitude_from_axis_azimuth(PointingAngles(0.0, 0.0, 0.0))[2]
+        scene = _empty_scene(
+            camera,
+            planets=(Planet("ahead", 1e8 * boresight, -3.0), Planet("behind", -1e8 * boresight, -3.0)),
+        )
+        _, objects = render_field(scene)
+        assert [(o.ident, o.peak_dn, o.visible) for o in objects] == [("ahead", 0.0, False), ("behind", 0.0, False)]
+        assert (objects[0].x, objects[0].y) == pytest.approx(camera.principal_point)
+        assert math.isnan(objects[1].x) and math.isnan(objects[1].y)
+        _, truth = render(scene)
+        ahead, behind = truth.objects
+        assert ahead.visible and ahead.peak_dn == 255.0
+        assert math.isnan(behind.x) and (behind.peak_dn, behind.visible) == (0.0, False)
 
     def test_clamped_to_eight_bit(self, camera):
         image, truth = render(_empty_scene(camera, extra_sources=((300.0, 300.0, 1e9),)))

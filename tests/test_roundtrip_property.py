@@ -1,0 +1,214 @@
+"""Properties: quaternion <-> matrix and file-format round trips.
+
+Every file format writes floats with ``repr``, so a value read back is
+the value written, bit for bit.  The raw star catalog is the exception:
+it stores degrees, and ``math.radians(math.degrees(x))`` can differ from
+``x`` by one ulp, so its angles are checked to one ulp.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from opnav.config import PipelineConfig, load_config, save_config
+from opnav.ephemeris import Planet, load_ephemeris, save_ephemeris
+from opnav.geometry import Attitude, PointingAngles, matrix_from_quaternion, quaternion_from_matrix
+from opnav.renderer import GroundTruth, Image, TruthObject, read_pgm, read_truth, write_pgm, write_truth
+from opnav.skysim import synthetic_catalog
+from opnav.star_catalog import (
+    StarRecord,
+    build_kvector,
+    build_pair_database,
+    catalog_from_records,
+    load_catalog,
+    load_pair_database,
+    save_catalog,
+    save_pair_database,
+)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=8)
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip")
+
+
+# --- quaternion <-> matrix ----------------------------------------------------
+
+
+@settings(max_examples=500, deadline=None)
+@given(q=arrays(np.float64, 4, elements=st.floats(-1.0, 1.0)))
+@example(q=np.array([0.0, 1.0, 0.0, 0.0]))  # half turns: the non-trace branches
+@example(q=np.array([0.0, 0.0, 0.0, -1.0]))
+@example(q=np.array([1e-9, 0.6, 0.0, 0.8]))
+def test_quaternion_matrix_quaternion(q):
+    assume(np.linalg.norm(q) > 1e-3)
+    canonical = Attitude(q)
+    back = quaternion_from_matrix(matrix_from_quaternion(canonical))
+    assert back.q[0] >= 0
+    if canonical.q[0] > 1e-12:
+        np.testing.assert_allclose(back.q, canonical.q, rtol=0, atol=1e-15)
+    else:  # a half turn: q and -q both have q0 = 0 within round-off
+        assert min(np.abs(back.q - canonical.q).max(), np.abs(back.q + canonical.q).max()) <= 1e-15
+
+
+# --- text and binary files ----------------------------------------------------
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    stars=st.lists(
+        st.tuples(
+            st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+            st.floats(-math.pi / 2, math.pi / 2),
+            finite,
+        ),
+        max_size=20,
+    )
+)
+def test_catalog_file(workdir, stars):
+    catalog = catalog_from_records(
+        StarRecord(id=3 * i + 1, right_ascension=ra, declination=dec, magnitude=m)
+        for i, (ra, dec, m) in enumerate(stars)
+    )
+    path = workdir / "catalog.csv"
+    save_catalog(catalog, path)
+    back = load_catalog(path)
+    assert [s.id for s in back.stars] == [s.id for s in catalog.stars]
+    assert [bits(s.magnitude) for s in back.stars] == [bits(s.magnitude) for s in catalog.stars]
+    for got, want in zip(back.stars, catalog.stars):
+        d_ra = (got.right_ascension - want.right_ascension + math.pi) % (2.0 * math.pi) - math.pi
+        assert abs(d_ra) <= math.ulp(2.0 * math.pi)
+        assert abs(got.declination - want.declination) <= math.ulp(want.declination)
+    np.testing.assert_allclose(back.unit_vectors, catalog.unit_vectors, rtol=0, atol=2e-15)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_stars=st.integers(30, 150))
+def test_pair_database_file(workdir, seed, n_stars):
+    catalog = synthetic_catalog(n_stars, seed, mag_bright=0.0, mag_faint=5.0)
+    db = build_pair_database(catalog, mag_limit=5.5, max_angle_rad=math.radians(35.0))
+    assume(len(db) >= 2 and db.cos_angles[0] < db.cos_angles[-1])
+    index = build_kvector(db)
+    path = workdir / "onboard.npz"
+    save_pair_database(db, index, path)
+    db2, index2 = load_pair_database(path)
+    for name in ("cos_angles", "star_i", "star_j"):
+        a, b = getattr(db, name), getattr(db2, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert index.counts.dtype == index2.counts.dtype and index.counts.tobytes() == index2.counts.tobytes()
+    for a, b in (
+        (db.mag_limit, db2.mag_limit),
+        (db.max_angle_rad, db2.max_angle_rad),
+        (index.intercept, index2.intercept),
+        (index.slope, index2.slope),
+    ):
+        assert type(b) is float and bits(a) == bits(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    table=st.dictionaries(
+        names,
+        st.dictionaries(names, st.tuples(st.tuples(finite, finite, finite), finite), min_size=1, max_size=4),
+        max_size=4,
+    )
+)
+def test_ephemeris_file(workdir, table):
+    planets = {
+        epoch: tuple(Planet(name, pos, mag) for name, (pos, mag) in rows.items())
+        for epoch, rows in table.items()
+    }
+    path = workdir / "planets.csv"
+    save_ephemeris(planets, path)
+    back = load_ephemeris(path)
+    assert list(back) == list(planets)
+    for epoch in planets:
+        assert [p.name for p in back[epoch]] == [p.name for p in planets[epoch]]
+        for got, want in zip(back[epoch], planets[epoch]):
+            assert got.position_km.tobytes() == want.position_km.tobytes()
+            assert bits(got.magnitude) == bits(want.magnitude)
+
+
+_CONFIG_VALUES = {bool: st.booleans(), int: st.integers(-(2**40), 2**40), float: st.floats(allow_nan=False)}
+
+
+@st.composite
+def configs(draw):
+    cfg = PipelineConfig()
+    for f in dataclasses.fields(PipelineConfig):
+        if draw(st.booleans()):
+            setattr(cfg, f.name, draw(_CONFIG_VALUES[type(getattr(cfg, f.name))]))
+    return cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=configs())
+def test_config_file(workdir, cfg):
+    path = workdir / "pipeline.cfg"
+    save_config(cfg, path)
+    back = load_config(path)
+    for f in dataclasses.fields(PipelineConfig):
+        got, want = getattr(back, f.name), getattr(cfg, f.name)
+        assert type(got) is type(want)
+        assert got == want and (not isinstance(want, float) or bits(got) == bits(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(lambda s: arrays(np.uint8, s)))
+def test_pgm_file(workdir, data):
+    path = workdir / "frame.pgm"
+    write_pgm(Image(width=data.shape[1], height=data.shape[0], data=data), path)
+    back = read_pgm(path)
+    assert (back.width, back.height) == (data.shape[1], data.shape[0])
+    assert back.data.dtype == np.uint8 and back.data.tobytes() == data.tobytes()
+    again = workdir / "again.pgm"
+    write_pgm(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+truth_objects = st.builds(
+    TruthObject,
+    kind=st.sampled_from(["star", "planet", "artifact"]),
+    ident=names,
+    x=finite | st.just(math.nan),  # NaN: a planet behind the camera
+    y=finite | st.just(math.nan),
+    peak_dn=st.floats(0.0, 255.0),
+    visible=st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    objects=st.lists(truth_objects, max_size=10),
+    attitude=st.builds(
+        PointingAngles, alpha=st.floats(-10.0, 10.0), delta=st.floats(-math.pi / 2, math.pi / 2), phi=st.floats(-10.0, 10.0)
+    ),
+)
+@example(  # -tiny % 2 pi rounds to 2 pi, which a second reading maps to 0
+    objects=[], attitude=PointingAngles(alpha=-1e-300, delta=0.0, phi=-6.883241104396364e-255)
+)
+def test_truth_file(workdir, objects, attitude):
+    truth = GroundTruth(objects=tuple(objects), attitude=attitude)
+    path = workdir / "truth.csv"
+    write_truth(truth, path)
+    back = read_truth(path)
+    for got, want in zip(back.objects, truth.objects, strict=True):
+        assert (got.kind, got.ident, got.visible) == (want.kind, want.ident, want.visible)
+        assert [bits(v) for v in (got.x, got.y, got.peak_dn)] == [bits(v) for v in (want.x, want.y, want.peak_dn)]
+    a, b = back.attitude, truth.attitude
+    assert [bits(v) for v in (a.alpha, a.delta, a.phi)] == [bits(v) for v in (b.alpha, b.delta, b.phi)]
+    again = workdir / "again.csv"
+    write_truth(back, again)
+    assert again.read_bytes() == path.read_bytes()

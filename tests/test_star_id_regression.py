@@ -60,7 +60,7 @@ def workload(request):
 def test_matches_and_spikes_frozen(workload):
     name, cfg, catalog, db, index = workload
     for case in FRAMES[name]:
-        centroids = [Centroid(x, y, 1.0, 1.0, None) for x, y in case["centroids"]]
+        centroids = [Centroid(x, y, None) for x, y in case["centroids"]]
         result = identify_stars(
             centroids, cfg.camera(), catalog, db, index, cfg.identify_config().epsilon_rad
         )
@@ -129,7 +129,7 @@ def test_equals_nested_loop_voting(camera, cfg, sparse_sky, tolerance_arcsec):
         pixels += list(rng.uniform(0, camera.width - 1, (rng.integers(0, 4), 2)))  # false detections
         rng.shuffle(pixels)
         centroids = [
-            Centroid(float(x) + rng.normal(0, 0.2), float(y) + rng.normal(0, 0.2), 1.0, 1.0, None)
+            Centroid(float(x) + rng.normal(0, 0.2), float(y) + rng.normal(0, 0.2), None)
             for x, y in pixels[:8]
         ]
         if len(centroids) < 3:
@@ -144,7 +144,7 @@ def test_equals_nested_loop_voting(camera, cfg, sparse_sky, tolerance_arcsec):
 def test_no_pair_has_a_candidate(camera, cfg, sparse_sky):
     catalog, db, index = sparse_sky
     eps = 7.0 * ARCSEC_TO_RAD
-    centroids = [Centroid(x, y, 1.0, 1.0, None) for x, y in [(100, 100), (101, 100), (100, 102), (103, 103)]]
+    centroids = [Centroid(x, y, None) for x, y in [(100, 100), (101, 100), (100, 102), (103, 103)]]
     los = [los_from_pixel(camera, (c.x, c.y)) for c in centroids]
     for i in range(len(los)):
         for j in range(i + 1, len(los)):
