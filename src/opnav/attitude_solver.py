@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ARCSEC_TO_RAD, Attitude, angular_separations, quaternion_from_matrix
+from .geometry import (
+    ARCSEC_TO_RAD,
+    Attitude,
+    angular_separations,
+    branch_quaternions,
+    canonical_quaternions,
+    quaternion_from_matrix,
+)
 
 _DEGENERATE_AXIS_ANGLE = 1e-9  # rad; below this the rotation axis is noise
 
@@ -56,50 +63,76 @@ class AttitudeSolution:
 def wahba_svd(c_vectors: np.ndarray, n_vectors: np.ndarray) -> np.ndarray:
     """Rotation best mapping inertial directions onto camera directions.
 
-    Rows of the inputs are paired unit vectors.  B = sum_i c_i n_i^T is
-    decomposed as U S V^T and the attitude is U diag(1, 1, det U det V)
-    V^T, which enforces a proper right-handed rotation.  Unit weights.
+    Rows of the inputs are paired unit vectors; the one-problem call of
+    ``wahba_svds``.  Raises DegenerateGeometryError for collinear
+    observations.
     """
     c = np.atleast_2d(np.asarray(c_vectors, dtype=float))
     v = np.atleast_2d(np.asarray(n_vectors, dtype=float))
     if c.shape != v.shape or c.shape[1] != 3 or len(c) < 2:
         raise ValueError("need matching (n, 3) arrays with n >= 2")
-    b = c.T @ v
-    u, s, vt = np.linalg.svd(b)
-    if s[1] <= 1e-9 * max(s[0], 1e-300):
+    rotations, degenerate = wahba_svds(c[None], v[None])
+    if degenerate[0]:
         raise DegenerateGeometryError("degenerate geometry: observations are collinear")
-    m = np.diag([1.0, 1.0, np.linalg.det(u) * np.linalg.det(vt)])
-    return u @ m @ vt
+    return rotations[0]
+
+
+def wahba_svds(c_vectors: np.ndarray, n_vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wahba's problem for a stack of (k, n, 3) paired unit-vector sets.
+
+    For each set, B = sum_i c_i n_i^T is decomposed as U S V^T and the
+    attitude is U diag(1, 1, det U det V) V^T, which enforces a proper
+    right-handed rotation.  Unit weights.  Returns the (k, 3, 3)
+    attitudes and a (k,) mask of the sets whose observations are
+    collinear (s1 <= 1e-9 s0); their attitudes are meaningless.
+    """
+    b = np.swapaxes(c_vectors, 1, 2) @ n_vectors
+    u, s, vt = np.linalg.svd(b)
+    degenerate = s[:, 1] <= 1e-9 * np.maximum(s[:, 0], 1e-300)
+    m = np.zeros_like(b)
+    m[:, 0, 0] = m[:, 1, 1] = 1.0
+    m[:, 2, 2] = np.linalg.det(u) * np.linalg.det(vt)
+    return u @ m @ vt, degenerate
 
 
 def principal_axis_angle(rotation: np.ndarray) -> AxisAngle:
     """Euler axis and angle of a rotation matrix, angle in [0, pi].
 
+    The one-matrix call of ``principal_axes``.
+    """
+    axis, angle, indeterminate = principal_axes(np.asarray(rotation, dtype=float)[None])
+    return AxisAngle(axis=axis[0], angle=float(angle[0]), indeterminate=bool(indeterminate[0]))
+
+
+def principal_axes(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Euler axes (k, 3), angles (k,) in [0, pi] and indeterminate flags
+    (k,) of a stack of rotation matrices.
+
     Extraction goes through the quaternion, which is stable at both ends
     of the angle range.  Near zero rotation the axis is meaningless: it
     is reported as (0, 0, 1) with the indeterminate flag set.
     """
-    q = quaternion_from_matrix(rotation)
-    qv_norm = float(np.linalg.norm(q.vector))
-    angle = 2.0 * math.atan2(qv_norm, q.scalar)
-    if angle < _DEGENERATE_AXIS_ANGLE:
-        return AxisAngle(axis=np.array([0.0, 0.0, 1.0]), angle=angle, indeterminate=True)
-    return AxisAngle(axis=q.vector / qv_norm, angle=angle)
+    q = canonical_quaternions(branch_quaternions(rotations))
+    qv = np.ascontiguousarray(q[:, 1:])
+    qv_norm = np.sqrt(qv[:, None, :] @ qv[:, :, None])[:, 0]
+    angle = 2.0 * np.fromiter(map(math.atan2, qv_norm[:, 0].tolist(), q[:, 0].tolist()), float, len(q))
+    indeterminate = angle < _DEGENERATE_AXIS_ANGLE
+    axis = np.tile((0.0, 0.0, 1.0), (len(q), 1))
+    np.divide(qv, qv_norm, out=axis, where=~indeterminate[:, None])
+    return axis, angle, indeterminate
 
 
-def _agreement(axes, threshold_rad: float, row: int | None = None) -> np.ndarray:
+def _agreement(axes, indeterminate, degenerate, threshold_rad: float, row: int | None = None) -> np.ndarray:
     """agree[k, j]: sample axes k and j agree; only row ``row`` if given.
 
     The test is angular_separation(a, b) <= threshold, taken bit for bit
-    as the scalar form takes it.  None (degenerate) samples agree with
-    nothing.  Indeterminate axes carry no direction: they only agree with
-    each other.  Axis sign is meaningful and *not* collapsed.
+    as the scalar form takes it.  Degenerate samples agree with nothing.
+    Indeterminate axes carry no direction: they only agree with each
+    other.  Axis sign is meaningful and *not* collapsed.
     """
-    n = len(axes)
-    valid = np.array([ax is not None for ax in axes], dtype=bool)
-    ind = np.array([ax is not None and ax.indeterminate for ax in axes], dtype=bool)
-    vec = np.array([(0.0, 0.0, 1.0) if ax is None else ax.axis for ax in axes], dtype=float)
-    vec = vec.reshape(n, 3)
+    vec = np.asarray(axes, dtype=float).reshape(-1, 3)
+    ind = np.asarray(indeterminate, dtype=bool)
+    valid = ~np.asarray(degenerate, dtype=bool)
     rows = slice(None) if row is None else slice(row, row + 1)
     within = angular_separations(vec[rows, None, :], vec[None, :, :]) <= threshold_rad
     either = ind[rows, None] | ind[None, :]
@@ -108,15 +141,15 @@ def _agreement(axes, threshold_rad: float, row: int | None = None) -> np.ndarray
     return agree if row is None else agree[0]
 
 
-def consensus_scores(axes, threshold_rad: float) -> np.ndarray:
+def consensus_scores(axes, indeterminate, degenerate, threshold_rad: float) -> np.ndarray:
     """Score of each sample axis: how many *other* axes agree with it.
 
-    ``axes`` holds AxisAngle entries; None marks a sample whose Wahba
+    ``axes`` is the (k, 3) stack of sample axes with their (k,)
+    ``indeterminate`` flags; ``degenerate`` marks samples whose Wahba
     solve was degenerate (scored -1, never in any consensus set).
     """
-    agree = _agreement(axes, threshold_rad)
+    agree = _agreement(axes, indeterminate, degenerate, threshold_rad)
     np.fill_diagonal(agree, False)
-    degenerate = np.array([ax is None for ax in axes], dtype=bool)
     return np.where(degenerate, -1, agree.sum(axis=1))
 
 
@@ -136,24 +169,20 @@ def ransac_attitude(matches, config: RansacConfig) -> AttitudeSolution | None:
     rng = np.random.default_rng(config.seed)
     threshold_rad = config.threshold_arcsec * ARCSEC_TO_RAD
 
-    subsets = np.empty((config.n_samples, 3), dtype=np.int64)
-    axes: list[AxisAngle | None] = []
-    for k in range(config.n_samples):
-        idx = rng.choice(m, size=3, replace=False)
-        subsets[k] = idx
-        try:
-            axes.append(principal_axis_angle(wahba_svd(c_all[idx], n_all[idx])))
-        except DegenerateGeometryError:
-            axes.append(None)
+    subsets = np.array([rng.choice(m, size=3, replace=False) for _ in range(config.n_samples)])
+    rotations, degenerate = wahba_svds(c_all[subsets], n_all[subsets])
+    # A degenerate sample still has a proper rotation, so it has an axis;
+    # the consensus ignores it.
+    axes, _, indeterminate = principal_axes(rotations)
 
-    scores = consensus_scores(axes, threshold_rad)
+    scores = consensus_scores(axes, indeterminate, degenerate, threshold_rad)
     if scores.max() < 0:
         return None
     best = int(np.argmax(scores))  # ties: lowest sample index wins
 
     # Row ``best`` of the agreement matrix again (n angles): consensus_scores
     # returns the scores alone.  ``best`` agrees with itself.
-    consensus = _agreement(axes, threshold_rad, best)
+    consensus = _agreement(axes, indeterminate, degenerate, threshold_rad, best)
     inlier = np.zeros(m, dtype=bool)
     inlier[subsets[consensus]] = True
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Attitude, CameraModel, matrix_from_quaternion, project_point, skew
+from .geometry import Attitude, CameraModel, matrix_from_quaternion, skew
 
 # Inverse chi-square cdf with 2 dof at 0.9973 (the 3-sigma probability).
 CHI2_GATE_3SIGMA = 11.8292
@@ -84,65 +84,106 @@ def projection_jacobian(
     when the beacon sits behind the camera.
     """
     q = attitude_q.q if isinstance(attitude_q, Attitude) else np.asarray(attitude_q, float)
-    q0, qv = q[0], q[1:]
     a = matrix_from_quaternion(q)
-    rho = np.asarray(beacon_position_km, float) - np.asarray(sc_position_km, float)
-    rho_c = a @ rho
-    if rho_c[2] <= 0:
+    rho, rho_c = _camera_frame(a, sc_position_km, beacon_position_km)
+    if rho_c[0, 2] <= 0:
         raise ValueError("beacon is behind the camera")
-    k = camera.intrinsic
-    h = k @ rho_c
-    dehom = np.array(
-        [
-            [1.0 / h[2], 0.0, -h[0] / h[2] ** 2],
-            [0.0, 1.0 / h[2], -h[1] / h[2] ** 2],
-        ]
+    return _jacobians(camera.intrinsic, q, a, rho, _homogeneous(camera.intrinsic, rho_c))[0]
+
+
+def _camera_frame(a: np.ndarray, sc_position_km, beacon_positions_km) -> tuple[np.ndarray, np.ndarray]:
+    """Spacecraft-to-beacon vectors (n, 3) in N and rotated into C."""
+    rho = np.asarray(beacon_positions_km, float).reshape(-1, 3) - np.asarray(sc_position_km, float)
+    return rho, (a @ rho[:, :, None])[:, :, 0]
+
+
+def _homogeneous(k: np.ndarray, rho_c: np.ndarray) -> np.ndarray:
+    """Homogeneous pixel coordinates K rho_c, one row per beacon."""
+    return (k @ rho_c[:, :, None])[:, :, 0]
+
+
+def _skews(v: np.ndarray) -> np.ndarray:
+    """``skew`` of each row of an (n, 3) array."""
+    out = np.zeros((len(v), 3, 3))
+    out[:, 0, 1], out[:, 0, 2] = -v[:, 2], v[:, 1]
+    out[:, 1, 0], out[:, 1, 2] = v[:, 2], -v[:, 0]
+    out[:, 2, 0], out[:, 2, 1] = -v[:, 1], v[:, 0]
+    return out
+
+
+def _jacobians(k: np.ndarray, q: np.ndarray, a: np.ndarray, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Stacked (n, 2, 10) Jacobians for beacons in front of the camera.
+
+    ``rho`` are the inertial spacecraft-to-beacon vectors and ``h`` their
+    homogeneous pixels; every product is taken in the order of the
+    one-beacon chain ``dehom @ K @ inner``.
+    """
+    q0, qv = q[0], q[1:]
+    n = len(rho)
+    # A float power (libm pow) per value: numpy's array square is x*x, which
+    # differs from it in about one value in 1100.
+    h2_sq = np.array([z**2 for z in h[:, 2].tolist()], dtype=float)
+    dehom = np.zeros((n, 2, 3))
+    dehom[:, 0, 0] = dehom[:, 1, 1] = 1.0 / h[:, 2]
+    dehom[:, 0, 2] = -h[:, 0] / h2_sq
+    dehom[:, 1, 2] = -h[:, 1] / h2_sq
+    qv_dot_rho = (qv[None, None, :] @ rho[:, :, None])[:, 0, 0]
+    inner = np.empty((n, 3, 10))
+    inner[:, :, 0] = 2.0 * q0 * rho - (2.0 * skew(qv) @ rho[:, :, None])[:, :, 0]
+    inner[:, :, 1:4] = (
+        -2.0 * (rho[:, :, None] * qv[None, None, :])
+        + (2.0 * qv_dot_rho)[:, None, None] * np.eye(3)
+        + 2.0 * (qv[None, :, None] * rho[:, None, :])
+        + 2.0 * q0 * _skews(rho)
     )
-    inner = np.empty((3, 10))
-    inner[:, 0] = 2.0 * q0 * rho - 2.0 * skew(qv) @ rho
-    inner[:, 1:4] = (
-        -2.0 * np.outer(rho, qv)
-        + 2.0 * (qv @ rho) * np.eye(3)
-        + 2.0 * np.outer(qv, rho)
-        + 2.0 * q0 * skew(rho)
-    )
-    inner[:, 4:7] = -a
-    inner[:, 7:10] = a
+    inner[:, :, 4:7] = -a
+    inner[:, :, 7:10] = a
     return dehom @ k @ inner
 
 
 def projection_covariance(jacobian: np.ndarray, budget: UncertaintyBudget) -> np.ndarray:
-    """P = F S F^T, symmetrized against round-off."""
-    p = jacobian @ budget.to_matrix() @ jacobian.T
-    return 0.5 * (p + p.T)
+    """P = F S F^T, symmetrized against round-off; F may be a stack."""
+    p = jacobian @ budget.to_matrix() @ np.swapaxes(jacobian, -1, -2)
+    return 0.5 * (p + np.swapaxes(p, -1, -2))
 
 
 def covariance_ellipse(p: np.ndarray) -> Ellipse:
-    """3-sigma ellipse of a 2x2 covariance.
+    """3-sigma ellipse of a 2x2 covariance; see ``covariance_ellipses``."""
+    return covariance_ellipses(np.asarray(p, dtype=float)[None])[0]
+
+
+def covariance_ellipses(p: np.ndarray) -> list[Ellipse]:
+    """3-sigma ellipses of a stack of (n, 2, 2) covariances.
 
     Semi-axes are sqrt(11.8292 * eigenvalue); psi is the two-argument
     arctangent of the major eigenvector, reported in (-pi, pi] with the
     x-component canonicalized non-negative.
     """
-    vals, vecs = np.linalg.eigh(np.asarray(p, dtype=float))
-    v_max = vecs[:, 1]
-    if v_max[0] < 0 or (v_max[0] == 0 and v_max[1] < 0):
-        v_max = -v_max
-    return Ellipse(
-        a=math.sqrt(CHI2_GATE_3SIGMA * max(vals[1], 0.0)),
-        b=math.sqrt(CHI2_GATE_3SIGMA * max(vals[0], 0.0)),
-        psi=math.atan2(v_max[1], v_max[0]),
-    )
+    vals, vecs = np.linalg.eigh(p)
+    out = []
+    for (v_min, v_max), (x, y) in zip(vals.tolist(), vecs[:, :, 1].tolist()):
+        if x < 0 or (x == 0 and y < 0):
+            x, y = -x, -y
+        out.append(
+            Ellipse(
+                a=math.sqrt(CHI2_GATE_3SIGMA * max(v_max, 0.0)),
+                b=math.sqrt(CHI2_GATE_3SIGMA * max(v_min, 0.0)),
+                psi=math.atan2(y, x),
+            )
+        )
+    return out
 
 
 def floor_covariance(p: np.ndarray, floor_px: float = DEFAULT_ELLIPSE_FLOOR_PX) -> np.ndarray:
     """Raise the eigenvalues of P so the semiminor axis is at least
     ``floor_px``; encodes the centroiding error the budget omits and
-    keeps the gate invertible."""
+    keeps the gate invertible.  P may be a stack."""
     min_eig = floor_px**2 / CHI2_GATE_3SIGMA
     vals, vecs = np.linalg.eigh(np.asarray(p, dtype=float))
     vals = np.maximum(vals, min_eig)
-    return vecs @ np.diag(vals) @ vecs.T
+    diag = np.zeros(vecs.shape)
+    diag[..., 0, 0], diag[..., 1, 1] = vals[..., 0], vals[..., 1]
+    return vecs @ diag @ np.swapaxes(vecs, -1, -2)
 
 
 def predict_projection(
@@ -155,15 +196,44 @@ def predict_projection(
 ) -> ProjectionPrediction | None:
     """Expected pixel, floored covariance, and ellipse for one beacon.
 
-    Returns None when the expected projection is behind the camera;
-    raises ValueError when the beacon sits at the spacecraft position.
+    The one-beacon call of ``predict_projections``: None when the expected
+    projection is behind the camera; raises ValueError when the beacon
+    sits at the spacecraft position.
     """
-    expected = project_point(camera, matrix_from_quaternion(attitude_q), sc_position_km, beacon_position_km)
-    if expected is None:
-        return None
-    jac = projection_jacobian(camera, attitude_q, sc_position_km, beacon_position_km)
+    return predict_projections(camera, attitude_q, sc_position_km, [beacon_position_km], budget, floor_px)[0]
+
+
+def predict_projections(
+    camera: CameraModel,
+    attitude_q: Attitude,
+    sc_position_km: np.ndarray,
+    beacon_positions_km,
+    budget: UncertaintyBudget,
+    floor_px: float = DEFAULT_ELLIPSE_FLOOR_PX,
+) -> list[ProjectionPrediction | None]:
+    """Expected pixel, floored covariance, and ellipse for every beacon.
+
+    One entry per row of ``beacon_positions_km``: None when the expected
+    projection is behind the camera.  Raises ValueError when a beacon
+    sits at the spacecraft position.
+    """
+    q = attitude_q.q if isinstance(attitude_q, Attitude) else np.asarray(attitude_q, float)
+    a = matrix_from_quaternion(q)
+    rho, rho_c = _camera_frame(a, sc_position_km, beacon_positions_km)
+    if not rho.any(axis=1).all():
+        raise ValueError("target coincides with the spacecraft position")
+    out: list[ProjectionPrediction | None] = [None] * len(rho)
+    front = np.flatnonzero(rho_c[:, 2] > 0.0)
+    if not len(front):
+        return out
+    k = camera.intrinsic
+    h = _homogeneous(k, rho_c[front])
+    expected = np.stack((h[:, 0] / h[:, 2], h[:, 1] / h[:, 2]), axis=1)
+    jac = _jacobians(k, q, a, rho[front], h)
     p = floor_covariance(projection_covariance(jac, budget), floor_px)
-    return ProjectionPrediction(expected_px=expected, covariance=p, ellipse=covariance_ellipse(p))
+    for i, px, cov, ellipse in zip(front.tolist(), expected, p, covariance_ellipses(p)):
+        out[i] = ProjectionPrediction(expected_px=px, covariance=cov, ellipse=ellipse)
+    return out
 
 
 def detect_beacon(spike_positions, prediction: ProjectionPrediction) -> int | None:

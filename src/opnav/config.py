@@ -71,6 +71,24 @@ class PipelineConfig:
     sky_mag_slope: float = 0.25
     sky_seed: int = 7041997
 
+    def validate(self) -> None:
+        """Raise ValueError naming the first field outside its range."""
+        for name in POSITIVE_FIELDS:
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in NON_NEGATIVE_FIELDS:
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not self.fov_deg < 180.0:
+            raise ValueError("fov_deg must be < 180")
+        if self.threshold_max_iterations < 1:
+            raise ValueError("threshold_max_iterations must be >= 1")
+        if not self.render_mag_cutoff >= self.mag_limit:
+            raise ValueError(
+                "render_mag_cutoff must be >= mag_limit: stars fainter than the "
+                "onboard catalog are the natural spikes, not the other way around"
+            )
+
     def camera(self) -> CameraModel:
         return CameraModel(
             fov_deg=self.fov_deg,
@@ -108,6 +126,20 @@ class PipelineConfig:
         return math.radians(self.max_pair_angle_deg)
 
 
+# Ranges that PipelineConfig.validate enforces besides fov_deg < 180,
+# threshold_max_iterations >= 1 and render_mag_cutoff >= mag_limit.
+POSITIVE_FIELDS = (
+    "fov_deg", "image_width", "image_height", "focal_length_mm", "f_number", "exposure_ms",
+    "qe_tlens", "ransac_samples", "ransac_threshold_arcsec", "max_pair_angle_deg",
+    "delta_max_rad", "sky_star_count",
+)
+NON_NEGATIVE_FIELDS = (
+    "defocus_sigma_px", "kvector_epsilon_arcsec", "sigma_qv", "sigma_rbc_km",
+    "anchor_peak_dn", "background_mean_dn", "background_sigma_dn", "ellipse_floor_px",
+    "sigma_x_au", "sigma_y_au", "sigma_z_au", "delta_sigma_rad",
+)
+
+
 def read_kv(path):
     """Yield ``(lineno, key, value)`` for each ``key=value`` line of a
     text file; blank lines and ``#`` comments are skipped."""
@@ -134,13 +166,15 @@ def parse_value(path, lineno: int, key: str, value: str, kind: type):
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse key=value lines (``#`` comments) over the defaults."""
+    """Parse key=value lines (``#`` comments) over the defaults, then
+    check every range (``PipelineConfig.validate``)."""
     cfg = PipelineConfig()
     names = {f.name for f in fields(PipelineConfig)}
     for lineno, key, value in read_kv(path):
         if key not in names:
             raise ValueError(f"{path} line {lineno}: unknown key '{key}'")
         setattr(cfg, key, parse_value(path, lineno, key, value, type(getattr(cfg, key))))
+    cfg.validate()
     return cfg
 
 

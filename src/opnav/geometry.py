@@ -90,12 +90,7 @@ class Attitude:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (4,):
             raise ValueError("quaternion must have 4 components (q0, qv)")
-        n = np.linalg.norm(q)
-        if not np.isfinite(n) or n == 0.0:
-            raise ValueError("quaternion has zero or non-finite norm")
-        q = q / n
-        if q[0] < 0 or (q[0] == 0 and _first_nonzero_sign(q[1:]) < 0):
-            q = -q
+        q = canonical_quaternions(q[None])[0]
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
@@ -108,11 +103,22 @@ class Attitude:
         return self.q[1:]
 
 
-def _first_nonzero_sign(v: np.ndarray) -> float:
-    for x in v:
-        if x != 0:
-            return math.copysign(1.0, x)
-    return 1.0
+def canonical_quaternions(q: np.ndarray) -> np.ndarray:
+    """Rows of ``q`` scaled to unit norm and flipped to q0 >= 0.
+
+    A row is negated when its first nonzero entry is negative, which also
+    settles q0 == 0 by the first nonzero vector component.  Each norm is
+    the square root of a row dot through stacked ``matmul``, the dot
+    kernel ``np.linalg.norm`` takes for one vector, so a row comes out as
+    it would alone.
+    """
+    q = np.asarray(q, dtype=float)
+    n = np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    if not ((n > 0.0) & (n < math.inf)).all():
+        raise ValueError("quaternion has zero or non-finite norm")
+    q = q / n
+    first = q[np.arange(len(q)), np.argmax(q != 0, axis=1)]
+    return np.negative(q, out=q, where=(first < 0)[:, None])
 
 
 def skew(v) -> np.ndarray:
@@ -159,36 +165,44 @@ def matrix_from_quaternion(q: Attitude | np.ndarray) -> np.ndarray:
 def quaternion_from_matrix(m: np.ndarray) -> Attitude:
     """Inverse of matrix_from_quaternion, stable for all rotation angles.
 
-    Uses the largest of (trace, m00, m11, m22) to pick the division
-    branch, so no catastrophic cancellation occurs near 0 or pi.
     Raises ValueError for a non-orthonormal input.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError("attitude matrix must be 3x3")
-    if np.max(np.abs(m @ m.T - np.eye(3))) > 1e-8 or abs(np.linalg.det(m) - 1.0) > 1e-8:
+    return Attitude(branch_quaternions(m[None])[0])
+
+
+# Flat indices into the 18 entries of (m - m^T, m + m^T) of one matrix:
+# row b lists the numerators of the four quaternion components in branch
+# b (trace, m00, m11, m22); the pivot slot b points at a zero.
+_BRANCH_NUMERATORS = np.array([[0, 5, 6, 1], [5, 0, 10, 11], [6, 10, 0, 14], [1, 11, 14, 0]])
+
+
+def branch_quaternions(m: np.ndarray) -> np.ndarray:
+    """Unnormalised quaternions of a stack of (n, 3, 3) rotation matrices.
+
+    Row k uses the largest of (trace, m00, m11, m22) of matrix k to pick
+    the division branch, so no catastrophic cancellation occurs near 0
+    or pi.  Raises ValueError when any matrix is not a proper rotation.
+    """
+    m = np.asarray(m, dtype=float)
+    mt = np.swapaxes(m, 1, 2)
+    if (
+        np.abs(m @ mt - np.eye(3)).max(initial=0.0) > 1e-8
+        or np.abs(np.linalg.det(m) - 1.0).max(initial=0.0) > 1e-8
+    ):
         raise ValueError("matrix is not a proper rotation")
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    choices = [tr, m[0, 0], m[1, 1], m[2, 2]]
-    best = int(np.argmax(choices))
-    if best == 0:
-        q0 = 0.5 * math.sqrt(1.0 + tr)
-        q = np.array([
-            q0,
-            (m[1, 2] - m[2, 1]) / (4.0 * q0),
-            (m[2, 0] - m[0, 2]) / (4.0 * q0),
-            (m[0, 1] - m[1, 0]) / (4.0 * q0),
-        ])
-    else:
-        i = best - 1
-        j, k = (i + 1) % 3, (i + 2) % 3
-        qi = 0.5 * math.sqrt(1.0 + 2.0 * m[i, i] - tr)
-        q = np.empty(4)
-        q[0] = (m[j, k] - m[k, j]) / (4.0 * qi)
-        q[1 + i] = qi
-        q[1 + j] = (m[i, j] + m[j, i]) / (4.0 * qi)
-        q[1 + k] = (m[i, k] + m[k, i]) / (4.0 * qi)
-    return Attitude(q)
+    rows = np.arange(len(m))
+    diag = np.diagonal(m, axis1=1, axis2=2)
+    tr = diag[:, 0] + diag[:, 1] + diag[:, 2]
+    choices = np.column_stack((tr, diag))
+    best = np.argmax(choices, axis=1)
+    pivot = 0.5 * np.sqrt(np.where(best == 0, 1.0 + tr, 1.0 + 2.0 * choices[rows, best] - tr))
+    parts = np.concatenate(((m - mt).reshape(-1, 9), (m + mt).reshape(-1, 9)), axis=1)
+    q = parts[rows[:, None], _BRANCH_NUMERATORS[best]] / (4.0 * pivot)[:, None]
+    q[rows, best] = pivot
+    return q
 
 
 def radec_to_unit(ra: float, dec: float) -> np.ndarray:
@@ -283,9 +297,22 @@ def project_unit_vectors(
 
 def los_from_pixel(camera: CameraModel, pixel) -> np.ndarray:
     """Unit line-of-sight direction in C for a pixel coordinate."""
-    x, y = float(pixel[0]), float(pixel[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
+    return los_from_pixels(camera, [pixel])[0]
+
+
+def los_from_pixels(camera: CameraModel, pixels) -> np.ndarray:
+    """Unit line-of-sight directions in C, one row per (x, y) pixel.
+
+    Each norm is the square root of a row dot through stacked ``matmul``,
+    the dot kernel ``np.linalg.norm`` takes for one vector.
+    """
+    xy = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    if not np.isfinite(xy).all():
         raise ValueError("pixel coordinates must be finite")
     cx, cy = camera.principal_point
-    v = np.array([(x - cx) / camera.focal_px, (y - cy) / camera.focal_px, 1.0])
-    return v / np.linalg.norm(v)
+    f = camera.focal_px
+    v = np.empty((len(xy), 3))
+    v[:, 0] = (xy[:, 0] - cx) / f
+    v[:, 1] = (xy[:, 1] - cy) / f
+    v[:, 2] = 1.0
+    return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]

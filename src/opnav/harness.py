@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attitude_solver import AttitudeSolution, RansacConfig, principal_axis_angle, ransac_attitude
-from .beacon_detection import ProjectionPrediction, UncertaintyBudget, detect_beacon, predict_projection
+from .beacon_detection import ProjectionPrediction, UncertaintyBudget, detect_beacon, predict_projections
 from .config import PipelineConfig
 from .ephemeris import Planet
 from .geometry import (
@@ -126,15 +126,14 @@ def detect_beacons(
     floor_px: float,
 ) -> dict[str, BeaconObservation]:
     """Gate the spikes against each planet's predicted projection."""
-    out: dict[str, BeaconObservation] = {}
     solution = attitude_out.solution
-    for planet in planets:
-        if solution is None:
-            out[planet.name] = BeaconObservation(None, False, None, None)
-            continue
-        prediction = predict_projection(
-            camera, solution.quaternion, est_position_km, planet.position_km, budget, floor_px
-        )
+    if solution is None:
+        return {planet.name: BeaconObservation(None, False, None, None) for planet in planets}
+    predictions = predict_projections(
+        camera, solution.quaternion, est_position_km, [p.position_km for p in planets], budget, floor_px
+    )
+    out: dict[str, BeaconObservation] = {}
+    for planet, prediction in zip(planets, predictions):
         attempted = prediction is not None and camera.in_frame(*prediction.expected_px)
         spike_index = None
         selected = None
@@ -355,11 +354,7 @@ def run_campaign(
     """Render and solve each scenario once, sweep sigma_r on the beacon
     stage, classify everything, and aggregate per-sigma_r statistics."""
     t_start = time.perf_counter()
-    if cfg.render_mag_cutoff < cfg.mag_limit:
-        raise ValueError(
-            "render_mag_cutoff must be >= mag_limit: stars fainter than the "
-            "onboard catalog are the natural spikes, not the other way around"
-        )
+    cfg.validate()
     camera = cfg.camera()
     identify_cfg = cfg.identify_config()
     sigma_r_list = [float(s) for s in sigma_r_list]

@@ -142,7 +142,8 @@ def load_catalog(path) -> StarCatalog:
             records.append(
                 StarRecord(
                     id=star_id,
-                    right_ascension=math.radians(ra_deg) % TWO_PI,
+                    # twice: a tiny negative angle % TWO_PI rounds to TWO_PI itself
+                    right_ascension=math.radians(ra_deg) % TWO_PI % TWO_PI,
                     declination=math.radians(dec_deg),
                     magnitude=mag,
                 )
@@ -216,28 +217,45 @@ def kvector_range_query(
 ) -> np.ndarray:
     """Indices of all pairs with cos(gamma+eps) <= cos_angle <= cos(gamma-eps).
 
-    The k-vector supplies a coarse superset; exact comparisons on the
-    sorted array trim it to the precise set.  Returns pair indices in
+    The one-angle call of ``kvector_range_queries``: pair indices in
     ascending order; empty result is valid.
+    """
+    return kvector_range_queries(index, db, [gamma_rad], epsilon_rad)[0]
+
+
+def kvector_range_queries(
+    index: KVectorIndex, db: PairDatabase, gammas_rad, epsilon_rad: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``kvector_range_query`` for every angle at once, in CSR layout.
+
+    The pair indices of angle p are ``rows[offsets[p]:offsets[p + 1]]``,
+    ascending.  Per angle, the k-vector bins ``counts[k_lo]`` and
+    ``counts[k_hi]`` bracket the rows; the bracket is widened where the
+    upper bin falls short, and exact comparisons against the sorted
+    cosines trim it to ``lo <= cos <= hi``.  ``lo`` and ``hi`` are taken with
+    ``math.cos`` per angle, so the result does not depend on numpy's
+    vectorised cosine.
     """
     if epsilon_rad < 0:
         raise ValueError("epsilon must be non-negative")
+    gammas = np.asarray(gammas_rad, dtype=float).ravel().tolist()
     s = db.cos_angles
     n = len(s)
-    lo = math.cos(gamma_rad + epsilon_rad)
-    hi = math.cos(gamma_rad - epsilon_rad)
-    if lo > s[-1] or hi < s[0]:
-        return np.empty(0, dtype=np.int64)
-
-    k_lo = min(max(int(math.floor((lo - index.intercept) / index.slope)), 0), n - 1)
-    k_hi = min(max(int(math.ceil((hi - index.intercept) / index.slope)), 0), n - 1)
-    start = int(index.counts[k_lo])  # <= first index with cosine >= lo
-    stop = int(index.counts[k_hi])  # may under- or overshoot by a bin
-    # Exact trim: the bins can only widen the bracket, never miss entries.
-    start += int(np.searchsorted(s[start:], lo, side="left"))
-    stop += int(np.searchsorted(s[stop:], hi, side="right"))
-    mask = (s[start:stop] >= lo) & (s[start:stop] <= hi)
-    return np.arange(start, stop, dtype=np.int64)[mask]
+    lo = np.fromiter((math.cos(g + epsilon_rad) for g in gammas), dtype=float, count=len(gammas))
+    hi = np.fromiter((math.cos(g - epsilon_rad) for g in gammas), dtype=float, count=len(gammas))
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ValueError("angles must be finite")
+    k_lo = np.clip(np.floor((lo - index.intercept) / index.slope), 0, n - 1).astype(np.int64)
+    k_hi = np.clip(np.ceil((hi - index.intercept) / index.slope), 0, n - 1).astype(np.int64)
+    # counts[k_lo] never passes a cosine >= lo; counts[k_hi] may stop a bin
+    # short of the last cosine <= hi, so the bracket is widened to it.
+    start = index.counts[k_lo]
+    stop = np.maximum(index.counts[k_hi], np.searchsorted(s, hi, side="right"))
+    length = np.maximum(stop - start, 0)
+    bracket = np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
+    keep = (s[bracket] >= np.repeat(lo, length)) & (s[bracket] <= np.repeat(hi, length))
+    offsets = np.concatenate(([0], np.cumsum(keep)))[np.concatenate(([0], np.cumsum(length)))]
+    return bracket[keep], offsets
 
 
 def save_pair_database(db: PairDatabase, index: KVectorIndex, path) -> None:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .centroiding import Centroid, find_centroids
-from .geometry import CameraModel, angular_separations, los_from_pixel
-from .star_catalog import KVectorIndex, PairDatabase, StarCatalog, kvector_range_query
+from .geometry import CameraModel, angular_separations, los_from_pixels
+from .star_catalog import KVectorIndex, PairDatabase, StarCatalog, kvector_range_queries
 
 MIN_ASTERISM = 3
 
@@ -77,10 +77,9 @@ def _candidate_table(
     n = len(los)
     ci, cj = np.triu_indices(n, k=1)
     gammas = angular_separations(los[ci], los[cj])
-    rows = [kvector_range_query(index, db, gamma, epsilon_rad) for gamma in gammas.tolist()]
-    x = np.repeat(ci, [len(r) for r in rows])
-    y = np.repeat(cj, [len(r) for r in rows])
-    rows = np.concatenate(rows)
+    rows, offsets = kvector_range_queries(index, db, gammas, epsilon_rad)
+    x = np.repeat(ci, np.diff(offsets))
+    y = np.repeat(cj, np.diff(offsets))
     star_ids, compact = np.unique(np.concatenate((db.star_i[rows], db.star_j[rows])), return_inverse=True)
     s, t = compact[: len(rows)], compact[len(rows) :]
     dims = (n, len(star_ids), n, len(star_ids))
@@ -140,7 +139,7 @@ def identify_stars(
     n = len(centroids)
     if n < MIN_ASTERISM:
         return None
-    los = np.array([los_from_pixel(camera, (c.x, c.y)) for c in centroids])
+    los = los_from_pixels(camera, [(c.x, c.y) for c in centroids])
     keys, dims, star_ids = _candidate_table(los, db, index, epsilon_rad)
     voted, counts = _count_votes(keys, dims)
     votes = {

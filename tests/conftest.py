@@ -66,3 +66,13 @@ def random_rotation(rng):
     from opnav.geometry import matrix_from_quaternion
 
     return matrix_from_quaternion(q)
+
+
+def stack_axes(axes):
+    """The (axes, indeterminate, degenerate) arrays that consensus_scores
+    takes, from a list of AxisAngle entries with None for a degenerate
+    sample."""
+    axis = np.array([(0.0, 0.0, 1.0) if a is None else a.axis for a in axes], dtype=float).reshape(-1, 3)
+    indeterminate = np.array([a is not None and a.indeterminate for a in axes], dtype=bool)
+    degenerate = np.array([a is None for a in axes], dtype=bool)
+    return axis, indeterminate, degenerate

@@ -14,7 +14,7 @@ from opnav.attitude_solver import (
 )
 from opnav.geometry import ARCSEC_TO_RAD, RAD_TO_ARCSEC, Attitude, matrix_from_quaternion, rot3
 from opnav.star_id import StarMatch
-from conftest import random_rotation
+from conftest import random_rotation, stack_axes
 
 
 def _axis_angle_matrix(axis, angle):
@@ -128,24 +128,24 @@ class TestConsensusScores:
         e2 = AxisAngle(axis=_rotate_about_z(e1.axis, small), angle=1.0)
         e3 = AxisAngle(axis=_rotate_about_z(e1.axis, 2 * small), angle=1.0)
         e4 = AxisAngle(axis=np.array([0.0, 1.0, 0]), angle=1.0)
-        scores = consensus_scores([e1, e2, e3, e4], t)
+        scores = consensus_scores(*stack_axes([e1, e2, e3, e4]), t)
         np.testing.assert_array_equal(scores, [1, 2, 1, 0])
         assert int(np.argmax(scores)) == 1
 
     def test_degenerate_sample_scored_negative(self):
         e1 = AxisAngle(axis=np.array([1.0, 0, 0]), angle=1.0)
-        scores = consensus_scores([e1, None, e1], 1e-3)
+        scores = consensus_scores(*stack_axes([e1, None, e1]), 1e-3)
         np.testing.assert_array_equal(scores, [1, -1, 1])
 
     def test_axis_sign_not_collapsed(self):
         e1 = AxisAngle(axis=np.array([1.0, 0, 0]), angle=1.0)
         e2 = AxisAngle(axis=np.array([-1.0, 0, 0]), angle=1.0)
-        np.testing.assert_array_equal(consensus_scores([e1, e2], 1e-3), [0, 0])
+        np.testing.assert_array_equal(consensus_scores(*stack_axes([e1, e2]), 1e-3), [0, 0])
 
     def test_indeterminate_axes_agree_only_with_each_other(self):
         ind = AxisAngle(axis=np.array([0.0, 0, 1.0]), angle=0.0, indeterminate=True)
         det = AxisAngle(axis=np.array([0.0, 0, 1.0]), angle=1.0)
-        np.testing.assert_array_equal(consensus_scores([ind, ind, det], 1e-3), [1, 1, 0])
+        np.testing.assert_array_equal(consensus_scores(*stack_axes([ind, ind, det]), 1e-3), [1, 1, 0])
 
 
 def _rotate_about_z(v, angle):

@@ -1,10 +1,17 @@
-"""Property: consensus_scores equals the scalar pairwise rule.
+"""Property: the stacked RANSAC stages equal their one-sample forms.
 
-The reference scores every pair with geometry.angular_separation, the
-way RANSAC scored axes one pair at a time, including degenerate (None)
+consensus_scores is checked against the scalar pairwise rule: the
+reference scores every pair with geometry.angular_separation, the way
+RANSAC scored axes one pair at a time, including degenerate (None)
 samples, indeterminate axes and thresholds a few ulps either side of an
 actual pair separation.  Underneath, the array form of the separation
 must equal the scalar one bit for bit.
+
+The stacked Wahba solve and principal-axis extraction are checked bit
+for bit against per-sample ``principal_axis_angle(wahba_svd(...))`` and
+against a one-matrix reference of the quaternion route, over collinear
+(degenerate) triples, near-identity (indeterminate) rotations and exact
+half turns (q0 == 0).
 """
 
 import math
@@ -13,8 +20,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opnav.attitude_solver import AxisAngle, consensus_scores
-from opnav.geometry import angular_separation, angular_separations
+from opnav.attitude_solver import (
+    AxisAngle,
+    DegenerateGeometryError,
+    consensus_scores,
+    principal_axes,
+    principal_axis_angle,
+    wahba_svd,
+    wahba_svds,
+)
+from opnav.geometry import angular_separation, angular_separations, matrix_from_quaternion
+from conftest import stack_axes
 
 
 def reference_scores(axes, threshold_rad):
@@ -69,7 +85,7 @@ def build_axes(base, entries):
 )
 def test_matches_scalar_rule(base, entries, threshold):
     axes = build_axes(_unit(base), entries)
-    scores = consensus_scores(axes, threshold)
+    scores = consensus_scores(*stack_axes(axes), threshold)
     assert scores.tolist() == reference_scores(axes, threshold)
 
 
@@ -89,7 +105,7 @@ def test_threshold_within_ulps_of_a_separation(base, entries, pair, ulps):
     threshold = angular_separation(a.axis, b.axis)
     for _ in range(abs(ulps)):
         threshold = math.nextafter(threshold, math.inf if ulps > 0 else -math.inf)
-    scores = consensus_scores(axes, threshold)
+    scores = consensus_scores(*stack_axes(axes), threshold)
     assert scores.tolist() == reference_scores(axes, threshold)
 
 
@@ -103,3 +119,108 @@ def test_array_separation_is_bitwise_scalar(base, entries):
     got = angular_separations(u[:, None, :], u[None, :, :])
     want = np.array([[angular_separation(a, b) for b in u] for a in u])
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def reference_axis_angle(m):
+    """Axis, angle and indeterminate flag of one rotation matrix, by the
+    largest-pivot quaternion branch, unit norm, q0 >= 0 and atan2."""
+    tr = m[0, 0] + m[1, 1] + m[2, 2]
+    best = int(np.argmax([tr, m[0, 0], m[1, 1], m[2, 2]]))
+    if best == 0:
+        q0 = 0.5 * math.sqrt(1.0 + tr)
+        q = np.array([q0, (m[1, 2] - m[2, 1]) / (4.0 * q0), (m[2, 0] - m[0, 2]) / (4.0 * q0),
+                      (m[0, 1] - m[1, 0]) / (4.0 * q0)])
+    else:
+        i = best - 1
+        j, k = (i + 1) % 3, (i + 2) % 3
+        qi = 0.5 * math.sqrt(1.0 + 2.0 * m[i, i] - tr)
+        q = np.empty(4)
+        q[0] = (m[j, k] - m[k, j]) / (4.0 * qi)
+        q[1 + i] = qi
+        q[1 + j] = (m[i, j] + m[j, i]) / (4.0 * qi)
+        q[1 + k] = (m[i, k] + m[k, i]) / (4.0 * qi)
+    q = q / np.linalg.norm(q)
+    nonzero = [x for x in q[1:] if x != 0]
+    if q[0] < 0 or (q[0] == 0 and nonzero and nonzero[0] < 0):
+        q = -q
+    qv_norm = float(np.linalg.norm(q[1:]))
+    angle = 2.0 * math.atan2(qv_norm, q[0])
+    if angle < 1e-9:
+        return np.array([0.0, 0.0, 1.0]), angle, True
+    return q[1:] / qv_norm, angle, False
+
+
+def assert_bitwise(a, b):
+    np.testing.assert_array_equal(np.asarray(a, dtype=float).view(np.int64), np.asarray(b, dtype=float).view(np.int64))
+
+
+def assert_axes_match(rotations, axis, angle, indeterminate):
+    for k, r in enumerate(rotations):
+        one = principal_axis_angle(r)
+        ref_axis, ref_angle, ref_ind = reference_axis_angle(r)
+        assert bool(indeterminate[k]) == one.indeterminate == ref_ind
+        assert_bitwise(axis[k], one.axis)
+        assert_bitwise(axis[k], ref_axis)
+        assert_bitwise(angle[k], one.angle)
+        assert_bitwise(angle[k], ref_angle)
+
+
+def _rotation(rng):
+    q = rng.standard_normal(4)
+    return matrix_from_quaternion(q / np.linalg.norm(q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["random", "noisy", "collinear", "identity", "tiny_turn"]), min_size=1, max_size=24),
+)
+def test_stacked_wahba_and_axes_equal_per_sample(seed, kinds):
+    rng = np.random.default_rng(seed)
+    c = np.empty((len(kinds), 3, 3))
+    n = rng.standard_normal((len(kinds), 3, 3))
+    n /= np.linalg.norm(n, axis=2, keepdims=True)
+    for k, kind in enumerate(kinds):
+        if kind == "collinear":  # one direction, seen twice and once reversed
+            n[k, 1], n[k, 2] = n[k, 0], -n[k, 0]
+            c[k] = n[k] @ _rotation(rng).T
+        elif kind == "identity":
+            c[k] = n[k]
+        elif kind == "tiny_turn":  # a rotation far below the indeterminate-axis angle
+            c[k] = n[k] @ matrix_from_quaternion(np.array([1.0, 1e-12, 0.0, 0.0])).T
+        else:
+            c[k] = n[k] @ _rotation(rng).T
+            if kind == "noisy":
+                c[k] += 1e-4 * rng.standard_normal((3, 3))
+    rotations, degenerate = wahba_svds(c, n)
+    for k in range(len(kinds)):
+        try:
+            one = wahba_svd(c[k], n[k])
+        except DegenerateGeometryError:
+            assert degenerate[k]
+            continue
+        assert not degenerate[k]
+        assert_bitwise(rotations[k], one)
+    assert degenerate[[k for k, kind in enumerate(kinds) if kind == "collinear"]].all()
+    solved = rotations[~degenerate]
+    assert_axes_match(solved, *principal_axes(solved))
+
+
+signed_unit = st.tuples(*[st.sampled_from([0.0, 0.6, -0.6, 0.8, -0.8, 1.0, -1.0])] * 3).filter(
+    lambda v: math.fsum(x * x for x in v) > 0
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(axes=st.lists(signed_unit, min_size=1, max_size=12), seed=st.integers(0, 2**32 - 1))
+def test_stacked_axes_at_half_turns_and_identity(axes, seed):
+    """Exact half turns have q0 == 0, where the sign of the first nonzero
+    vector component decides the canonical quaternion."""
+    rng = np.random.default_rng(seed)
+    rotations = [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]), _rotation(rng)]
+    for v in axes:
+        v = np.array(v) / np.linalg.norm(v)
+        rotations.append(matrix_from_quaternion(np.concatenate(([0.0], v))))
+        rotations.append(matrix_from_quaternion(np.array([math.cos(1e-10), *(math.sin(1e-10) * v)])))
+    rotations = np.array(rotations)
+    assert_axes_match(rotations, *principal_axes(rotations))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from opnav.harness import (
     classify_outcome,
     run_campaign,
     sample_scenarios,
+    write_pdf_errors_csv,
     write_scenarios_csv,
 )
 from opnav.renderer import GroundTruth, Image, TruthObject, write_pgm
@@ -361,6 +363,23 @@ def test_render_cutoff_must_cover_catalog_limit(sky):
         run_campaign(2, [1e4], 1, cfg, catalog, db, index, solar_system())
 
 
+def test_frozen_campaign_digest(sky, tmp_path):
+    """The campaign CSVs of a fixed seed, byte for byte; any change to
+    them must be a deliberate, announced one."""
+    catalog, db, index = sky
+    report = run_campaign(10, [1e4, 1e5, 1e6, 1e7], 20220209, PipelineConfig(), catalog, db, index, solar_system())
+    write_scenarios_csv(report.records, tmp_path / "scenarios.csv")
+    write_pdf_errors_csv(report.records, tmp_path / "pdf_errors.csv")
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("scenarios.csv", "pdf_errors.csv")
+    }
+    assert digests == {
+        "scenarios.csv": "a175f37ca9ecbef3f4c46ea24f420b87a8fa4c9444390abdf72f45c537de1006",
+        "pdf_errors.csv": "70f63b7b26d16f5536a43a93896be4c4483cc82c122711aae33a8ff5990236e2",
+    }
+
+
 def test_zero_uncertainty_noiseless_campaign_has_no_failures(sky):
     # with exact knowledge and no noise the floored gate always contains
     # the planet spike
@@ -543,6 +562,30 @@ class TestCli:
         )
         assert r.returncode == 1
         assert r.stderr == "error: delta_max_rad must be > 0\n"
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            # a non-positive size, FOV, exposure or sample count
+            ("fov_deg=0", "fov_deg must be > 0"),
+            ("exposure_ms=-5", "exposure_ms must be > 0"),
+            ("fov_deg=180", "fov_deg must be < 180"),
+            ("background_sigma_dn=-1", "background_sigma_dn must be >= 0"),  # a negative sigma
+            ("threshold_max_iterations=0", "threshold_max_iterations must be >= 1"),
+            ("render_mag_cutoff=5.0", "render_mag_cutoff must be >= mag_limit"),
+        ],
+        ids=["fov", "exposure", "fov_wide", "sigma", "iterations", "cutoff"],
+    )
+    def test_montecarlo_rejects_out_of_range_config(self, tmp_path, line, reason):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"sky_star_count=200\n{line}\n")
+        r = _cli(
+            "montecarlo", "--n", "2", "--sigma-r", "1e4", "--seed", "1",
+            "--out", str(tmp_path / "mc"), "--config", str(cfgfile),
+        )
+        assert r.returncode == 1
+        assert r.stderr.startswith(f"error: {reason}") and r.stderr.count("\n") == 1
+        assert not (tmp_path / "mc").exists()
 
     def test_process_rejects_mis_sized_image(self, tmp_path, desk_catalog, desk_db):
         cfgfile = tmp_path / "camera.cfg"

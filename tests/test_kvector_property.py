@@ -1,4 +1,5 @@
-"""Property: the k-vector range query equals a linear scan of db.cos_angles."""
+"""Property: the k-vector range query equals a linear scan of db.cos_angles,
+and the batched query equals the one-angle query angle by angle."""
 
 import math
 
@@ -12,6 +13,7 @@ from opnav.star_catalog import (
     build_kvector,
     build_pair_database,
     catalog_from_records,
+    kvector_range_queries,
     kvector_range_query,
 )
 
@@ -76,3 +78,34 @@ def test_angles_of_stored_pairs(db, pick, epsilon):
     gamma = math.acos(float(db.cos_angles[pick % len(db)]))
     got = kvector_range_query(index, db, gamma, epsilon)
     np.testing.assert_array_equal(got, linear_scan(db, gamma, epsilon))
+
+
+# Angles inside the table, on stored pairs, between them (empty brackets)
+# and beyond both ends of it (cos above the largest or below the smallest).
+angle_picks = st.one_of(
+    st.floats(0.0, 0.7),
+    st.integers(0, 10**6).map(lambda k: ("stored", k)),
+    st.sampled_from([0.0, 1e-12, math.radians(36.0), 1.5, 3.0, math.pi]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    db=pair_databases(),
+    picks=st.lists(angle_picks, min_size=0, max_size=30),
+    epsilon=st.sampled_from([0.0, 1e-12, 3.4e-5, 1e-3, 0.05]),
+)
+def test_batched_equals_per_angle_and_scan(db, picks, epsilon):
+    if db is None:
+        return
+    index = build_kvector(db)
+    gammas = [
+        math.acos(float(db.cos_angles[p[1] % len(db)])) if isinstance(p, tuple) else p for p in picks
+    ]
+    rows, offsets = kvector_range_queries(index, db, gammas, epsilon)
+    assert rows.dtype == np.int64
+    assert len(offsets) == len(gammas) + 1 and offsets[0] == 0 and offsets[-1] == len(rows)
+    for p, gamma in enumerate(gammas):
+        got = rows[offsets[p] : offsets[p + 1]]
+        np.testing.assert_array_equal(got, kvector_range_query(index, db, gamma, epsilon))
+        np.testing.assert_array_equal(got, linear_scan(db, gamma, epsilon))

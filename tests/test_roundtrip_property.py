@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from opnav.config import PipelineConfig, load_config, save_config
+from opnav.config import NON_NEGATIVE_FIELDS, POSITIVE_FIELDS, PipelineConfig, load_config, save_config
 from opnav.ephemeris import Planet, load_ephemeris, save_ephemeris
 from opnav.geometry import Attitude, PointingAngles, matrix_from_quaternion, quaternion_from_matrix
 from opnav.renderer import GroundTruth, Image, TruthObject, read_pgm, read_truth, write_pgm, write_truth
@@ -141,7 +141,31 @@ def test_ephemeris_file(workdir, table):
             assert bits(got.magnitude) == bits(want.magnitude)
 
 
-_CONFIG_VALUES = {bool: st.booleans(), int: st.integers(-(2**40), 2**40), float: st.floats(allow_nan=False)}
+def _valid_values(name, kind):
+    """Every value PipelineConfig.validate accepts for one field."""
+    if kind is bool:
+        return st.booleans()
+    if kind is int:
+        low = 1 if name in POSITIVE_FIELDS or name == "threshold_max_iterations" else -(2**40)
+        return st.integers(0 if name in NON_NEGATIVE_FIELDS else low, 2**40)
+    if name == "fov_deg":
+        return st.floats(0.0, 180.0, exclude_min=True, exclude_max=True)
+    if name in POSITIVE_FIELDS:
+        return st.floats(min_value=0.0, exclude_min=True)
+    if name in NON_NEGATIVE_FIELDS:
+        return st.floats(min_value=0.0)
+    return st.floats(allow_nan=False)
+
+
+def _invalid_values(name, kind, cfg):
+    """Values outside the range of one field, given the rest of ``cfg``."""
+    if kind is int:
+        return st.integers(-(2**40), 0 if name in POSITIVE_FIELDS or name == "threshold_max_iterations" else -1)
+    if name == "render_mag_cutoff":
+        return st.floats(max_value=cfg.mag_limit, exclude_max=True)
+    if name in POSITIVE_FIELDS:
+        return st.floats(max_value=0.0) | st.just(math.nan) | (st.floats(min_value=180.0) if name == "fov_deg" else st.nothing())
+    return st.floats(max_value=0.0, exclude_max=True) | st.just(math.nan)
 
 
 @st.composite
@@ -149,7 +173,9 @@ def configs(draw):
     cfg = PipelineConfig()
     for f in dataclasses.fields(PipelineConfig):
         if draw(st.booleans()):
-            setattr(cfg, f.name, draw(_CONFIG_VALUES[type(getattr(cfg, f.name))]))
+            setattr(cfg, f.name, draw(_valid_values(f.name, type(getattr(cfg, f.name)))))
+    if cfg.render_mag_cutoff < cfg.mag_limit:
+        cfg.render_mag_cutoff, cfg.mag_limit = cfg.mag_limit, cfg.render_mag_cutoff
     return cfg
 
 
@@ -163,6 +189,20 @@ def test_config_file(workdir, cfg):
         got, want = getattr(back, f.name), getattr(cfg, f.name)
         assert type(got) is type(want)
         assert got == want and (not isinstance(want, float) or bits(got) == bits(want))
+
+
+RANGED_FIELDS = POSITIVE_FIELDS + NON_NEGATIVE_FIELDS + ("threshold_max_iterations", "render_mag_cutoff")
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=configs(), name=st.sampled_from(RANGED_FIELDS), data=st.data())
+def test_config_file_out_of_range_rejected(workdir, cfg, name, data):
+    assume(name != "render_mag_cutoff" or cfg.mag_limit > -math.inf)
+    setattr(cfg, name, data.draw(_invalid_values(name, type(getattr(cfg, name)), cfg)))
+    path = workdir / "pipeline.cfg"
+    save_config(cfg, path)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        load_config(path)
 
 
 @settings(max_examples=100, deadline=None)

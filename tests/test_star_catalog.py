@@ -51,6 +51,14 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match="duplicate"):
             load_catalog(_write(tmp_path, "7,0,0,1.0\n7,10,0,1.0\n"))
 
+    def test_tiny_negative_ra_wraps_to_zero(self, tmp_path):
+        # radians(-1e-300) % 2 pi rounds to 2 pi itself, outside [0, 2 pi)
+        cat = load_catalog(_write(tmp_path, "1,-1e-300,0.0,1.0\n2,-0.0,0.0,1.0\n3,359.9,0.0,1.0\n"))
+        ras = [s.right_ascension for s in cat.stars]
+        assert all(0.0 <= ra < 2.0 * math.pi for ra in ras)
+        assert ras[0] == 0.0
+        assert ras[2] == math.radians(359.9)
+
     def test_declination_range_checked(self, tmp_path):
         with pytest.raises(CatalogError, match="declination"):
             load_catalog(_write(tmp_path, "1,0,91,1.0\n"))
