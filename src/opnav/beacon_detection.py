@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Attitude, CameraModel, matrix_from_quaternion, skew
+from .geometry import Attitude, CameraModel, matrix_from_quaternion, project_points, skew
 
 # Inverse chi-square cdf with 2 dof at 0.9973 (the 3-sigma probability).
 CHI2_GATE_3SIGMA = 11.8292
@@ -85,30 +85,10 @@ def projection_jacobian(
     """
     q = attitude_q.q if isinstance(attitude_q, Attitude) else np.asarray(attitude_q, float)
     a = matrix_from_quaternion(q)
-    rho, rho_c = _camera_frame(a, sc_position_km, beacon_position_km)
-    if rho_c[0, 2] <= 0:
+    rho, h, in_front = project_points(camera, a, sc_position_km, [beacon_position_km])
+    if not in_front[0]:
         raise ValueError("beacon is behind the camera")
-    return _jacobians(camera.intrinsic, q, a, rho, _homogeneous(camera.intrinsic, rho_c))[0]
-
-
-def _camera_frame(a: np.ndarray, sc_position_km, beacon_positions_km) -> tuple[np.ndarray, np.ndarray]:
-    """Spacecraft-to-beacon vectors (n, 3) in N and rotated into C."""
-    rho = np.asarray(beacon_positions_km, float).reshape(-1, 3) - np.asarray(sc_position_km, float)
-    return rho, (a @ rho[:, :, None])[:, :, 0]
-
-
-def _homogeneous(k: np.ndarray, rho_c: np.ndarray) -> np.ndarray:
-    """Homogeneous pixel coordinates K rho_c, one row per beacon."""
-    return (k @ rho_c[:, :, None])[:, :, 0]
-
-
-def _skews(v: np.ndarray) -> np.ndarray:
-    """``skew`` of each row of an (n, 3) array."""
-    out = np.zeros((len(v), 3, 3))
-    out[:, 0, 1], out[:, 0, 2] = -v[:, 2], v[:, 1]
-    out[:, 1, 0], out[:, 1, 2] = v[:, 2], -v[:, 0]
-    out[:, 2, 0], out[:, 2, 1] = -v[:, 1], v[:, 0]
-    return out
+    return _jacobians(camera.intrinsic, q, a, rho, h)[0]
 
 
 def _jacobians(k: np.ndarray, q: np.ndarray, a: np.ndarray, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -134,7 +114,7 @@ def _jacobians(k: np.ndarray, q: np.ndarray, a: np.ndarray, rho: np.ndarray, h: 
         -2.0 * (rho[:, :, None] * qv[None, None, :])
         + (2.0 * qv_dot_rho)[:, None, None] * np.eye(3)
         + 2.0 * (qv[None, :, None] * rho[:, None, :])
-        + 2.0 * q0 * _skews(rho)
+        + 2.0 * q0 * skew(rho)
     )
     inner[:, :, 4:7] = -a
     inner[:, :, 7:10] = a
@@ -219,16 +199,14 @@ def predict_projections(
     """
     q = attitude_q.q if isinstance(attitude_q, Attitude) else np.asarray(attitude_q, float)
     a = matrix_from_quaternion(q)
-    rho, rho_c = _camera_frame(a, sc_position_km, beacon_positions_km)
-    if not rho.any(axis=1).all():
-        raise ValueError("target coincides with the spacecraft position")
+    rho, h, in_front = project_points(camera, a, sc_position_km, beacon_positions_km)
     out: list[ProjectionPrediction | None] = [None] * len(rho)
-    front = np.flatnonzero(rho_c[:, 2] > 0.0)
+    front = np.flatnonzero(in_front)
     if not len(front):
         return out
     k = camera.intrinsic
-    h = _homogeneous(k, rho_c[front])
-    expected = np.stack((h[:, 0] / h[:, 2], h[:, 1] / h[:, 2]), axis=1)
+    h = h[front]
+    expected = h[:, :2] / h[:, 2:]
     jac = _jacobians(k, q, a, rho[front], h)
     p = floor_covariance(projection_covariance(jac, budget), floor_px)
     for i, px, cov, ellipse in zip(front.tolist(), expected, p, covariance_ellipses(p)):

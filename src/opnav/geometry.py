@@ -122,9 +122,16 @@ def canonical_quaternions(q: np.ndarray) -> np.ndarray:
 
 
 def skew(v) -> np.ndarray:
-    """Cross-product matrix [v]^ such that skew(v) @ w == cross(v, w)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Cross-product matrix [v]^ such that skew(v) @ w == cross(v, w).
+
+    ``v`` may be a stack of (..., 3) vectors; the result is (..., 3, 3).
+    """
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -v[..., 1], v[..., 0]
+    return out
 
 
 def rot2(theta: float) -> np.ndarray:
@@ -248,26 +255,46 @@ def project_point(
 
     Returns the (x, y) pixel coordinates, or None when the point lies
     behind the camera (third camera-frame component <= 0).  No bounds
-    clipping is applied; callers decide what off-image means.
+    clipping is applied; callers decide what off-image means.  The
+    one-target call of ``project_points``.
     """
-    rho = np.asarray(target_position, dtype=float) - np.asarray(sc_position, dtype=float)
-    if not np.any(rho):
-        raise ValueError("target coincides with the spacecraft position")
-    return _project_los(camera, attitude_matrix @ rho)
+    _, h, in_front = project_points(camera, attitude_matrix, sc_position, [target_position])
+    return h[0, :2] / h[0, 2] if in_front[0] else None
 
 
 def project_star(
     camera: CameraModel, attitude_matrix: np.ndarray, ra: float, dec: float
 ) -> np.ndarray | None:
     """Project a star (a direction on the plane at infinity) onto the image."""
-    return _project_los(camera, attitude_matrix @ radec_to_unit(ra, dec))
+    return project_point(camera, attitude_matrix, np.zeros(3), radec_to_unit(ra, dec))
 
 
-def _project_los(camera: CameraModel, rho_c: np.ndarray) -> np.ndarray | None:
-    if rho_c[2] <= 0.0:
-        return None
-    h = camera.intrinsic @ rho_c
-    return np.array([h[0] / h[2], h[1] / h[2]])
+def project_points(
+    camera: CameraModel,
+    attitude_matrix: np.ndarray,
+    sc_position: np.ndarray,
+    target_positions,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pinhole projection of inertial-frame points, one row per target.
+
+    Returns
+    -------
+    rho : (n, 3) spacecraft-to-target vectors in N.
+    h : (n, 3) homogeneous pixels K A rho; the pixel of row i is
+        h[i, :2] / h[i, 2], valid only where ``in_front`` is True.
+    in_front : (n,) boolean array, False where the third camera-frame
+        component is <= 0.
+
+    Each row goes through stacked ``matmul``, so it comes out as the
+    one-target products ``A @ rho`` and ``K @ rho_c`` would.  Raises
+    ValueError when a target coincides with the spacecraft position.
+    """
+    rho = np.asarray(target_positions, dtype=float).reshape(-1, 3) - np.asarray(sc_position, dtype=float)
+    if not rho.any(axis=1).all():
+        raise ValueError("target coincides with the spacecraft position")
+    rho_c = (attitude_matrix @ rho[:, :, None])[:, :, 0]
+    h = (camera.intrinsic @ rho_c[:, :, None])[:, :, 0]
+    return rho, h, rho_c[:, 2] > 0.0
 
 
 def project_unit_vectors(

@@ -9,7 +9,8 @@ must equal the scalar one bit for bit.
 
 The stacked Wahba solve and principal-axis extraction are checked bit
 for bit against per-sample ``principal_axis_angle(wahba_svd(...))`` and
-against a one-matrix reference of the quaternion route, over collinear
+against one-matrix references of the 2-D SVD solve and of the
+quaternion route, over collinear
 (degenerate) triples, near-identity (indeterminate) rotations and exact
 half turns (q0 == 0).
 """
@@ -165,6 +166,15 @@ def assert_axes_match(rotations, axis, angle, indeterminate):
         assert_bitwise(angle[k], ref_angle)
 
 
+def reference_wahba(c, n):
+    """One 3x3 Wahba solve in 2-D products, or None for collinear rows."""
+    b = c.T @ n
+    u, s, vt = np.linalg.svd(b)
+    if s[1] <= 1e-9 * max(s[0], 1e-300):
+        return None
+    return u @ np.diag([1.0, 1.0, np.linalg.det(u) * np.linalg.det(vt)]) @ vt
+
+
 def _rotation(rng):
     q = rng.standard_normal(4)
     return matrix_from_quaternion(q / np.linalg.norm(q))
@@ -194,6 +204,8 @@ def test_stacked_wahba_and_axes_equal_per_sample(seed, kinds):
                 c[k] += 1e-4 * rng.standard_normal((3, 3))
     rotations, degenerate = wahba_svds(c, n)
     for k in range(len(kinds)):
+        ref = reference_wahba(c[k], n[k])
+        assert degenerate[k] == (ref is None)
         try:
             one = wahba_svd(c[k], n[k])
         except DegenerateGeometryError:
@@ -201,6 +213,7 @@ def test_stacked_wahba_and_axes_equal_per_sample(seed, kinds):
             continue
         assert not degenerate[k]
         assert_bitwise(rotations[k], one)
+        assert_bitwise(rotations[k], ref)
     assert degenerate[[k for k, kind in enumerate(kinds) if kind == "collinear"]].all()
     solved = rotations[~degenerate]
     assert_axes_match(solved, *principal_axes(solved))
