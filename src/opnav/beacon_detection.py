@@ -38,8 +38,10 @@ class UncertaintyBudget:
     sigma_rbc_km: float = 0.0
 
     def __post_init__(self):
-        if min(self.sigma_qv, self.sigma_r_km, self.sigma_rbc_km) < 0:
-            raise ValueError("standard deviations must be non-negative")
+        for name in ("sigma_qv", "sigma_r_km", "sigma_rbc_km"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def to_matrix(self) -> np.ndarray:
         """10x10 diagonal covariance, blocks (q0 | qv | r | r_bc)."""

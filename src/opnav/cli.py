@@ -34,6 +34,7 @@ from .harness import (
 )
 from .renderer import SceneSpec, read_pgm, render, write_pgm, write_truth
 from .star_catalog import (
+    CatalogError,
     build_kvector,
     build_pair_database,
     load_catalog,
@@ -172,8 +173,24 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _sc_position(text: str) -> np.ndarray:
+    """``--sc-pos`` as exactly three finite numbers."""
+    try:
+        xyz = [float(x) for x in text.split(",")]
+    except ValueError:
+        xyz = []
+    if len(xyz) != 3 or not all(math.isfinite(x) for x in xyz):
+        raise ValueError(f"--sc-pos expects three finite numbers 'x,y,z' in km, got '{text}'")
+    return np.array(xyz)
+
+
 def _cmd_process(args) -> int:
     cfg = load_config(args.config)
+    budget = cfg.budget(args.sigma_r)
+    est = None if args.sc_pos is None else _sc_position(args.sc_pos)
+    if args.ephemeris and est is None:
+        raise ValueError("--sc-pos is required for beacon detection")
+    planets = planets_at(args.ephemeris, args.epoch) if args.ephemeris else ()
     camera = cfg.camera()
     image = read_pgm(args.image)
     if (image.width, image.height) != (camera.width, camera.height):
@@ -183,9 +200,10 @@ def _cmd_process(args) -> int:
         )
     catalog = load_catalog(args.catalog)
     db, index = load_pair_database(args.db)
-    missing = np.setdiff1d(np.concatenate([db.star_i, db.star_j]), [s.id for s in catalog.stars])
-    if len(missing):
-        raise ValueError(f"{args.db}: star id {missing[0]} is not in {args.catalog}")
+    try:
+        catalog.rows_of(np.concatenate([db.star_i, db.star_j]))
+    except CatalogError as exc:
+        raise ValueError(f"{args.db}: star id {exc.star_id} is not in {args.catalog}") from None
     attitude_out = solve_attitude(
         image.data, camera, catalog, db, index, cfg.identify_config(), cfg.ransac_config()
     )
@@ -204,13 +222,7 @@ def _cmd_process(args) -> int:
     print(f"spikes: {list(attitude_out.spike_centroids)}")
 
     if args.ephemeris:
-        planets = planets_at(args.ephemeris, args.epoch)
-        if args.sc_pos is None:
-            raise ValueError("--sc-pos is required for beacon detection")
-        est = np.array([float(x) for x in args.sc_pos.split(",")])
-        beacons = detect_beacons(
-            attitude_out, camera, est, planets, cfg.budget(args.sigma_r), cfg.ellipse_floor_px
-        )
+        beacons = detect_beacons(attitude_out, camera, est, planets, budget, cfg.ellipse_floor_px)
         for name, obs in beacons.items():
             if obs.prediction is None:
                 print(f"beacon {name}: behind camera")

@@ -94,14 +94,6 @@ class Attitude:
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
-    @property
-    def scalar(self) -> float:
-        return float(self.q[0])
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.q[1:]
-
 
 def canonical_quaternions(q: np.ndarray) -> np.ndarray:
     """Rows of ``q`` scaled to unit norm and flipped to q0 >= 0.
@@ -212,10 +204,17 @@ def branch_quaternions(m: np.ndarray) -> np.ndarray:
     return q
 
 
-def radec_to_unit(ra: float, dec: float) -> np.ndarray:
-    """Unit vector in N for right ascension / declination in radians."""
-    cd = math.cos(dec)
-    return np.array([cd * math.cos(ra), cd * math.sin(ra), math.sin(dec)])
+def radec_to_unit(ra, dec) -> np.ndarray:
+    """Unit vectors in N, shape (..., 3), for right ascension / declination
+    in radians (scalars or broadcast arrays).  ``math`` takes each sine and
+    cosine, so a vector does not depend on numpy's vectorised trigonometry.
+    """
+    ra, dec = np.broadcast_arrays(np.asarray(ra, dtype=float), np.asarray(dec, dtype=float))
+    cos_ra, sin_ra, cos_dec, sin_dec = (
+        np.fromiter(map(f, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+        for f, x in ((math.cos, ra), (math.sin, ra), (math.cos, dec), (math.sin, dec))
+    )
+    return np.stack((cos_dec * cos_ra, cos_dec * sin_ra, sin_dec), axis=-1)
 
 
 def angular_separation(u, v) -> float:

@@ -358,6 +358,7 @@ def run_campaign(
     camera = cfg.camera()
     identify_cfg = cfg.identify_config()
     sigma_r_list = [float(s) for s in sigma_r_list]
+    budgets = [cfg.budget(s) for s in sigma_r_list]
     specs = sample_scenarios(n, master_seed, cfg, camera, planets)
     records: list[ScenarioRecord] = []
 
@@ -390,11 +391,9 @@ def run_campaign(
         )
         planet = primary_planet(truth)
 
-        for sigma_r in sigma_r_list:
+        for sigma_r, budget in zip(sigma_r_list, budgets):
             est_pos = spec.sc_position_km + sigma_r * eta
-            beacons = detect_beacons(
-                attitude_out, camera, est_pos, spec.planets, cfg.budget(sigma_r), cfg.ellipse_floor_px
-            )
+            beacons = detect_beacons(attitude_out, camera, est_pos, spec.planets, budget, cfg.ellipse_floor_px)
             outcome = classify_outcome(truth, attitude_out, beacons, camera, cfg)
             records.append(
                 _make_record(spec, sigma_r, planet, attitude_out, beacons, outcome)

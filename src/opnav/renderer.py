@@ -163,23 +163,20 @@ def render_field(scene: SceneSpec) -> tuple[np.ndarray, list[TruthObject]]:
     margin = PSF_TRUNCATION_SIGMAS * cam.defocus_sigma_px + 1.0
 
     stars = scene.star_catalog
-    if len(stars):
-        mags = stars.magnitudes
-        keep = mags <= scene.render_mag_cutoff
-        pixels, in_front = project_unit_vectors(cam, att, stars.unit_vectors)
-        sel = keep & in_front
-        with np.errstate(invalid="ignore"):  # NaN rows (behind camera) compare False
-            sel &= (
-                (pixels[:, 0] >= -margin)
-                & (pixels[:, 0] <= cam.width - 1 + margin)
-                & (pixels[:, 1] >= -margin)
-                & (pixels[:, 1] <= cam.height - 1 + margin)
-            )
-        for row in np.nonzero(sel)[0]:
-            x, y = pixels[row]
-            flux = magnitude_to_flux(mags[row], cam, scene.anchor_mag, scene.anchor_peak_dn)
-            _deposit(field, x, y, flux, cam.defocus_sigma_px)
-            objects.append(TruthObject("star", str(stars.stars[row].id), float(x), float(y), 0.0, False))
+    pixels, in_front = project_unit_vectors(cam, att, stars.unit_vectors)
+    sel = (stars.magnitudes <= scene.render_mag_cutoff) & in_front
+    with np.errstate(invalid="ignore"):  # NaN rows (behind camera) compare False
+        sel &= (
+            (pixels[:, 0] >= -margin)
+            & (pixels[:, 0] <= cam.width - 1 + margin)
+            & (pixels[:, 1] >= -margin)
+            & (pixels[:, 1] <= cam.height - 1 + margin)
+        )
+    for row in np.nonzero(sel)[0]:
+        x, y = pixels[row]
+        flux = magnitude_to_flux(stars.magnitudes[row], cam, scene.anchor_mag, scene.anchor_peak_dn)
+        _deposit(field, x, y, flux, cam.defocus_sigma_px)
+        objects.append(TruthObject("star", str(stars.ids[row]), float(x), float(y), 0.0, False))
 
     for planet in scene.planets:
         px = project_point(cam, att, scene.sc_position_km, planet.position_km)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .ephemeris import Planet
-from .star_catalog import StarCatalog, StarRecord, catalog_from_records
+from .star_catalog import StarCatalog, catalog_from_records
 
 AU_KM = 1.495978707e8
 
@@ -61,10 +61,7 @@ def synthetic_catalog(
     lo = 10.0 ** (slope * mag_bright)
     hi = 10.0 ** (slope * mag_faint)
     mags = np.log10(lo + u * (hi - lo)) / slope
-    return catalog_from_records(
-        StarRecord(id=i + 1, right_ascension=float(ra[i]), declination=float(dec[i]), magnitude=float(mags[i]))
-        for i in range(n_stars)
-    )
+    return catalog_from_records(zip(range(1, n_stars + 1), ra.tolist(), dec.tolist(), mags.tolist()))
 
 
 def solar_system() -> tuple[Planet, ...]:

@@ -19,51 +19,56 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import radec_to_unit
-
-TWO_PI = 2.0 * math.pi
+from .geometry import TWO_PI, radec_to_unit
 
 
 class CatalogError(ValueError):
-    """Raised for malformed catalog input or degenerate databases."""
+    """Raised for malformed catalog input or degenerate databases;
+    ``star_id`` is the id a failed ``StarCatalog.rows_of`` lookup names."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
-
-
-@dataclass(frozen=True)
-class StarRecord:
-    id: int
-    right_ascension: float  # rad, [0, 2pi)
-    declination: float  # rad, [-pi/2, pi/2]
-    magnitude: float
+    def __init__(self, message: str, star_id: int | None = None):
+        super().__init__(message)
+        self.star_id = star_id
 
 
 @dataclass(frozen=True)
 class StarCatalog:
-    """Immutable star list plus the matching (n, 3) unit-vector block."""
+    """Read-only star columns, one row per star: catalog id, right
+    ascension in [0, 2pi) and declination in rad, magnitude, and the
+    (n, 3) inertial unit vector.  Built by ``catalog_from_records``."""
 
-    stars: tuple[StarRecord, ...]
+    ids: np.ndarray  # int64, unique
+    right_ascension: np.ndarray
+    declination: np.ndarray
+    magnitudes: np.ndarray
     unit_vectors: np.ndarray
-    _row_by_id: dict[int, int] = field(repr=False, default_factory=dict)
+    _id_order: np.ndarray = field(init=False, repr=False, compare=False)  # argsort of ids
 
     def __post_init__(self):
-        self.unit_vectors.setflags(write=False)
-        self._row_by_id.update({s.id: i for i, s in enumerate(self.stars)})
+        order = np.argsort(self.ids, kind="stable")
+        repeated = self.ids[order][1:][np.diff(self.ids[order]) == 0]
+        if len(repeated):
+            raise CatalogError(f"duplicate star id {repeated[0]}")
+        object.__setattr__(self, "_id_order", order)
+        for column in (self.ids, self.right_ascension, self.declination, self.magnitudes, self.unit_vectors):
+            column.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.stars)
+        return len(self.ids)
 
-    def row_of(self, star_id: int) -> int:
-        return self._row_by_id[star_id]
+    def rows_of(self, ids) -> np.ndarray:
+        """Catalog row of every id in the 1-D ``ids``.
 
-    def unit_vector_of(self, star_id: int) -> np.ndarray:
-        return self.unit_vectors[self._row_by_id[star_id]]
-
-    @property
-    def magnitudes(self) -> np.ndarray:
-        return np.array([s.magnitude for s in self.stars])
+        Raises CatalogError naming the smallest id the catalog lacks.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        pos = np.searchsorted(self.ids, ids, sorter=self._id_order)
+        found = pos < len(self)  # an id past the largest one is missing
+        found[found] = self.ids[self._id_order[pos[found]]] == ids[found]
+        if not found.all():
+            missing = int(ids[~found].min())
+            raise CatalogError(f"star id {missing} is not in the catalog", missing)
+        return self._id_order[pos]
 
 
 @dataclass(frozen=True)
@@ -100,19 +105,12 @@ class KVectorIndex:
         self.counts.setflags(write=False)
 
 
-def catalog_from_records(records) -> StarCatalog:
-    """Build a StarCatalog, computing unit vectors from the angles."""
-    records = tuple(records)
-    seen = set()
-    for r in records:
-        if r.id in seen:
-            raise CatalogError(f"duplicate star id {r.id}")
-        seen.add(r.id)
-    if records:
-        vecs = np.array([radec_to_unit(r.right_ascension, r.declination) for r in records])
-    else:
-        vecs = np.zeros((0, 3))
-    return StarCatalog(stars=records, unit_vectors=vecs)
+def catalog_from_records(rows) -> StarCatalog:
+    """A StarCatalog from ``(id, ra_rad, dec_rad, mag)`` rows, unit vectors
+    computed from the angles; a repeated id raises CatalogError."""
+    ids, ra, dec, mags = tuple(zip(*rows)) or ((), (), (), ())
+    ra, dec, mags = (np.array(column, dtype=float) for column in (ra, dec, mags))
+    return StarCatalog(np.array(ids, dtype=np.int64), ra, dec, mags, radec_to_unit(ra, dec))
 
 
 def load_catalog(path) -> StarCatalog:
@@ -121,7 +119,7 @@ def load_catalog(path) -> StarCatalog:
     Lines starting with ``#`` (and blank lines) are skipped.  Parse
     failures raise CatalogError naming the offending line number.
     """
-    records = []
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -129,27 +127,22 @@ def load_catalog(path) -> StarCatalog:
                 continue
             parts = line.split(",")
             if len(parts) != 4:
-                raise CatalogError(f"expected 4 comma-separated fields, got {len(parts)}", lineno)
+                raise CatalogError(f"line {lineno}: expected 4 comma-separated fields, got {len(parts)}")
             try:
                 star_id = int(parts[0])
                 ra_deg = float(parts[1])
                 dec_deg = float(parts[2])
                 mag = float(parts[3])
             except ValueError as exc:
-                raise CatalogError(f"unparseable field ({exc})", lineno) from None
+                raise CatalogError(f"line {lineno}: unparseable field ({exc})") from None
+            if not -(2**63) <= star_id < 2**63:
+                raise CatalogError(f"line {lineno}: star id {star_id} outside the int64 range")
             if not -90.0 <= dec_deg <= 90.0:
-                raise CatalogError(f"declination {dec_deg} outside [-90, 90]", lineno)
-            records.append(
-                StarRecord(
-                    id=star_id,
-                    # twice: a tiny negative angle % TWO_PI rounds to TWO_PI itself
-                    right_ascension=math.radians(ra_deg) % TWO_PI % TWO_PI,
-                    declination=math.radians(dec_deg),
-                    magnitude=mag,
-                )
-            )
+                raise CatalogError(f"line {lineno}: declination {dec_deg} outside [-90, 90]")
+            # RA wraps twice: a tiny negative angle % TWO_PI rounds to TWO_PI itself
+            rows.append((star_id, math.radians(ra_deg) % TWO_PI % TWO_PI, math.radians(dec_deg), mag))
     try:
-        return catalog_from_records(records)
+        return catalog_from_records(rows)
     except CatalogError as exc:
         raise CatalogError(f"{exc} in {path}") from None
 
@@ -158,11 +151,9 @@ def save_catalog(catalog: StarCatalog, path) -> None:
     """Write a StarCatalog back out in the raw text format."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# id,ra_deg,dec_deg,vmag\n")
-        for s in catalog.stars:
-            fh.write(
-                f"{s.id},{math.degrees(s.right_ascension)!r},"
-                f"{math.degrees(s.declination)!r},{float(s.magnitude)!r}\n"
-            )
+        columns = (catalog.ids, catalog.right_ascension, catalog.declination, catalog.magnitudes)
+        for star_id, ra, dec, mag in zip(*(column.tolist() for column in columns)):
+            fh.write(f"{star_id},{math.degrees(ra)!r},{math.degrees(dec)!r},{mag!r}\n")
 
 
 def build_pair_database(catalog: StarCatalog, mag_limit: float, max_angle_rad: float) -> PairDatabase:
@@ -172,10 +163,10 @@ def build_pair_database(catalog: StarCatalog, mag_limit: float, max_angle_rad: f
     """
     if not 0.0 < max_angle_rad < math.pi:
         raise ValueError("max_angle_rad must lie in (0, pi)")
-    keep = np.array([s.magnitude <= mag_limit for s in catalog.stars], dtype=bool)
+    keep = catalog.magnitudes <= mag_limit
     if keep.sum() < 2:
         raise CatalogError("catalog too sparse: fewer than 2 stars pass the magnitude filter")
-    ids = np.array([s.id for s in catalog.stars])[keep]
+    ids = catalog.ids[keep]
     vecs = catalog.unit_vectors[keep]
     cos_max = math.cos(max_angle_rad)
 

@@ -133,8 +133,8 @@ def identify_stars(
 ) -> MatchResult | None:
     """Match centroids to catalog stars; None when no asterism is found.
 
-    The catalog supplies the inertial directions of the matched ids; it
-    must contain every star referenced by the pair database.
+    The catalog supplies the inertial directions of the matched ids; a
+    matched id the catalog lacks raises CatalogError.
     """
     n = len(centroids)
     if n < MIN_ASTERISM:
@@ -149,19 +149,15 @@ def identify_stars(
         )
     }
 
-    assignment = _resolve_votes(votes, n)
+    assignment = sorted(_resolve_votes(votes, n).items())
+    inertial = catalog.unit_vectors[catalog.rows_of([star for _, star in assignment])]
     matches = tuple(
-        StarMatch(
-            centroid_index=i,
-            star_id=star,
-            los_camera=los[i],
-            los_inertial=catalog.unit_vector_of(star),
-        )
-        for i, star in sorted(assignment.items())
+        StarMatch(centroid_index=i, star_id=star, los_camera=los[i], los_inertial=u)
+        for (i, star), u in zip(assignment, inertial)
     )
     if len(matches) < MIN_ASTERISM:
         return None
-    matched = set(assignment)
+    matched = {i for i, _ in assignment}
     spikes = tuple(i for i in range(n) if i not in matched)
     return MatchResult(matches=matches, spikes=spikes)
 

@@ -6,7 +6,7 @@ import pytest
 from opnav.config import PipelineConfig
 from opnav.geometry import CameraModel, PointingAngles
 from opnav.skysim import synthetic_catalog
-from opnav.star_catalog import StarRecord, build_kvector, build_pair_database, catalog_from_records
+from opnav.star_catalog import build_kvector, build_pair_database, catalog_from_records
 
 
 @pytest.fixture(scope="session")
@@ -38,10 +38,7 @@ DESK_POINTING = PointingAngles(alpha=0.7, delta=0.21, phi=1.01)
 
 @pytest.fixture(scope="session")
 def desk_catalog():
-    return catalog_from_records(
-        StarRecord(id=i, right_ascension=ra, declination=dec, magnitude=m)
-        for i, ra, dec, m in DESK_STARS
-    )
+    return catalog_from_records(DESK_STARS)
 
 
 @pytest.fixture(scope="session")

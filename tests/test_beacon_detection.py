@@ -99,6 +99,12 @@ class TestProjectionCovariance:
         p = projection_covariance(f, UncertaintyBudget(0.0, 0.0, 0.0))
         np.testing.assert_array_equal(p, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("field", ["sigma_qv", "sigma_r_km", "sigma_rbc_km"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_budget_rejects_negative_or_non_finite_sigma(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0, got {value}$"):
+            UncertaintyBudget(**{field: value})
+
     def test_bilinear_scaling_in_sigma_r(self, camera):
         rng = np.random.default_rng(43)
         q, sc, beacon = _random_config(rng)

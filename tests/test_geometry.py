@@ -227,5 +227,5 @@ def test_pointing_angles_validate_ranges():
 
 def test_attitude_canonical_hemisphere():
     a = Attitude(np.array([-0.5, 0.5, -0.5, 0.5]))
-    assert a.scalar >= 0
+    assert a.q[0] >= 0
     np.testing.assert_allclose(np.linalg.norm(a.q), 1.0, atol=1e-15)

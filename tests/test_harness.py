@@ -38,7 +38,7 @@ from opnav.star_catalog import (
     save_pair_database,
 )
 from opnav.star_id import MatchResult, RetryResult
-from conftest import DESK_POINTING
+from conftest import DESK_POINTING, DESK_STARS
 
 
 # --- fixture builders -------------------------------------------------------
@@ -451,18 +451,36 @@ def _cli(*args):
     )
 
 
-class TestCli:
-    def test_full_flow(self, tmp_path):
-        cfgfile = tmp_path / "small.cfg"
-        cfg = PipelineConfig()
-        cfg.sky_star_count = 1100
-        cfg.sky_mag_faint = 4.0
-        cfg.sky_mag_bright = 0.0
-        path_catalog = tmp_path / "catalog.csv"
-        path_eph = tmp_path / "eph.csv"
-        save_config(cfg, cfgfile)
+# The README commands at the default config; the .npz entries carry a
+# fixed 1980 date, so every output is reproducible byte for byte.
+README_SCENE_SHA256 = {
+    "catalog.csv": "83cb619f4169b26497374af69038c461eed0c8e4c6eafd348a6124e3c781ddcf",
+    "planets.csv": "a278447ce32b00cf4397a7cb31095505ecfb350e1a285ee821b3e61a73f6e592",
+    "onboard.npz": "e84b99309a0d84f9b6da4f86927e70b1fb05d0bef996585ad9945917562ea0c9",
+    "frame.pgm": "a7b829c94c183dea711a000a4ec3ed8c19e71c7e5e40f646beea8d1eeec29d4b",
+    "frame_truth.csv": "b3ca2fa5085c63aee7ef7586540d92734de3eae939b15d76f5a0cb569a4bac55",
+    "process stdout": "7d21139a76c51ceca85871d9da1c7480ff7456ce169ef3f573e6be13c33ffb47",
+}
 
-        r = _cli("synth-sky", "--catalog-out", str(path_catalog), "--ephemeris-out", str(path_eph), "--config", str(cfgfile))
+
+class TestCli:
+    @pytest.mark.parametrize(
+        "sky, sha256",
+        [(dict(sky_star_count=1100, sky_mag_faint=4.0, sky_mag_bright=0.0), None), (None, README_SCENE_SHA256)],
+        ids=["small_sky", "readme_scene"],
+    )
+    def test_full_flow(self, tmp_path, sky, sha256):
+        cfgfile = tmp_path / "pipeline.cfg"
+        if sky is None:  # default config: no --config, no scene config line, an empty pipeline.cfg
+            cfgfile.write_text("")
+            config_args, config_line = [], ""
+        else:
+            save_config(dataclasses.replace(PipelineConfig(), **sky), cfgfile)
+            config_args, config_line = ["--config", str(cfgfile)], f"config={cfgfile}\n"
+        path_catalog = tmp_path / "catalog.csv"
+        path_eph = tmp_path / "planets.csv"
+
+        r = _cli("synth-sky", "--catalog-out", str(path_catalog), "--ephemeris-out", str(path_eph), *config_args)
         assert r.returncode == 0, r.stderr
 
         db = tmp_path / "onboard.npz"
@@ -471,12 +489,12 @@ class TestCli:
 
         scene = tmp_path / "scene.cfg"
         scene.write_text(
-            f"config={cfgfile}\ncatalog={path_catalog}\nephemeris={path_eph}\n"
+            f"{config_line}catalog={path_catalog}\nephemeris={path_eph}\n"
             "alpha_rad=0.7\ndelta_rad=0.21\nphi_rad=1.01\n"
             "sc_x_km=0\nsc_y_km=0\nsc_z_km=0\nseed=5\n"
         )
         pgm = tmp_path / "frame.pgm"
-        truth = tmp_path / "truth.csv"
+        truth = tmp_path / "frame_truth.csv"
         r = _cli("render", "--scene", str(scene), "--out", str(pgm), "--truth", str(truth))
         assert r.returncode == 0, r.stderr
         assert pgm.exists() and truth.exists()
@@ -489,6 +507,10 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert "attitude quaternion" in r.stdout
         assert "beacon" in r.stdout
+        if sha256 is not None:
+            outputs = {name: (tmp_path / name).read_bytes() for name in sha256 if name != "process stdout"}
+            outputs["process stdout"] = r.stdout.encode()
+            assert {name: hashlib.sha256(b).hexdigest() for name, b in outputs.items()} == sha256
 
     def test_render_rejects_unknown_scene_key(self, tmp_path):
         scene = tmp_path / "scene.cfg"
@@ -612,7 +634,7 @@ class TestCli:
         # the same stars renumbered: star 2 is now star 20
         catalog = tmp_path / "renumbered.csv"
         save_catalog(
-            catalog_from_records(dataclasses.replace(s, id=20) if s.id == 2 else s for s in desk_catalog.stars),
+            catalog_from_records((20 if row[0] == 2 else row[0], *row[1:]) for row in DESK_STARS),
             catalog,
         )
         pgm = tmp_path / "frame.pgm"
@@ -624,6 +646,41 @@ class TestCli:
         assert r.returncode == 1
         assert r.stdout == ""
         assert r.stderr == f"error: {db}: star id 2 is not in {catalog}\n"
+
+    @pytest.mark.parametrize("sigma_r", ["nan,1e5", "inf"], ids=["nan", "inf"])
+    def test_montecarlo_rejects_non_finite_sigma_r(self, tmp_path, sigma_r):
+        cfgfile = tmp_path / "small.cfg"
+        cfgfile.write_text("sky_star_count=300\n")
+        r = _cli(
+            "montecarlo", "--n", "2", "--sigma-r", sigma_r, "--seed", "1",
+            "--out", str(tmp_path / "mc"), "--config", str(cfgfile),
+        )
+        assert r.returncode == 1
+        assert r.stderr == f"error: sigma_r_km must be finite and >= 0, got {sigma_r.split(',')[0]}\n"
+        assert not (tmp_path / "mc").exists()
+
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            (["--sc-pos", "0,0,0", "--sigma-r", "nan"], "sigma_r_km must be finite and >= 0, got nan"),
+            (["--sc-pos", "0,0"], "--sc-pos expects three finite numbers 'x,y,z' in km, got '0,0'"),
+            (["--sc-pos", "nan,0,0"], "--sc-pos expects three finite numbers 'x,y,z' in km, got 'nan,0,0'"),
+            (["--sc-pos", "0,0,0"], "[Errno 2] No such file or directory: '{tmp}/planets.csv'"),
+        ],
+        ids=["sigma_r_nan", "sc_pos_two_numbers", "sc_pos_nan", "ephemeris_missing"],
+    )
+    def test_process_rejects_bad_beacon_input_before_reading_the_image(self, tmp_path, args, reason):
+        cfgfile = tmp_path / "pipeline.cfg"
+        cfgfile.write_text("")
+        # none of the input files exist: the arguments are checked first
+        r = _cli(
+            "process", "--image", str(tmp_path / "frame.pgm"), "--db", str(tmp_path / "onboard.npz"),
+            "--config", str(cfgfile), "--catalog", str(tmp_path / "catalog.csv"),
+            "--ephemeris", str(tmp_path / "planets.csv"), *args,
+        )
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == f"error: {reason.format(tmp=tmp_path)}\n"
 
     def test_error_exit_nonzero(self, tmp_path):
         r = _cli("build-catalog", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x.npz"))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from opnav.star_catalog import (
     CatalogError,
-    StarRecord,
     build_kvector,
     build_pair_database,
     catalog_from_records,
@@ -30,13 +29,12 @@ def pair_databases(draw):
     if draw(st.booleans()):  # a regular grid: many equal pair angles
         ra = np.round(ra / (spread / 4)) * (spread / 4)
         dec = np.round(dec / (spread / 4)) * (spread / 4)
-    records = [StarRecord(id=100 + k, right_ascension=ra[k], declination=dec[k], magnitude=1.0) for k in range(n)]
     # distinct positions only: a zero-angle pair is not a star pair
-    records = list({(r.right_ascension, r.declination): r for r in records}.values())
-    if len(records) < 3:
+    rows = list({(r, d): (100 + k, r, d, 1.0) for k, (r, d) in enumerate(zip(ra, dec))}.values())
+    if len(rows) < 3:
         return None
     try:
-        db = build_pair_database(catalog_from_records(records), 5.5, math.radians(35.0))
+        db = build_pair_database(catalog_from_records(rows), 5.5, math.radians(35.0))
     except CatalogError:  # no pair within the angle limit
         return None
     if len(db) < 2 or db.cos_angles[0] >= db.cos_angles[-1]:

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opnav.config import PipelineConfig
 from opnav.geometry import angular_separation, radec_to_unit
+from opnav.harness import solve_attitude
+from opnav.renderer import SceneSpec, render
 from opnav.skysim import synthetic_catalog
 from opnav.star_catalog import (
     CatalogError,
     PairDatabase,
-    StarRecord,
     build_kvector,
     build_pair_database,
     catalog_from_records,
@@ -18,6 +22,7 @@ from opnav.star_catalog import (
     save_catalog,
     save_pair_database,
 )
+from conftest import DESK_POINTING, DESK_STARS
 
 
 def _write(tmp_path, text, name="cat.csv"):
@@ -47,6 +52,10 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match="line 3"):
             load_catalog(_write(tmp_path, "1,0,0,1.0\n2,5,0,1.0\n3,5,0\n"))
 
+    def test_id_outside_int64_rejected(self, tmp_path):
+        with pytest.raises(CatalogError, match=f"line 2: star id {2**63} outside the int64 range"):
+            load_catalog(_write(tmp_path, f"1,0,0,1.0\n{2**63},10,0,1.0\n"))
+
     def test_duplicate_id_rejected(self, tmp_path):
         with pytest.raises(CatalogError, match="duplicate"):
             load_catalog(_write(tmp_path, "7,0,0,1.0\n7,10,0,1.0\n"))
@@ -54,7 +63,7 @@ class TestLoadCatalog:
     def test_tiny_negative_ra_wraps_to_zero(self, tmp_path):
         # radians(-1e-300) % 2 pi rounds to 2 pi itself, outside [0, 2 pi)
         cat = load_catalog(_write(tmp_path, "1,-1e-300,0.0,1.0\n2,-0.0,0.0,1.0\n3,359.9,0.0,1.0\n"))
-        ras = [s.right_ascension for s in cat.stars]
+        ras = cat.right_ascension.tolist()
         assert all(0.0 <= ra < 2.0 * math.pi for ra in ras)
         assert ras[0] == 0.0
         assert ras[2] == math.radians(359.9)
@@ -68,19 +77,14 @@ class TestLoadCatalog:
         path = tmp_path / "round.csv"
         save_catalog(cat, path)
         back = load_catalog(path)
-        assert [s.id for s in back.stars] == [s.id for s in cat.stars]
+        np.testing.assert_array_equal(back.ids, cat.ids)
         # the text format stores degrees, so the radian round trip costs ulps
         np.testing.assert_allclose(back.unit_vectors, cat.unit_vectors, atol=1e-14)
         np.testing.assert_array_equal(back.magnitudes, cat.magnitudes)
 
 
 def _tiny_catalog(sep_rad, mags=(1.0, 1.0)):
-    return catalog_from_records(
-        [
-            StarRecord(id=1, right_ascension=0.0, declination=0.0, magnitude=mags[0]),
-            StarRecord(id=2, right_ascension=sep_rad, declination=0.0, magnitude=mags[1]),
-        ]
-    )
+    return catalog_from_records([(1, 0.0, 0.0, mags[0]), (2, sep_rad, 0.0, mags[1])])
 
 
 class TestBuildPairDatabase:
@@ -107,20 +111,20 @@ class TestBuildPairDatabase:
         expected = set()
         for a in range(len(cat)):
             for b in range(a + 1, len(cat)):
-                sa, sb = cat.stars[a], cat.stars[b]
-                if sa.magnitude > m_lim or sb.magnitude > m_lim:
+                if cat.magnitudes[a] > m_lim or cat.magnitudes[b] > m_lim:
                     continue
                 gamma = angular_separation(cat.unit_vectors[a], cat.unit_vectors[b])
                 if math.cos(gamma) >= math.cos(g_max):
-                    expected.add((sa.id, sb.id))
+                    expected.add((cat.ids[a], cat.ids[b]))
         got = set(zip(db.star_i.tolist(), db.star_j.tolist()))
         assert got == expected
         assert np.all(np.diff(db.cos_angles) >= 0)
 
     def test_independent_of_input_order(self):
         cat = synthetic_catalog(30, 5, mag_bright=1.0, mag_faint=5.0)
+        perm = np.random.default_rng(1).permutation(len(cat))
         shuffled = catalog_from_records(
-            [cat.stars[i] for i in np.random.default_rng(1).permutation(len(cat))]
+            zip(cat.ids[perm], cat.right_ascension[perm], cat.declination[perm], cat.magnitudes[perm])
         )
         db1 = build_pair_database(cat, 5.5, math.radians(35))
         db2 = build_pair_database(shuffled, 5.5, math.radians(35))
@@ -243,3 +247,74 @@ def test_artifact_roundtrip_bit_exact(tmp_path, sky):
     np.testing.assert_array_equal(idx.counts, idx2.counts)
     assert (db.mag_limit, db.max_angle_rad) == (db2.mag_limit, db2.max_angle_rad)
     assert (idx.intercept, idx.slope) == (idx2.intercept, idx2.slope)
+
+
+# --- the columnar catalog -----------------------------------------------------
+
+star_ids = st.integers(-(2**63), 2**63 - 1)
+
+
+def _catalog_of(ids):
+    return catalog_from_records((star_id, 0.1 * k, 0.0, 1.0) for k, star_id in enumerate(ids))
+
+
+class TestColumns:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 2.0 * math.pi, exclude_max=True), st.floats(-math.pi / 2, math.pi / 2)),
+            max_size=50,
+        )
+    )
+    def test_unit_vectors_equal_scalar_math(self, angles):
+        cat = catalog_from_records((k, ra, dec, 1.0) for k, (ra, dec) in enumerate(angles))
+        want = [
+            [math.cos(dec) * math.cos(ra), math.cos(dec) * math.sin(ra), math.sin(dec)] for ra, dec in angles
+        ]
+        assert cat.unit_vectors.shape == (len(angles), 3)
+        assert cat.unit_vectors.tobytes() == np.array(want, dtype=float).reshape(-1, 3).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(star_ids, min_size=1, max_size=40, unique=True), st.randoms(use_true_random=False))
+    def test_rows_of_equals_dict_lookup(self, ids, random):
+        cat = _catalog_of(ids)
+        row_by_id = {star_id: row for row, star_id in enumerate(ids)}
+        query = random.sample(ids, len(ids)) + random.choices(ids, k=5)
+        assert cat.rows_of(query).tolist() == [row_by_id[star_id] for star_id in query]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(star_ids, max_size=20, unique=True), st.lists(star_ids, min_size=1, max_size=5))
+    def test_missing_id_named(self, ids, extra):
+        missing = [star_id for star_id in extra if star_id not in ids]
+        cat = _catalog_of(ids)
+        if not missing:
+            assert len(cat.rows_of(ids + extra)) == len(ids + extra)
+            return
+        with pytest.raises(CatalogError, match=f"star id {min(missing)} is not in the catalog") as info:
+            cat.rows_of(ids + extra)
+        assert info.value.star_id == min(missing)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(star_ids, min_size=1, max_size=20), st.data())
+    def test_repeated_id_rejected(self, ids, data):
+        repeated = data.draw(st.sampled_from(ids))
+        dups = sorted({i for i in ids + [repeated] if (ids + [repeated]).count(i) > 1})
+        with pytest.raises(CatalogError, match=f"duplicate star id {dups[0]}$"):
+            _catalog_of(ids + [repeated])
+
+    def test_columns_read_only(self, desk_catalog):
+        for column in (desk_catalog.ids, desk_catalog.magnitudes, desk_catalog.unit_vectors):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+
+def test_solve_attitude_with_foreign_catalog_names_the_missing_star(camera, desk_catalog, desk_db):
+    scene = SceneSpec(
+        camera=camera, true_attitude=DESK_POINTING, sc_position_km=np.zeros(3),
+        star_catalog=desk_catalog, photon_noise=False, seed=11,
+    )
+    image, _ = render(scene)
+    cfg = PipelineConfig()
+    without_star_2 = catalog_from_records(row for row in DESK_STARS if row[0] != 2)
+    with pytest.raises(CatalogError, match="star id 2 is not in the catalog"):
+        solve_attitude(image.data, camera, without_star_2, *desk_db, cfg.identify_config(), cfg.ransac_config())

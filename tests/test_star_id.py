@@ -136,8 +136,8 @@ class TestSoundnessOnCleanSky(object):
                 continue
             att = attitude_from_axis_azimuth(pointing)
             for m in result.matches:
-                star = catalog.stars[catalog.row_of(m.star_id)]
-                px = project_star(camera, att, star.right_ascension, star.declination)
+                row = catalog.rows_of([m.star_id])[0]
+                px = project_star(camera, att, catalog.right_ascension[row], catalog.declination[row])
                 c = cents[m.centroid_index]
                 assert math.hypot(px[0] - c.x, px[1] - c.y) < 1.0
                 checked += 1
@@ -175,8 +175,8 @@ class TestRetry:
         db, index = desk_db
         att = attitude_from_axis_azimuth(DESK_POINTING)
         star_px = [
-            project_star(camera, att, s.right_ascension, s.declination)
-            for s in desk_catalog.stars
+            project_star(camera, att, ra, dec)
+            for ra, dec in zip(desk_catalog.right_ascension, desk_catalog.declination)
         ]
         offsets = [(3.5, 0.0), (-3.5, 0.0), (0.0, 3.5), (0.0, -3.5)]
         flux = 160.0 / 0.1776  # peak ~160 DN: above thr(T=20), below thr(T=60)
