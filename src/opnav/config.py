@@ -79,6 +79,9 @@ class PipelineConfig:
         for name in NON_NEGATIVE_FIELDS:
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
+        for name in POSITIVE_FIELDS + NON_NEGATIVE_FIELDS:
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be finite")
         if not self.fov_deg < 180.0:
             raise ValueError("fov_deg must be < 180")
         if self.threshold_max_iterations < 1:
@@ -126,7 +129,7 @@ class PipelineConfig:
         return math.radians(self.max_pair_angle_deg)
 
 
-# Ranges that PipelineConfig.validate enforces besides fov_deg < 180,
+# Finite ranges that PipelineConfig.validate enforces besides fov_deg < 180,
 # threshold_max_iterations >= 1 and render_mag_cutoff >= mag_limit.
 POSITIVE_FIELDS = (
     "fov_deg", "image_width", "image_height", "focal_length_mm", "f_number", "exposure_ms",

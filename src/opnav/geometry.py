@@ -296,31 +296,6 @@ def project_points(
     return rho, h, rho_c[:, 2] > 0.0
 
 
-def project_unit_vectors(
-    camera: CameraModel, attitude_matrix: np.ndarray, unit_vectors: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized star projection.
-
-    Parameters
-    ----------
-    unit_vectors : (n, 3) array of inertial directions.
-
-    Returns
-    -------
-    pixels : (n, 2) array, rows valid only where ``in_front`` is True.
-    in_front : (n,) boolean array, False where the direction points behind
-        the camera.
-    """
-    rho_c = unit_vectors @ attitude_matrix.T
-    in_front = rho_c[:, 2] > 0.0
-    h = rho_c @ camera.intrinsic.T
-    pixels = np.full((len(unit_vectors), 2), np.nan)
-    z = h[in_front, 2]
-    pixels[in_front, 0] = h[in_front, 0] / z
-    pixels[in_front, 1] = h[in_front, 1] / z
-    return pixels, in_front
-
-
 def los_from_pixel(camera: CameraModel, pixel) -> np.ndarray:
     """Unit line-of-sight direction in C for a pixel coordinate."""
     return los_from_pixels(camera, [pixel])[0]

@@ -49,7 +49,7 @@ from .geometry import (
     PointingAngles,
     angular_separation,
     attitude_from_axis_azimuth,
-    project_point,
+    project_points,
 )
 from .renderer import GroundTruth, SceneSpec, TruthObject, render
 from .skysim import AU_KM, seen_from
@@ -321,14 +321,14 @@ def sample_scenarios(
         phi = rng.uniform(0.0, 2.0 * math.pi)
         pointing = PointingAngles(alpha=alpha, delta=delta, phi=phi)
         attitude = attitude_from_axis_azimuth(pointing)
-        pixels = (project_point(camera, attitude, pos, p.position_km) for p in planets)
+        _, h, front = project_points(camera, attitude, pos, [p.position_km for p in planets])
         specs.append(
             ScenarioSpec(
                 index=idx,
                 sc_position_km=pos,
                 pointing=pointing,
                 planets=tuple(seen_from(p, pos) for p in planets),
-                planet_in_frame=any(px is not None and camera.in_frame(*px) for px in pixels),
+                planet_in_frame=any(camera.in_frame(*px) for px in h[front, :2] / h[front, 2:]),
             )
         )
     return specs
@@ -390,10 +390,11 @@ def run_campaign(
             image.data, camera, catalog, db, index, identify_cfg, cfg.ransac_config(ransac_seed)
         )
         planet = primary_planet(truth)
+        scored = tuple(p for p in spec.planets if planet is not None and p.name == planet.ident)
 
         for sigma_r, budget in zip(sigma_r_list, budgets):
             est_pos = spec.sc_position_km + sigma_r * eta
-            beacons = detect_beacons(attitude_out, camera, est_pos, spec.planets, budget, cfg.ellipse_floor_px)
+            beacons = detect_beacons(attitude_out, camera, est_pos, scored, budget, cfg.ellipse_floor_px)
             outcome = classify_outcome(truth, attitude_out, beacons, camera, cfg)
             records.append(
                 _make_record(spec, sigma_r, planet, attitude_out, beacons, outcome)

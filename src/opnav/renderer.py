@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr
 
 from .ephemeris import Planet
-from .geometry import CameraModel, PointingAngles, attitude_from_axis_azimuth, project_point, project_unit_vectors
+from .geometry import CameraModel, PointingAngles, attitude_from_axis_azimuth, project_points
 from .star_catalog import StarCatalog
 
 # Reference (anchor) camera photometric parameters.
@@ -147,51 +148,44 @@ def _deposit(field: np.ndarray, x: float, y: float, flux: float, sigma: float) -
     field[y0 : y1 + 1, x0 : x1 + 1] += flux * np.outer(fy, fx)
 
 
+def _pixels(camera: CameraModel, attitude: np.ndarray, sc_position, targets) -> np.ndarray:
+    """(n, 2) ``project_points`` pixels, NaN where a target is behind the camera."""
+    _, h, in_front = project_points(camera, attitude, sc_position, targets)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(in_front[:, None], h[:, :2] / h[:, 2:], np.nan)
+
+
 def render_field(scene: SceneSpec) -> tuple[np.ndarray, list[TruthObject]]:
     """Noise-free, unclamped float signal field plus the projected objects.
 
     The objects carry ``peak_dn=0.0, visible=False``; ``render`` fills
-    both in from the quantized frame.  A planet behind the camera has NaN
-    coordinates.  Exposed separately so photometric linearity can be
-    checked without quantization in the way; ``render`` adds noise and
-    quantizes.
+    both in from the quantized frame.  Each star and planet pixel is a
+    ``project_points`` row, bit for bit its ``project_star`` /
+    ``project_point``; a planet behind the camera has NaN coordinates and
+    is not drawn.  The deposit order (stars in catalog order, planets,
+    then ``extra_sources``) fixes the float sums.  Exposed separately so
+    photometric linearity can be checked without quantization in the way.
     """
     cam = scene.camera
     att = attitude_from_axis_azimuth(scene.true_attitude)
     field = np.zeros((cam.height, cam.width))
-    objects: list[TruthObject] = []
     margin = PSF_TRUNCATION_SIGMAS * cam.defocus_sigma_px + 1.0
-
     stars = scene.star_catalog
-    pixels, in_front = project_unit_vectors(cam, att, stars.unit_vectors)
-    sel = (stars.magnitudes <= scene.render_mag_cutoff) & in_front
+    star_px = _pixels(cam, att, np.zeros(3), stars.unit_vectors)
+    planet_px = _pixels(cam, att, scene.sc_position_km, [p.position_km for p in scene.planets])
     with np.errstate(invalid="ignore"):  # NaN rows (behind camera) compare False
-        sel &= (
-            (pixels[:, 0] >= -margin)
-            & (pixels[:, 0] <= cam.width - 1 + margin)
-            & (pixels[:, 1] >= -margin)
-            & (pixels[:, 1] <= cam.height - 1 + margin)
-        )
-    for row in np.nonzero(sel)[0]:
-        x, y = pixels[row]
-        flux = magnitude_to_flux(stars.magnitudes[row], cam, scene.anchor_mag, scene.anchor_peak_dn)
-        _deposit(field, x, y, flux, cam.defocus_sigma_px)
-        objects.append(TruthObject("star", str(stars.ids[row]), float(x), float(y), 0.0, False))
-
-    for planet in scene.planets:
-        px = project_point(cam, att, scene.sc_position_km, planet.position_km)
-        if px is None:
-            objects.append(TruthObject("planet", planet.name, math.nan, math.nan, 0.0, False))
-            continue
-        flux = magnitude_to_flux(planet.magnitude, cam, scene.anchor_mag, scene.anchor_peak_dn)
-        _deposit(field, float(px[0]), float(px[1]), flux, cam.defocus_sigma_px)
-        objects.append(TruthObject("planet", planet.name, float(px[0]), float(px[1]), 0.0, False))
-
-    for i, (x, y, flux) in enumerate(scene.extra_sources):
-        _deposit(field, x, y, flux, cam.defocus_sigma_px)
-        objects.append(TruthObject("artifact", f"artifact-{i}", float(x), float(y), 0.0, False))
-
-    return field, objects
+        in_box = ((star_px >= -margin) & (star_px <= np.array([cam.width, cam.height]) - 1 + margin)).all(axis=1)
+    rows = np.flatnonzero(in_box & (stars.magnitudes <= scene.render_mag_cutoff))
+    flux = partial(magnitude_to_flux, camera=cam, anchor_mag=scene.anchor_mag, anchor_peak_dn=scene.anchor_peak_dn)
+    sources = [  # (kind, ident, x, y, total flux) in deposit order
+        *(("star", str(stars.ids[r]), *star_px[r], flux(stars.magnitudes[r])) for r in rows),
+        *(("planet", p.name, *xy, flux(p.magnitude)) for p, xy in zip(scene.planets, planet_px)),
+        *(("artifact", f"artifact-{i}", *src) for i, src in enumerate(scene.extra_sources)),
+    ]
+    for _, _, x, y, total in sources:
+        if not math.isnan(x):
+            _deposit(field, x, y, total, cam.defocus_sigma_px)
+    return field, [TruthObject(kind, ident, float(x), float(y), 0.0, False) for kind, ident, x, y, _ in sources]
 
 
 def render(scene: SceneSpec) -> tuple[Image, GroundTruth]:

@@ -458,7 +458,7 @@ README_SCENE_SHA256 = {
     "planets.csv": "a278447ce32b00cf4397a7cb31095505ecfb350e1a285ee821b3e61a73f6e592",
     "onboard.npz": "e84b99309a0d84f9b6da4f86927e70b1fb05d0bef996585ad9945917562ea0c9",
     "frame.pgm": "a7b829c94c183dea711a000a4ec3ed8c19e71c7e5e40f646beea8d1eeec29d4b",
-    "frame_truth.csv": "b3ca2fa5085c63aee7ef7586540d92734de3eae939b15d76f5a0cb569a4bac55",
+    "frame_truth.csv": "dc539a41c7c1d8d90e503a3a0d8443fc4ee40841f0271001ada3c0ce3171d867",
     "process stdout": "7d21139a76c51ceca85871d9da1c7480ff7456ce169ef3f573e6be13c33ffb47",
 }
 
@@ -595,8 +595,18 @@ class TestCli:
             ("background_sigma_dn=-1", "background_sigma_dn must be >= 0"),  # a negative sigma
             ("threshold_max_iterations=0", "threshold_max_iterations must be >= 1"),
             ("render_mag_cutoff=5.0", "render_mag_cutoff must be >= mag_limit"),
+            # an infinite value in POSITIVE_FIELDS or NON_NEGATIVE_FIELDS
+            ("exposure_ms=inf", "exposure_ms must be finite"),
+            ("fov_deg=inf", "fov_deg must be finite"),
+            ("delta_max_rad=inf", "delta_max_rad must be finite"),
+            ("background_sigma_dn=inf", "background_sigma_dn must be finite"),
+            ("sigma_x_au=inf", "sigma_x_au must be finite"),
+            ("defocus_sigma_px=inf", "defocus_sigma_px must be finite"),
         ],
-        ids=["fov", "exposure", "fov_wide", "sigma", "iterations", "cutoff"],
+        ids=[
+            "fov", "exposure", "fov_wide", "sigma", "iterations", "cutoff",
+            "inf_exposure", "inf_fov", "inf_delta_max", "inf_background_sigma", "inf_sigma_x", "inf_defocus",
+        ],
     )
     def test_montecarlo_rejects_out_of_range_config(self, tmp_path, line, reason):
         cfgfile = tmp_path / "bad.cfg"

@@ -1,10 +1,15 @@
-"""Property: the all-planet prediction equals the one-planet prediction.
+"""Properties: a stacked projection equals the one-target projection.
 
 ``predict_projections`` takes one attitude matrix, stacked Jacobians,
 stacked ``P = F S F^T`` and stacked eigen-decompositions for every
 beacon; each entry must equal ``predict_projection`` for that beacon
 alone, and a one-beacon reference written with plain per-beacon NumPy
 products, bit for bit, with None for a beacon behind the camera.
+
+``render_field`` projects the whole catalog and every planet through
+``project_points``; each truth pixel must equal ``project_star`` or
+``project_point`` of that one target, bit for bit, with NaN for a planet
+behind the camera.
 """
 
 import math
@@ -20,10 +25,26 @@ from opnav.beacon_detection import (
     predict_projection,
     predict_projections,
 )
-from opnav.geometry import Attitude, CameraModel, matrix_from_quaternion, skew
-from opnav.skysim import AU_KM
+from opnav.config import PipelineConfig
+from opnav.ephemeris import Planet
+from opnav.geometry import (
+    Attitude,
+    CameraModel,
+    PointingAngles,
+    attitude_from_axis_azimuth,
+    matrix_from_quaternion,
+    project_point,
+    project_star,
+    skew,
+)
+from opnav.renderer import SceneSpec, render_field
+from opnav.skysim import AU_KM, synthetic_catalog
 
 CAMERA = CameraModel()
+_CFG = PipelineConfig()
+DEFAULT_SKY = synthetic_catalog(
+    _CFG.sky_star_count, _CFG.sky_seed, _CFG.sky_mag_bright, _CFG.sky_mag_faint, _CFG.sky_mag_slope
+)
 
 # camera-frame direction of a beacon: near the boresight, off to the side,
 # or behind the camera
@@ -32,6 +53,13 @@ placement = st.sampled_from(["boresight", "wide", "behind", "edge_on"])
 
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _beacon_at(rng, a, sc, where):
+    """An inertial beacon position placed in the camera frame of ``a``."""
+    x, y = rng.uniform(-0.2, 0.2, 2) if where == "boresight" else rng.uniform(-3.0, 3.0, 2)
+    z = {"boresight": 1.0, "wide": 0.3, "behind": -1.0, "edge_on": 0.0}[where]
+    return sc + rng.uniform(0.1, 10.0) * AU_KM * (a.T @ np.array([x, y, z]))
 
 
 def reference_prediction(camera, q, sc, beacon, budget, floor_px):
@@ -84,11 +112,7 @@ def test_all_planet_pass_equals_per_planet(seed, placements, sigma_qv, sigma_r, 
     q = Attitude(rng.standard_normal(4))
     a = matrix_from_quaternion(q)
     sc = rng.standard_normal(3) * 3.0 * AU_KM
-    beacons = []
-    for where in placements:
-        x, y = rng.uniform(-0.2, 0.2, 2) if where == "boresight" else rng.uniform(-3.0, 3.0, 2)
-        z = {"boresight": 1.0, "wide": 0.3, "behind": -1.0, "edge_on": 0.0}[where]
-        beacons.append(sc + rng.uniform(0.1, 10.0) * AU_KM * (a.T @ np.array([x, y, z])))
+    beacons = [_beacon_at(rng, a, sc, where) for where in placements]
     budget = UncertaintyBudget(sigma_qv=sigma_qv, sigma_r_km=sigma_r, sigma_rbc_km=sigma_rbc)
 
     batch = predict_projections(CAMERA, q, sc, beacons, budget, floor_px)
@@ -110,3 +134,33 @@ def test_beacon_at_spacecraft_rejected_in_a_batch():
     sc = np.array([1e8, 2e8, 3e8])
     with pytest.raises(ValueError, match="coincides"):
         predict_projections(CAMERA, q, sc, [sc + [0.0, 0.0, 1e8], sc.copy()], UncertaintyBudget())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), placements=st.lists(placement, min_size=0, max_size=4))
+def test_render_field_pixels_equal_one_target_projection(seed, placements):
+    rng = np.random.default_rng(seed)
+    pose = PointingAngles(
+        rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-math.pi / 2, math.pi / 2), rng.uniform(0.0, 2.0 * math.pi)
+    )
+    a = attitude_from_axis_azimuth(pose)
+    sc = rng.standard_normal(3) * AU_KM
+    planets = tuple(
+        Planet(f"planet-{i}", _beacon_at(rng, a, sc, where), rng.uniform(-3.0, 3.0))
+        for i, where in enumerate(placements)
+    )
+    _, objects = render_field(SceneSpec(CAMERA, pose, sc, DEFAULT_SKY, planets))
+
+    stars = [o for o in objects if o.kind == "star"]
+    for o, row in zip(stars, DEFAULT_SKY.rows_of([int(o.ident) for o in stars])):
+        px = project_star(CAMERA, a, DEFAULT_SKY.right_ascension[row], DEFAULT_SKY.declination[row])
+        assert _bits([o.x, o.y]).tolist() == _bits(px).tolist()
+
+    drawn = [o for o in objects if o.kind == "planet"]
+    assert [o.ident for o in drawn] == [p.name for p in planets]
+    for o, planet in zip(drawn, planets):
+        px = project_point(CAMERA, a, sc, planet.position_km)
+        if px is None:
+            assert math.isnan(o.x) and math.isnan(o.y)
+        else:
+            assert _bits([o.x, o.y]).tolist() == _bits(px).tolist()

@@ -146,9 +146,9 @@ def _valid_values(name, kind):
     if name == "fov_deg":
         return st.floats(0.0, 180.0, exclude_min=True, exclude_max=True)
     if name in POSITIVE_FIELDS:
-        return st.floats(min_value=0.0, exclude_min=True)
+        return st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     if name in NON_NEGATIVE_FIELDS:
-        return st.floats(min_value=0.0)
+        return st.floats(min_value=0.0, allow_infinity=False)
     return st.floats(allow_nan=False)
 
 
@@ -159,8 +159,8 @@ def _invalid_values(name, kind, cfg):
     if name == "render_mag_cutoff":
         return st.floats(max_value=cfg.mag_limit, exclude_max=True)
     if name in POSITIVE_FIELDS:
-        return st.floats(max_value=0.0) | st.just(math.nan) | (st.floats(min_value=180.0) if name == "fov_deg" else st.nothing())
-    return st.floats(max_value=0.0, exclude_max=True) | st.just(math.nan)
+        return st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]) | (st.floats(min_value=180.0) if name == "fov_deg" else st.nothing())
+    return st.floats(max_value=0.0, exclude_max=True) | st.sampled_from([math.nan, math.inf])
 
 
 @st.composite
