@@ -37,6 +37,7 @@ from .star_catalog import (
     CatalogError,
     build_kvector,
     build_pair_database,
+    check_pairs_match,
     load_catalog,
     load_pair_database,
     save_catalog,
@@ -201,9 +202,11 @@ def _cmd_process(args) -> int:
     catalog = load_catalog(args.catalog)
     db, index = load_pair_database(args.db)
     try:
-        catalog.rows_of(np.concatenate([db.star_i, db.star_j]))
+        check_pairs_match(db, catalog)
     except CatalogError as exc:
-        raise ValueError(f"{args.db}: star id {exc.star_id} is not in {args.catalog}") from None
+        if exc.star_id is not None:
+            raise ValueError(f"{args.db}: star id {exc.star_id} is not in {args.catalog}") from None
+        raise ValueError(f"{args.db} does not match {args.catalog}: {exc}") from None
     attitude_out = solve_attitude(
         image.data, camera, catalog, db, index, cfg.identify_config(), cfg.ransac_config()
     )

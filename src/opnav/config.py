@@ -79,9 +79,10 @@ class PipelineConfig:
         for name in NON_NEGATIVE_FIELDS:
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in POSITIVE_FIELDS + NON_NEGATIVE_FIELDS:
-            if getattr(self, name) == math.inf:
-                raise ValueError(f"{name} must be finite")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if not self.fov_deg < 180.0:
             raise ValueError("fov_deg must be < 180")
         if self.threshold_max_iterations < 1:
@@ -129,8 +130,9 @@ class PipelineConfig:
         return math.radians(self.max_pair_angle_deg)
 
 
-# Finite ranges that PipelineConfig.validate enforces besides fov_deg < 180,
-# threshold_max_iterations >= 1 and render_mag_cutoff >= mag_limit.
+# Ranges that PipelineConfig.validate enforces besides fov_deg < 180,
+# threshold_max_iterations >= 1, render_mag_cutoff >= mag_limit and a
+# finite value in every float field.
 POSITIVE_FIELDS = (
     "fov_deg", "image_width", "image_height", "focal_length_mm", "f_number", "exposure_ms",
     "qe_tlens", "ransac_samples", "ransac_threshold_arcsec", "max_pair_angle_deg",
@@ -141,6 +143,10 @@ NON_NEGATIVE_FIELDS = (
     "anchor_peak_dn", "background_mean_dn", "background_sigma_dn", "ellipse_floor_px",
     "sigma_x_au", "sigma_y_au", "sigma_z_au", "delta_sigma_rad",
 )
+
+
+# The spellings of a bool value, matched in any case.
+_BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
 
 
 def read_kv(path):
@@ -158,13 +164,12 @@ def read_kv(path):
 
 
 def parse_value(path, lineno: int, key: str, value: str, kind: type):
-    """``value`` as a ``kind`` (bool, int, float or str); a value that does
-    not parse names the file, line and key."""
-    if kind is bool:
-        return value.lower() in ("1", "true", "yes", "on")
+    """``value`` as a ``kind`` (bool, int, float or str); a bool is 1/0,
+    true/false, yes/no or on/off.  A value that does not parse names the
+    file, line and key."""
     try:
-        return kind(value)
-    except ValueError:
+        return _BOOL_TEXT[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError):
         raise ValueError(f"{path} line {lineno}: {key} expects {kind.__name__}, got '{value}'") from None
 
 

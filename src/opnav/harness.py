@@ -25,21 +25,23 @@ ATT_NONE              star identification did not converge
 ====================  =================================================
 
 The attitude stage is independent of the position-uncertainty sweep, so
-one scenario is rendered and solved once and only the beacon stage is
-repeated per sigma_r, with the position-error direction shared across
-the sweep (this is also what makes failure rates monotone in sigma_r).
+each scenario is rendered, solved and scored once (the attitude half of
+the outcome, the primary planet, the scenario-level columns) and only
+the beacon gate and the beacon half of the label are swept per sigma_r,
+with the position-error direction shared across the sweep (this is also
+what makes failure rates monotone in sigma_r).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .attitude_solver import AttitudeSolution, RansacConfig, principal_axis_angle, ransac_attitude
-from .beacon_detection import ProjectionPrediction, UncertaintyBudget, detect_beacon, predict_projections
+from .beacon_detection import Ellipse, ProjectionPrediction, UncertaintyBudget, detect_beacon, predict_projections
 from .config import PipelineConfig
 from .ephemeris import Planet
 from .geometry import (
@@ -177,21 +179,35 @@ def classify_outcome(
     camera: CameraModel,
     cfg: PipelineConfig,
 ) -> OutcomeLabel:
-    """Score one scenario against ground truth (decision tree above)."""
+    """Score one frame against ground truth (decision tree above): the
+    attitude half, then the beacon half on the primary planet."""
+    attitude = _attitude_outcome(truth, attitude_out, cfg)
+    return _beacon_outcome(attitude, primary_planet(truth), beacons, attitude_out, cfg)
+
+
+def _attitude_outcome(truth: GroundTruth, attitude_out: AttitudeOutput, cfg: PipelineConfig) -> OutcomeLabel:
+    """``ATT_NONE``, or the attitude status with the rotation and pointing
+    errors, labelled as a scenario without a planet: ``ATT_WRONG`` or 2.I."""
     if attitude_out.solution is None:
         return OutcomeLabel("ATT_NONE", "none")
     true_matrix = attitude_from_axis_azimuth(truth.attitude)
     rot_err = rotation_error_rad(attitude_out.solution.matrix, true_matrix) * RAD_TO_ARCSEC
     point_err = pointing_error_rad(attitude_out.solution.matrix, true_matrix) * RAD_TO_ARCSEC
-    att_wrong = point_err > cfg.wrong_attitude_arcsec
-    status = "wrong" if att_wrong else "ok"
+    if point_err > cfg.wrong_attitude_arcsec:
+        return OutcomeLabel("ATT_WRONG", "wrong", rot_err, point_err)
+    # Nothing to detect and nothing expected: the no-planet analogue of 2.I.
+    return OutcomeLabel("2.I", "ok", rot_err, point_err)
 
-    planet = primary_planet(truth)
-    if planet is None:
-        # Nothing to detect and nothing expected: the no-planet analogue of 2.I.
-        label = "ATT_WRONG" if att_wrong else "2.I"
-        return OutcomeLabel(label, status, rot_err, point_err)
 
+def _beacon_outcome(
+    attitude: OutcomeLabel, planet: TruthObject | None, beacons: dict[str, BeaconObservation],
+    attitude_out: AttitudeOutput, cfg: PipelineConfig,
+) -> OutcomeLabel:
+    """``attitude`` with the label and projection error of the primary
+    planet's beacon observation; unchanged without a solution or a planet."""
+    if attitude.attitude_status == "none" or planet is None:
+        return attitude
+    att_wrong = attitude.attitude_status == "wrong"
     obs = beacons[planet.ident]
     detected = obs.spike_index is not None
     err_px = math.nan
@@ -203,15 +219,13 @@ def classify_outcome(
             label = "1.I" if err_px <= cfg.wrong_beacon_px else "1.II"
         else:
             label = _failure_forensics(planet, obs, attitude_out, att_wrong)
-        return OutcomeLabel(label, status, rot_err, point_err, err_px)
-
-    if not obs.attempted:
+    elif not obs.attempted:
         label = "ATT_WRONG" if att_wrong else "2.I"
     elif detected:
         label = "2.III"
     else:
         label = "ATT_WRONG" if att_wrong else "2.II"
-    return OutcomeLabel(label, status, rot_err, point_err, err_px)
+    return replace(attitude, label=label, projection_error_px=err_px)
 
 
 def _failure_forensics(
@@ -225,25 +239,24 @@ def _failure_forensics(
         return "1.III.D"
     if att_wrong:
         return "1.III.C"
-    retry = attitude_out.retry
-    nearest = None
-    nearest_dist = math.inf
-    for i, c in enumerate(retry.centroids):
-        d = math.hypot(c.x - planet.x, c.y - planet.y)
-        if d < nearest_dist:
-            nearest, nearest_dist = i, d
-    if nearest is None or nearest_dist > PLANET_ASSOC_RADIUS_PX:
+    centroids = attitude_out.retry.centroids
+    nearest_dist, nearest = min(
+        ((math.hypot(c.x - planet.x, c.y - planet.y), i) for i, c in enumerate(centroids)),
+        default=(math.inf, None),
+    )
+    if nearest_dist > PLANET_ASSOC_RADIUS_PX:
         return "1.III.F"
     if nearest not in attitude_out.spike_centroids:
         return "1.III.A"  # the planet's centroid survived as a star match
-    if retry.centroids[nearest].roi.span > 1 and nearest_dist > 1.0:
+    if centroids[nearest].roi.span > 1 and nearest_dist > 1.0:
         return "1.III.E"
     return "1.III.B"
 
 
 @dataclass(frozen=True)
 class ScenarioRecord:
-    """One classified scenario at one sigma_r, flattened for the CSV."""
+    """One classified scenario at one sigma_r: one ``scenarios.csv`` row,
+    its fields in column order with the outcome's fields in its place."""
 
     scenario: int
     sigma_r_km: float
@@ -257,11 +270,11 @@ class ScenarioRecord:
     n_spikes: int
     iterations: int
     outcome: OutcomeLabel
-    expected_x: float = math.nan
-    expected_y: float = math.nan
     ellipse_a: float = math.nan
     ellipse_b: float = math.nan
     ellipse_psi: float = math.nan
+    expected_x: float = math.nan
+    expected_y: float = math.nan
     detected_x: float = math.nan
     detected_y: float = math.nan
 
@@ -351,8 +364,9 @@ def run_campaign(
     index: KVectorIndex,
     planets: tuple[Planet, ...],
 ) -> CampaignReport:
-    """Render and solve each scenario once, sweep sigma_r on the beacon
-    stage, classify everything, and aggregate per-sigma_r statistics."""
+    """Render, solve and score the attitude of each scenario once, sweep
+    sigma_r on the beacon gate and label, and aggregate per-sigma_r
+    statistics."""
     t_start = time.perf_counter()
     cfg.validate()
     camera = cfg.camera()
@@ -389,16 +403,38 @@ def run_campaign(
         attitude_out = solve_attitude(
             image.data, camera, catalog, db, index, identify_cfg, cfg.ransac_config(ransac_seed)
         )
+        retry, solution = attitude_out.retry, attitude_out.solution
         planet = primary_planet(truth)
         scored = tuple(p for p in spec.planets if planet is not None and p.name == planet.ident)
+        attitude = _attitude_outcome(truth, attitude_out, cfg)
+        scenario = ScenarioRecord(
+            scenario=spec.index,
+            sigma_r_km=math.nan,
+            planet_present=spec.planet_in_frame,
+            planet_name=planet.ident if planet else "",
+            planet_visible=bool(planet.visible) if planet else False,
+            truth_x=planet.x if planet else math.nan,
+            truth_y=planet.y if planet else math.nan,
+            n_centroids=len(retry.centroids) if retry else 0,
+            n_matches=len(solution.inlier_centroids) if solution else 0,
+            n_spikes=len(attitude_out.spike_centroids),
+            iterations=retry.result.iterations_used if retry else 0,
+            outcome=attitude,
+        )
 
         for sigma_r, budget in zip(sigma_r_list, budgets):
             est_pos = spec.sc_position_km + sigma_r * eta
             beacons = detect_beacons(attitude_out, camera, est_pos, scored, budget, cfg.ellipse_floor_px)
-            outcome = classify_outcome(truth, attitude_out, beacons, camera, cfg)
-            records.append(
-                _make_record(spec, sigma_r, planet, attitude_out, beacons, outcome)
-            )
+            obs = beacons[planet.ident] if planet else BeaconObservation(None, False, None, None)
+            ellipse = obs.prediction.ellipse if obs.prediction else Ellipse(math.nan, math.nan, math.nan)
+            expected = obs.prediction.expected_px if obs.prediction else (math.nan, math.nan)
+            selected = obs.selected_px if obs.selected_px is not None else (math.nan, math.nan)
+            records.append(replace(
+                scenario, sigma_r_km=sigma_r, outcome=_beacon_outcome(attitude, planet, beacons, attitude_out, cfg),
+                ellipse_a=ellipse.a, ellipse_b=ellipse.b, ellipse_psi=ellipse.psi,
+                expected_x=float(expected[0]), expected_y=float(expected[1]),
+                detected_x=float(selected[0]), detected_y=float(selected[1]),
+            ))
 
     rows = [aggregate(records, s) for s in sigma_r_list]
     n_present = sum(1 for s in specs if s.planet_in_frame)
@@ -409,44 +445,6 @@ def run_campaign(
         planet_present_fraction=n_present / n,
         elapsed_s=time.perf_counter() - t_start,
     )
-
-
-def _make_record(
-    spec: ScenarioSpec,
-    sigma_r: float,
-    planet: TruthObject | None,
-    attitude_out: AttitudeOutput,
-    beacons: dict[str, BeaconObservation],
-    outcome: OutcomeLabel,
-) -> ScenarioRecord:
-    retry = attitude_out.retry
-    kwargs = dict(
-        scenario=spec.index,
-        sigma_r_km=sigma_r,
-        planet_present=spec.planet_in_frame,
-        planet_name=planet.ident if planet else "",
-        planet_visible=bool(planet.visible) if planet else False,
-        truth_x=planet.x if planet else math.nan,
-        truth_y=planet.y if planet else math.nan,
-        n_centroids=len(retry.centroids) if retry else 0,
-        n_matches=len(attitude_out.solution.inlier_centroids) if attitude_out.solution else 0,
-        n_spikes=len(attitude_out.spike_centroids),
-        iterations=retry.result.iterations_used if retry else 0,
-        outcome=outcome,
-    )
-    if planet is not None:
-        obs = beacons.get(planet.ident)
-        if obs is not None and obs.prediction is not None:
-            kwargs.update(
-                expected_x=float(obs.prediction.expected_px[0]),
-                expected_y=float(obs.prediction.expected_px[1]),
-                ellipse_a=obs.prediction.ellipse.a,
-                ellipse_b=obs.prediction.ellipse.b,
-                ellipse_psi=obs.prediction.ellipse.psi,
-            )
-        if obs is not None and obs.selected_px is not None:
-            kwargs.update(detected_x=float(obs.selected_px[0]), detected_y=float(obs.selected_px[1]))
-    return ScenarioRecord(**kwargs)
 
 
 def is_beacon_failure(rec: ScenarioRecord) -> bool:
@@ -526,18 +524,14 @@ CSV_HEADER = (
 
 
 def write_scenarios_csv(records: list[ScenarioRecord], path) -> None:
+    columns, outcome_columns = fields(ScenarioRecord), fields(OutcomeLabel)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in records:
-            o = r.outcome
-            row = [
-                r.scenario, r.sigma_r_km, r.planet_present, r.planet_name, r.planet_visible,
-                r.truth_x, r.truth_y, r.n_centroids, r.n_matches, r.n_spikes, r.iterations,
-                o.label, o.attitude_status, o.rotation_error_arcsec, o.pointing_error_arcsec,
-                o.projection_error_px,
-                r.ellipse_a, r.ellipse_b, r.ellipse_psi, r.expected_x, r.expected_y,
-                r.detected_x, r.detected_y,
-            ]
+            row = []
+            for f in columns:
+                value = getattr(r, f.name)
+                row += [getattr(value, g.name) for g in outcome_columns] if f.name == "outcome" else [value]
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 

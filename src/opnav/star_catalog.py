@@ -264,8 +264,20 @@ def save_pair_database(db: PairDatabase, index: KVectorIndex, path) -> None:
     )
 
 
+_ARTIFACT_KEYS = ("cos_angles", "star_i", "star_j", "mag_limit", "max_angle_rad", "counts", "intercept", "slope")
+
+
 def load_pair_database(path) -> tuple[PairDatabase, KVectorIndex]:
+    """Read a ``save_pair_database`` artifact.
+
+    Raises CatalogError naming ``path`` when a key is missing, the pair
+    arrays and ``counts`` differ in length, the cosines are not sorted, or
+    the stored k-vector is not bit-equal to ``build_kvector`` of them.
+    """
     with np.load(path) as z:
+        missing = [key for key in _ARTIFACT_KEYS if key not in z.files]
+        if missing:
+            raise CatalogError(f"{path}: missing {', '.join(missing)}")
         db = PairDatabase(
             cos_angles=z["cos_angles"],
             star_i=z["star_i"],
@@ -276,4 +288,48 @@ def load_pair_database(path) -> tuple[PairDatabase, KVectorIndex]:
         index = KVectorIndex(
             counts=z["counts"], intercept=float(z["intercept"]), slope=float(z["slope"])
         )
+    shapes = {a.shape for a in (db.cos_angles, db.star_i, db.star_j, index.counts)}
+    if len(shapes) != 1 or db.cos_angles.ndim != 1:
+        raise CatalogError(f"{path}: cos_angles, star_i, star_j and counts are not 1-D arrays of one length")
+    if not (np.diff(db.cos_angles) >= 0).all():
+        raise CatalogError(f"{path}: cos_angles are not sorted ascending")
+    try:
+        rebuilt = build_kvector(db)
+    except CatalogError as exc:
+        raise CatalogError(f"{path}: {exc}") from None
+    if _kvector_bits(rebuilt) != _kvector_bits(index):
+        raise CatalogError(f"{path}: the stored k-vector differs from the one its cosines give")
     return db, index
+
+
+def _kvector_bits(index: KVectorIndex) -> bytes:
+    return index.counts.tobytes() + np.float64([index.intercept, index.slope]).tobytes()
+
+
+# A pair cosine recomputed from the catalog agrees with the stored one to
+# a few ulps; moving a star by 1 arcsec shifts it by about 1e-6.
+PAIR_COS_TOLERANCE = 1e-12
+
+
+def check_pairs_match(db: PairDatabase, catalog: StarCatalog) -> None:
+    """Raise CatalogError unless every pair of ``db`` is a pair of
+    ``catalog``: both stars present (``rows_of``), neither fainter than
+    ``db.mag_limit``, and the stored cosine within ``PAIR_COS_TOLERANCE``
+    of the one the catalog's unit vectors give.  The first offending pair
+    is named."""
+    rows = catalog.rows_of(np.concatenate([db.star_i, db.star_j])).reshape(2, -1)
+    faint = ~(catalog.magnitudes[rows] <= db.mag_limit).all(axis=0)
+    if faint.any():
+        k = int(np.argmax(faint))
+        raise CatalogError(
+            f"pair {k} (stars {db.star_i[k]}, {db.star_j[k]}) holds a star fainter than mag_limit {db.mag_limit}"
+        )
+    u = catalog.unit_vectors
+    cosines = np.clip(np.einsum("ij,ij->i", u[rows[0]], u[rows[1]]), -1.0, 1.0)
+    off = ~(np.abs(cosines - db.cos_angles) <= PAIR_COS_TOLERANCE)
+    if off.any():
+        k = int(np.argmax(off))
+        raise CatalogError(
+            f"pair {k} (stars {db.star_i[k]}, {db.star_j[k]}): stored cosine {float(db.cos_angles[k])!r}, "
+            f"the catalog gives {float(cosines[k])!r}"
+        )

@@ -380,6 +380,25 @@ def test_frozen_campaign_digest(sky, tmp_path):
     }
 
 
+def test_attitude_scored_once_per_scenario(sky, monkeypatch):
+    """Only the beacon gate and label depend on sigma_r: the rotation and
+    pointing errors and the primary planet are computed once per scenario."""
+    from opnav import harness
+
+    catalog, db, index = sky
+    calls = {"rotation_error_rad": 0, "pointing_error_rad": 0, "primary_planet": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(harness, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    report = run_campaign(3, [1e4, 1e5, 1e6, 1e7], 20220209, PipelineConfig(), catalog, db, index, solar_system())
+    assert len(report.records) == 12
+    assert all(r.outcome.attitude_status != "none" for r in report.records)
+    assert calls == {"rotation_error_rad": 3, "pointing_error_rad": 3, "primary_planet": 3}
+
+
 def test_zero_uncertainty_noiseless_campaign_has_no_failures(sky):
     # with exact knowledge and no noise the floored gate always contains
     # the planet spike
@@ -422,6 +441,21 @@ class TestConfig:
         with pytest.raises(ValueError) as info:
             load_config(path)
         assert str(info.value) == expected
+
+    @pytest.mark.parametrize("text, value", [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+                                             ("0", False), ("false", False), ("NO", False), ("Off", False)])
+    def test_bool_spellings(self, tmp_path, text, value):
+        path = tmp_path / "pipeline.cfg"
+        path.write_text(f"photon_noise={text}\n")
+        assert load_config(path).photon_noise is value
+
+    @pytest.mark.parametrize("text", ["ture", "", "2", "y"])
+    def test_unknown_bool_rejected(self, tmp_path, text):
+        path = tmp_path / "pipeline.cfg"
+        path.write_text(f"threshold_t=25\nphoton_noise={text}\n")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path} line 2: photon_noise expects bool, got '{text}'"
 
     def test_defaults_match_reference_setup(self):
         cfg = PipelineConfig()
@@ -602,10 +636,18 @@ class TestCli:
             ("background_sigma_dn=inf", "background_sigma_dn must be finite"),
             ("sigma_x_au=inf", "sigma_x_au must be finite"),
             ("defocus_sigma_px=inf", "defocus_sigma_px must be finite"),
+            # a NaN or infinite value in any other float field
+            ("wrong_beacon_px=nan", "wrong_beacon_px must be finite"),
+            ("threshold_t=nan", "threshold_t must be finite"),
+            ("anchor_mag=inf", "anchor_mag must be finite"),
+            ("render_mag_cutoff=nan", "render_mag_cutoff must be finite"),
+            # a bool that is not 1/0, true/false, yes/no or on/off
+            ("photon_noise=ture", "{cfg} line 2: photon_noise expects bool, got 'ture'"),
         ],
         ids=[
             "fov", "exposure", "fov_wide", "sigma", "iterations", "cutoff",
             "inf_exposure", "inf_fov", "inf_delta_max", "inf_background_sigma", "inf_sigma_x", "inf_defocus",
+            "nan_wrong_beacon", "nan_threshold_t", "inf_anchor_mag", "nan_cutoff", "bool_typo",
         ],
     )
     def test_montecarlo_rejects_out_of_range_config(self, tmp_path, line, reason):
@@ -616,7 +658,7 @@ class TestCli:
             "--out", str(tmp_path / "mc"), "--config", str(cfgfile),
         )
         assert r.returncode == 1
-        assert r.stderr.startswith(f"error: {reason}") and r.stderr.count("\n") == 1
+        assert r.stderr.startswith(f"error: {reason.format(cfg=cfgfile)}") and r.stderr.count("\n") == 1
         assert not (tmp_path / "mc").exists()
 
     def test_process_rejects_mis_sized_image(self, tmp_path, desk_catalog, desk_db):
@@ -656,6 +698,34 @@ class TestCli:
         assert r.returncode == 1
         assert r.stdout == ""
         assert r.stderr == f"error: {db}: star id 2 is not in {catalog}\n"
+
+    def test_process_rejects_db_with_a_moved_star(self, tmp_path, desk_db):
+        cfgfile = tmp_path / "camera.cfg"
+        save_config(PipelineConfig(), cfgfile)
+        db_path = tmp_path / "onboard.npz"
+        save_pair_database(*desk_db, db_path)
+        # the same ids, but star 3 is 1 arcsec further east than the database has it
+        catalog = tmp_path / "moved.csv"
+        arcsec = math.radians(1.0 / 3600.0)
+        save_catalog(
+            catalog_from_records((i, ra + arcsec if i == 3 else ra, dec, m) for i, ra, dec, m in DESK_STARS),
+            catalog,
+        )
+        pgm = tmp_path / "frame.pgm"
+        write_pgm(Image(width=1024, height=1024, data=np.zeros((1024, 1024), dtype=np.uint8)), pgm)
+        r = _cli(
+            "process", "--image", str(pgm), "--db", str(db_path), "--config", str(cfgfile),
+            "--catalog", str(catalog),
+        )
+        db = desk_db[0]
+        k = int(np.flatnonzero((db.star_i == 3) | (db.star_j == 3))[0])
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith(
+            f"error: {db_path} does not match {catalog}: pair {k} (stars {db.star_i[k]}, {db.star_j[k]}): "
+            f"stored cosine {float(db.cos_angles[k])!r}, the catalog gives "
+        )
+        assert r.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("sigma_r", ["nan,1e5", "inf"], ids=["nan", "inf"])
     def test_montecarlo_rejects_non_finite_sigma_r(self, tmp_path, sigma_r):

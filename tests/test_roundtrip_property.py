@@ -149,18 +149,21 @@ def _valid_values(name, kind):
         return st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     if name in NON_NEGATIVE_FIELDS:
         return st.floats(min_value=0.0, allow_infinity=False)
-    return st.floats(allow_nan=False)
+    return finite
 
 
 def _invalid_values(name, kind, cfg):
     """Values outside the range of one field, given the rest of ``cfg``."""
     if kind is int:
         return st.integers(-(2**40), 0 if name in POSITIVE_FIELDS or name == "threshold_max_iterations" else -1)
+    non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
     if name == "render_mag_cutoff":
-        return st.floats(max_value=cfg.mag_limit, exclude_max=True)
+        return st.floats(max_value=cfg.mag_limit, exclude_max=True) | non_finite
     if name in POSITIVE_FIELDS:
-        return st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]) | (st.floats(min_value=180.0) if name == "fov_deg" else st.nothing())
-    return st.floats(max_value=0.0, exclude_max=True) | st.sampled_from([math.nan, math.inf])
+        return st.floats(max_value=0.0) | non_finite | (st.floats(min_value=180.0) if name == "fov_deg" else st.nothing())
+    if name in NON_NEGATIVE_FIELDS:
+        return st.floats(max_value=0.0, exclude_max=True) | non_finite
+    return non_finite  # every float field must be finite
 
 
 @st.composite
@@ -186,13 +189,15 @@ def test_config_file(workdir, cfg):
         assert got == want and (not isinstance(want, float) or bits(got) == bits(want))
 
 
-RANGED_FIELDS = POSITIVE_FIELDS + NON_NEGATIVE_FIELDS + ("threshold_max_iterations", "render_mag_cutoff")
+FLOAT_FIELDS = tuple(
+    f.name for f in dataclasses.fields(PipelineConfig) if isinstance(getattr(PipelineConfig(), f.name), float)
+)
+RANGED_FIELDS = sorted({*POSITIVE_FIELDS, *NON_NEGATIVE_FIELDS, "threshold_max_iterations", *FLOAT_FIELDS})
 
 
 @settings(max_examples=100, deadline=None)
 @given(cfg=configs(), name=st.sampled_from(RANGED_FIELDS), data=st.data())
 def test_config_file_out_of_range_rejected(workdir, cfg, name, data):
-    assume(name != "render_mag_cutoff" or cfg.mag_limit > -math.inf)
     setattr(cfg, name, data.draw(_invalid_values(name, type(getattr(cfg, name)), cfg)))
     path = workdir / "pipeline.cfg"
     save_config(cfg, path)

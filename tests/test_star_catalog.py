@@ -16,6 +16,7 @@ from opnav.star_catalog import (
     build_kvector,
     build_pair_database,
     catalog_from_records,
+    check_pairs_match,
     kvector_range_query,
     load_catalog,
     load_pair_database,
@@ -247,6 +248,67 @@ def test_artifact_roundtrip_bit_exact(tmp_path, sky):
     np.testing.assert_array_equal(idx.counts, idx2.counts)
     assert (db.mag_limit, db.max_angle_rad) == (db2.mag_limit, db2.max_angle_rad)
     assert (idx.intercept, idx.slope) == (idx2.intercept, idx2.slope)
+
+
+def _artifact(tmp_path, desk_db, **changes):
+    """An .npz pair database written key by key; a change of None drops the key."""
+    db, idx = desk_db
+    arrays = dict(
+        cos_angles=db.cos_angles, star_i=db.star_i, star_j=db.star_j,
+        mag_limit=np.float64(db.mag_limit), max_angle_rad=np.float64(db.max_angle_rad),
+        counts=idx.counts, intercept=np.float64(idx.intercept), slope=np.float64(idx.slope),
+    )
+    arrays.update(changes)
+    path = tmp_path / "onboard.npz"
+    np.savez(path, **{key: value for key, value in arrays.items() if value is not None})
+    return path
+
+
+class TestLoadPairDatabase:
+    def test_missing_key_named(self, tmp_path, desk_db):
+        path = _artifact(tmp_path, desk_db, star_i=None, slope=None)
+        with pytest.raises(CatalogError, match=f"^{path}: missing star_i, slope$"):
+            load_pair_database(path)
+
+    @pytest.mark.parametrize("name", ["cos_angles", "star_j", "counts"])
+    def test_unequal_lengths_rejected(self, tmp_path, desk_db, name):
+        db, idx = desk_db
+        short = getattr(idx if name == "counts" else db, name)[:-1]
+        path = _artifact(tmp_path, desk_db, **{name: short})
+        with pytest.raises(CatalogError, match=f"^{path}: .* not 1-D arrays of one length$"):
+            load_pair_database(path)
+
+    def test_unsorted_cosines_rejected(self, tmp_path, desk_db):
+        db, _ = desk_db
+        path = _artifact(tmp_path, desk_db, cos_angles=db.cos_angles[[1, 0, *range(2, len(db))]])
+        with pytest.raises(CatalogError, match=f"^{path}: cos_angles are not sorted ascending$"):
+            load_pair_database(path)
+
+    @pytest.mark.parametrize("field", ["counts", "intercept", "slope"])
+    def test_stored_kvector_must_equal_rebuilt(self, tmp_path, desk_db, field):
+        _, idx = desk_db
+        changed = {
+            "counts": np.where(np.arange(len(idx.counts)) == 3, idx.counts + 1, idx.counts),
+            "intercept": np.nextafter(idx.intercept, 2.0),
+            "slope": np.nextafter(idx.slope, 0.0),
+        }[field]
+        path = _artifact(tmp_path, desk_db, **{field: changed})
+        with pytest.raises(CatalogError, match=f"^{path}: the stored k-vector differs"):
+            load_pair_database(path)
+
+
+class TestCheckPairsMatch:
+    def test_source_catalog_matches_after_file_round_trip(self, tmp_path, desk_catalog, desk_db):
+        check_pairs_match(desk_db[0], desk_catalog)
+        save_catalog(desk_catalog, tmp_path / "cat.csv")  # angles back to within one ulp
+        check_pairs_match(desk_db[0], load_catalog(tmp_path / "cat.csv"))
+
+    def test_star_fainter_than_mag_limit_rejected(self, desk_db):
+        db, _ = desk_db
+        faint = catalog_from_records((i, ra, dec, 5.6 if i == 5 else m) for i, ra, dec, m in DESK_STARS)
+        k = int(np.flatnonzero((db.star_i == 5) | (db.star_j == 5))[0])
+        with pytest.raises(CatalogError, match=rf"^pair {k} \(.*\) holds a star fainter than mag_limit 5.5$"):
+            check_pairs_match(db, faint)
 
 
 # --- the columnar catalog -----------------------------------------------------
