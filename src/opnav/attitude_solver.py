@@ -156,16 +156,14 @@ def consensus_scores(axes, indeterminate, degenerate, threshold_rad: float) -> n
 def ransac_attitude(matches, config: RansacConfig) -> AttitudeSolution | None:
     """Consensus attitude over identified stars; None when unsolvable.
 
-    ``matches`` is the match list of a MatchResult (or the MatchResult
-    itself).  Outliers keep their centroid indices so the caller can
-    relabel them as spikes.
+    ``matches`` is the match sequence of a MatchResult.  Outliers keep
+    their centroid indices so the caller can relabel them as spikes.
     """
-    match_list = list(getattr(matches, "matches", matches))
-    m = len(match_list)
+    m = len(matches)
     if m < 3:
         return None
-    c_all = np.array([s.los_camera for s in match_list])
-    n_all = np.array([s.los_inertial for s in match_list])
+    c_all = np.array([s.los_camera for s in matches])
+    n_all = np.array([s.los_inertial for s in matches])
     rng = np.random.default_rng(config.seed)
     threshold_rad = config.threshold_arcsec * ARCSEC_TO_RAD
 
@@ -206,7 +204,7 @@ def ransac_attitude(matches, config: RansacConfig) -> AttitudeSolution | None:
     return AttitudeSolution(
         matrix=attitude,
         quaternion=quaternion_from_matrix(attitude),
-        inlier_centroids=tuple(match_list[k].centroid_index for k in np.flatnonzero(inlier)),
-        outlier_centroids=tuple(match_list[k].centroid_index for k in np.flatnonzero(~inlier)),
+        inlier_centroids=tuple(matches[k].centroid_index for k in np.flatnonzero(inlier)),
+        outlier_centroids=tuple(matches[k].centroid_index for k in np.flatnonzero(~inlier)),
         consensus_score=int(scores[best]),
     )

@@ -76,7 +76,7 @@ class ProjectionPrediction:
 
 def projection_jacobian(
     camera: CameraModel,
-    attitude_q: Attitude | np.ndarray,
+    attitude_q: Attitude,
     sc_position_km: np.ndarray,
     beacon_position_km: np.ndarray,
 ) -> np.ndarray:
@@ -85,7 +85,7 @@ def projection_jacobian(
     Column blocks: d/dq0 (1), d/dqv (3), d/dr (3), d/dr_bc (3).  Raises
     when the beacon sits behind the camera.
     """
-    q = attitude_q.q if isinstance(attitude_q, Attitude) else np.asarray(attitude_q, float)
+    q = attitude_q.q
     a = matrix_from_quaternion(q)
     rho, h, in_front = project_points(camera, a, sc_position_km, [beacon_position_km])
     if not in_front[0]:
@@ -199,7 +199,7 @@ def predict_projections(
     projection is behind the camera.  Raises ValueError when a beacon
     sits at the spacecraft position.
     """
-    q = attitude_q.q if isinstance(attitude_q, Attitude) else np.asarray(attitude_q, float)
+    q = attitude_q.q
     a = matrix_from_quaternion(q)
     rho, h, in_front = project_points(camera, a, sc_position_km, beacon_positions_km)
     out: list[ProjectionPrediction | None] = [None] * len(rho)

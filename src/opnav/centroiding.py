@@ -10,37 +10,21 @@ labels are mapped back to frame rows.  Each component is boxed with a
 one-pixel margin and the sub-pixel centroid is computed from
 intensity-weighted moments over every pixel inside the box, with weights
 w = I / I_max normalized by the brightest pixel of the box.
+
+A frame's detections are arrays, one row per component in row-major
+order of its seed pixel: the (n, 4) int64 margin boxes ``x0, y0, x1, y1``
+(inclusive), the (n,) int64 spans (the larger of the member pixels' x and
+y extents) and the (n, 2) float64 centroids ``x, y``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
-
-
-@dataclass(frozen=True)
-class Roi:
-    """Inclusive pixel box (grown one pixel per side, clipped at borders)
-    around one connected bright component, and the component's span: the
-    larger of its member pixels' x and y extents."""
-
-    x0: int
-    y0: int
-    x1: int
-    y1: int
-    span: int
-
-
-@dataclass(frozen=True)
-class Centroid:
-    x: float
-    y: float
-    roi: Roi
 
 
 def compute_threshold(image: np.ndarray, t: float) -> float:
@@ -64,12 +48,13 @@ def compute_threshold(image: np.ndarray, t: float) -> float:
     return float(mean + t * std)
 
 
-def extract_rois(image: np.ndarray, threshold: float) -> list[Roi]:
+def extract_rois(image: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """8-connected components of pixels strictly above the threshold.
 
-    Components are returned in row-major order of their first (seed)
-    pixel, the order in which ``ndimage.label`` numbers them, each boxed
-    with a one-pixel margin clipped to the frame.
+    Returns ``(boxes, span)``: each component's box, grown by a one-pixel
+    margin and clipped to the frame, and its span, in row-major order of
+    the component's first (seed) pixel, the order in which
+    ``ndimage.label`` numbers them.
 
     Only rows holding a pixel above the threshold are labelled.  They are
     packed into a small array in frame order, with one blank row between
@@ -77,11 +62,10 @@ def extract_rois(image: np.ndarray, threshold: float) -> list[Roi]:
     in the packed array exactly when they touch in the frame.
     """
     height, width = image.shape
-    if image.size == 0:
-        return []
-    rows = np.flatnonzero(np.fmax.reduce(image, axis=1) > threshold)  # fmax: NaN pixels never count
+    # fmax: NaN pixels never count
+    rows = np.flatnonzero(np.fmax.reduce(image, axis=1) > threshold) if image.size else []
     if len(rows) == 0:
-        return []
+        return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64)
     packed_rows = np.arange(len(rows)) + np.concatenate(([0], np.cumsum(np.diff(rows) > 1)))
     packed = np.zeros((packed_rows[-1] + 1, width), dtype=bool)
     packed[packed_rows] = image[rows] > threshold
@@ -89,47 +73,46 @@ def extract_rois(image: np.ndarray, threshold: float) -> list[Roi]:
     frame_row = np.zeros(len(packed), dtype=np.int64)
     frame_row[packed_rows] = rows
 
-    out = []
-    for rows_k, cols_k in ndimage.find_objects(labels):
-        x_min, x_max = cols_k.start, cols_k.stop - 1
-        y_min, y_max = int(frame_row[rows_k.start]), int(frame_row[rows_k.stop - 1])
-        out.append(
-            Roi(
-                x0=max(x_min - 1, 0),
-                y0=max(y_min - 1, 0),
-                x1=min(x_max + 1, width - 1),
-                y1=min(y_max + 1, height - 1),
-                span=max(x_max - x_min, y_max - y_min),
-            )
-        )
-    return out
+    # The lowest and highest (x, y) of each component's member pixels, y
+    # mapped from packed to frame rows.
+    slices = ndimage.find_objects(labels)
+    lo = np.array([(c.start, r.start) for r, c in slices], dtype=np.int64)
+    hi = np.array([(c.stop, r.stop) for r, c in slices], dtype=np.int64) - 1
+    lo[:, 1], hi[:, 1] = frame_row[lo[:, 1]], frame_row[hi[:, 1]]
+    boxes = np.hstack((np.maximum(lo - 1, 0), np.minimum(hi + 1, (width - 1, height - 1))))
+    return boxes, (hi - lo).max(axis=1)
 
 
-def compute_centroid(roi: Roi, image: np.ndarray) -> Centroid:
-    """Sub-pixel centroid from weighted image moments over the ROI box.
+def compute_centroid(box, image: np.ndarray) -> tuple[float, float]:
+    """Sub-pixel centroid ``(x, y)`` from weighted image moments over the
+    inclusive box ``x0, y0, x1, y1``.
 
     Moments sum over the full box including the margin ring, so faint
     PSF tails below the threshold still pull the estimate.
     """
-    box = image[roi.y0 : roi.y1 + 1, roi.x0 : roi.x1 + 1].astype(np.float64)
-    peak = box.max()
+    x0, y0, x1, y1 = box
+    pixels = image[y0 : y1 + 1, x0 : x1 + 1].astype(np.float64)
+    peak = pixels.max()
     if peak <= 0:
         raise ValueError("ROI box holds no signal")
-    w = box / peak
-    iw = box * w
+    w = pixels / peak
+    iw = pixels * w
     m00 = iw.sum()
     if m00 <= 0:
         raise ValueError("zero total weighted intensity")
-    ys, xs = np.mgrid[roi.y0 : roi.y1 + 1, roi.x0 : roi.x1 + 1]
+    ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
     m10 = (xs * iw).sum()
     m01 = (ys * iw).sum()
-    return Centroid(x=float(m10 / m00), y=float(m01 / m00), roi=roi)
+    return float(m10 / m00), float(m01 / m00)
 
 
-def find_centroids(image: np.ndarray, t: float) -> tuple[list[Centroid], float]:
+def find_centroids(image: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Threshold, extract ROIs, and centroid each one.
 
-    Returns the centroid list (ROI order) and the threshold used.
+    Returns ``(xy, span, threshold)``: the (n, 2) centroids and the spans
+    of their components, in ROI order, and the threshold used.
     """
     threshold = compute_threshold(image, t)
-    return [compute_centroid(r, image) for r in extract_rois(image, threshold)], threshold
+    boxes, span = extract_rois(image, threshold)
+    xy = np.array([compute_centroid(box, image) for box in boxes.tolist()], dtype=np.float64).reshape(-1, 2)
+    return xy, span, threshold

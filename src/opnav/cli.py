@@ -218,8 +218,8 @@ def _cmd_process(args) -> int:
     print(f"threshold={retry.threshold:.3f} iterations={retry.result.iterations_used}")
     for m in retry.result.matches:
         tag = "outlier" if m.centroid_index in sol.outlier_centroids else "inlier"
-        c = retry.centroids[m.centroid_index]
-        print(f"match centroid {m.centroid_index} ({c.x:.2f},{c.y:.2f}) -> star {m.star_id} [{tag}]")
+        x, y = retry.centroids[m.centroid_index]
+        print(f"match centroid {m.centroid_index} ({x:.2f},{y:.2f}) -> star {m.star_id} [{tag}]")
     q = sol.quaternion.q
     print(f"attitude quaternion {q[0]:.9f} {q[1]:.9f} {q[2]:.9f} {q[3]:.9f}")
     print(f"spikes: {list(attitude_out.spike_centroids)}")

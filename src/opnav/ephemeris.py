@@ -32,25 +32,33 @@ class Planet:
 
 
 def load_ephemeris(path) -> dict[str, tuple[Planet, ...]]:
-    """Epoch -> planets, both in file order; a repeated (name, epoch) is an error."""
+    """Epoch -> planets, both in file order.
+
+    A line that does not parse, a non-finite position or a repeated
+    (name, epoch) raises EphemerisError naming the file and line.
+    """
     table: dict[str, list[Planet]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path} line {lineno}"
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 6:
-                raise EphemerisError(f"line {lineno}: expected 6 fields, got {len(parts)}")
+                raise EphemerisError(f"{where}: expected 6 fields, got {len(parts)}")
             name, epoch = parts[0], parts[1]
             try:
                 x, y, z, mag = (float(v) for v in parts[2:])
             except ValueError as exc:
-                raise EphemerisError(f"line {lineno}: unparseable field ({exc})") from None
+                raise EphemerisError(f"{where}: unparseable field ({exc})") from None
             planets = table.setdefault(epoch, [])
             if any(p.name == name for p in planets):
-                raise EphemerisError(f"duplicate entry {(name, epoch)}")
-            planets.append(Planet(name, [x, y, z], mag))
+                raise EphemerisError(f"{where}: duplicate entry {(name, epoch)}")
+            try:
+                planets.append(Planet(name, [x, y, z], mag))
+            except EphemerisError as exc:
+                raise EphemerisError(f"{where}: {exc}") from None
     return {epoch: tuple(planets) for epoch, planets in table.items()}
 
 

@@ -109,14 +109,11 @@ def solve_attitude(
     retry = identify_with_retry(image_data, camera, catalog, db, index, identify_cfg)
     if retry is None:
         return AttitudeOutput(None, None, (), np.empty((0, 2)))
-    solution = ransac_attitude(retry.result, ransac_cfg)
+    solution = ransac_attitude(retry.result.matches, ransac_cfg)
     if solution is None:
         return AttitudeOutput(retry, None, (), np.empty((0, 2)))
     spike_centroids = tuple(sorted(set(retry.result.spikes) | set(solution.outlier_centroids)))
-    positions = np.array(
-        [(retry.centroids[i].x, retry.centroids[i].y) for i in spike_centroids]
-    ).reshape(-1, 2)
-    return AttitudeOutput(retry, solution, spike_centroids, positions)
+    return AttitudeOutput(retry, solution, spike_centroids, retry.centroids[list(spike_centroids)])
 
 
 def detect_beacons(
@@ -239,16 +236,16 @@ def _failure_forensics(
         return "1.III.D"
     if att_wrong:
         return "1.III.C"
-    centroids = attitude_out.retry.centroids
+    retry = attitude_out.retry
     nearest_dist, nearest = min(
-        ((math.hypot(c.x - planet.x, c.y - planet.y), i) for i, c in enumerate(centroids)),
+        ((math.hypot(x - planet.x, y - planet.y), i) for i, (x, y) in enumerate(retry.centroids.tolist())),
         default=(math.inf, None),
     )
     if nearest_dist > PLANET_ASSOC_RADIUS_PX:
         return "1.III.F"
     if nearest not in attitude_out.spike_centroids:
         return "1.III.A"  # the planet's centroid survived as a star match
-    if centroids[nearest].roi.span > 1 and nearest_dist > 1.0:
+    if retry.span[nearest] > 1 and nearest_dist > 1.0:
         return "1.III.E"
     return "1.III.B"
 

@@ -288,22 +288,31 @@ def write_truth(truth: GroundTruth, path) -> None:
 
 
 def read_truth(path) -> GroundTruth:
+    """Parse a ``write_truth`` sidecar.  A line with the wrong number of
+    fields or a value that does not parse raises ValueError naming the
+    file and line."""
     attitude = None
     objects = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts and parts[0] == "attitude":
-                    attitude = PointingAngles(float(parts[1]), float(parts[2]), float(parts[3]))
-                continue
-            kind, ident, x, y, peak, visible = line.split(",")
-            objects.append(
-                TruthObject(kind, ident, float(x), float(y), float(peak), bool(int(visible)))
-            )
+            try:
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if parts[:1] == ["attitude"]:
+                        if len(parts) != 4:
+                            raise ValueError(f"expected 3 attitude angles, got {len(parts) - 1}")
+                        attitude = PointingAngles(float(parts[1]), float(parts[2]), float(parts[3]))
+                    continue
+                parts = line.split(",")
+                if len(parts) != 6:
+                    raise ValueError(f"expected 6 fields, got {len(parts)}")
+                kind, ident, x, y, peak, visible = parts
+                objects.append(TruthObject(kind, ident, float(x), float(y), float(peak), bool(int(visible))))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
     if attitude is None:
         raise ValueError(f"{path}: missing attitude comment line")
     return GroundTruth(objects=tuple(objects), attitude=attitude)

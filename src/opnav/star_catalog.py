@@ -116,8 +116,10 @@ def catalog_from_records(rows) -> StarCatalog:
 def load_catalog(path) -> StarCatalog:
     """Parse a raw catalog file: one ``id,ra_deg,dec_deg,vmag`` row per star.
 
-    Lines starting with ``#`` (and blank lines) are skipped.  Parse
-    failures raise CatalogError naming the offending line number.
+    Lines starting with ``#`` (and blank lines) are skipped.  A line that
+    does not parse, or holds an id outside int64, a non-finite right
+    ascension or magnitude, or a declination outside [-90, 90], raises
+    CatalogError naming the file and line.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -125,20 +127,25 @@ def load_catalog(path) -> StarCatalog:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path} line {lineno}"
             parts = line.split(",")
             if len(parts) != 4:
-                raise CatalogError(f"line {lineno}: expected 4 comma-separated fields, got {len(parts)}")
+                raise CatalogError(f"{where}: expected 4 comma-separated fields, got {len(parts)}")
             try:
                 star_id = int(parts[0])
                 ra_deg = float(parts[1])
                 dec_deg = float(parts[2])
                 mag = float(parts[3])
             except ValueError as exc:
-                raise CatalogError(f"line {lineno}: unparseable field ({exc})") from None
+                raise CatalogError(f"{where}: unparseable field ({exc})") from None
             if not -(2**63) <= star_id < 2**63:
-                raise CatalogError(f"line {lineno}: star id {star_id} outside the int64 range")
+                raise CatalogError(f"{where}: star id {star_id} outside the int64 range")
+            if not math.isfinite(ra_deg):
+                raise CatalogError(f"{where}: right ascension {ra_deg} is not finite")
             if not -90.0 <= dec_deg <= 90.0:
-                raise CatalogError(f"line {lineno}: declination {dec_deg} outside [-90, 90]")
+                raise CatalogError(f"{where}: declination {dec_deg} outside [-90, 90]")
+            if not math.isfinite(mag):
+                raise CatalogError(f"{where}: magnitude {mag} is not finite")
             # RA wraps twice: a tiny negative angle % TWO_PI rounds to TWO_PI itself
             rows.append((star_id, math.radians(ra_deg) % TWO_PI % TWO_PI, math.radians(dec_deg), mag))
     try:

@@ -8,7 +8,12 @@ two legs (i, r) and (j, r) share exactly one catalog star; an ambiguous
 intersection (two or more shared stars) confirms nothing.  Confirmed
 triangles vote for their three (centroid, star) assignments and each
 centroid keeps the star with the unique maximal vote count, requiring
-at least two votes.  Centroids left without an assignment are spikes.
+at least two votes; a star kept by several centroids stays with the one
+of unique maximal count, and a tie drops them all.  Centroids left
+without an assignment are spikes.  Centroids, votes and assignments are
+arrays throughout: the centroids are the (n, 2) pixels of
+``find_centroids``, the votes sorted ``(centroid, star)`` keys with
+their counts.
 
 When identification fails, the threshold tuning parameter is raised and
 the whole chain (thresholding, centroiding, matching) reruns, until the
@@ -17,12 +22,11 @@ asterism is recognized or fewer than three centroids survive.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .centroiding import Centroid, find_centroids
+from .centroiding import find_centroids
 from .geometry import CameraModel, angular_separations, los_from_pixels
 from .star_catalog import KVectorIndex, PairDatabase, StarCatalog, kvector_range_queries
 
@@ -56,7 +60,8 @@ class IdentifyConfig:
 class RetryResult:
     result: MatchResult
     threshold: float
-    centroids: tuple[Centroid, ...]
+    centroids: np.ndarray  # (n, 2) pixel x, y of every centroid
+    span: np.ndarray  # (n,) component span of every centroid
 
 
 def _candidate_table(
@@ -124,74 +129,64 @@ def _count_votes(keys: np.ndarray, dims: tuple[int, int, int, int]) -> tuple[np.
 
 
 def identify_stars(
-    centroids,
+    pixels: np.ndarray,
     camera: CameraModel,
     catalog: StarCatalog,
     db: PairDatabase,
     index: KVectorIndex,
     epsilon_rad: float,
 ) -> MatchResult | None:
-    """Match centroids to catalog stars; None when no asterism is found.
+    """Match the (n, 2) centroid pixels to catalog stars; None when no
+    asterism is found.
 
     The catalog supplies the inertial directions of the matched ids; a
     matched id the catalog lacks raises CatalogError.
     """
-    n = len(centroids)
+    n = len(pixels)
     if n < MIN_ASTERISM:
         return None
-    los = los_from_pixels(camera, [(c.x, c.y) for c in centroids])
+    los = los_from_pixels(camera, pixels)
     keys, dims, star_ids = _candidate_table(los, db, index, epsilon_rad)
     voted, counts = _count_votes(keys, dims)
-    votes = {
-        (i, star): v
-        for i, star, v in zip(
-            (voted // dims[1]).tolist(), star_ids[voted % dims[1]].tolist(), counts.tolist()
-        )
-    }
-
-    assignment = sorted(_resolve_votes(votes, n).items())
-    inertial = catalog.unit_vectors[catalog.rows_of([star for _, star in assignment])]
+    matched, stars = _assign(voted, counts, dims[1])
+    ids = star_ids[stars]
+    inertial = catalog.unit_vectors[catalog.rows_of(ids)]
+    if len(matched) < MIN_ASTERISM:
+        return None
     matches = tuple(
         StarMatch(centroid_index=i, star_id=star, los_camera=los[i], los_inertial=u)
-        for (i, star), u in zip(assignment, inertial)
+        for i, star, u in zip(matched.tolist(), ids.tolist(), inertial)
     )
-    if len(matches) < MIN_ASTERISM:
-        return None
-    matched = {i for i, _ in assignment}
-    spikes = tuple(i for i in range(n) if i not in matched)
+    spikes = tuple(sorted(set(range(n)).difference(matched.tolist())))
     return MatchResult(matches=matches, spikes=spikes)
 
 
-def _resolve_votes(votes: dict[tuple[int, int], int], n_centroids: int) -> dict[int, int]:
-    """Per-centroid unique argmax with >= 2 votes, then global id uniqueness.
+def _assign(voted: np.ndarray, counts: np.ndarray, n_stars: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centroids and the compact stars assigned to them, by centroid.
 
-    A tie for a centroid's best star drops the centroid; a star claimed
-    by several centroids stays with the highest vote count, ties drop
-    all claimants.
+    ``voted`` are the sorted ``centroid * n_stars + star`` keys of
+    ``_count_votes`` and ``counts`` their votes.  A centroid keeps its
+    star of unique maximal count when that count is at least 2; a star
+    kept by several centroids stays with the unique maximal count among
+    them, and a tie drops every claimant.
     """
-    by_centroid: dict[int, dict[int, int]] = defaultdict(dict)
-    for (i, star), v in votes.items():
-        by_centroid[i][star] = v
-    best: dict[int, tuple[int, int]] = {}
-    for i, options in by_centroid.items():
-        top = max(options.values())
-        if top < 2:
-            continue
-        winners = [s for s, v in options.items() if v == top]
-        if len(winners) != 1:
-            continue
-        best[i] = (winners[0], top)
+    voter, star = np.divmod(voted, n_stars)
+    best = _unique_max(voter, counts)
+    best = best[counts[best] >= 2]
+    won = np.sort(best[_unique_max(star[best], counts[best])])
+    return voter[won], star[won]
 
-    by_star: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for i, (star, v) in best.items():
-        by_star[star].append((v, i))
-    assignment: dict[int, int] = {}
-    for star, claims in by_star.items():
-        claims.sort(reverse=True)
-        if len(claims) > 1 and claims[0][0] == claims[1][0]:
-            continue
-        assignment[claims[0][1]] = star
-    return assignment
+
+def _unique_max(group: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Index of the largest value of each group, by group; a group whose
+    largest value is tied has none."""
+    order = np.lexsort((-value, group))  # by group, largest value first
+    g, v = group[order], value[order]
+    opens = np.ones(len(g) + 1, dtype=bool)  # entry k opens a group; k = len(g) is past the end
+    np.not_equal(g[1:], g[:-1], out=opens[1:-1])
+    ties_next = np.zeros(len(g), dtype=bool)
+    np.equal(v[1:], v[:-1], out=ties_next[:-1])
+    return order[opens[:-1] & (opens[1:] | ~ties_next)]
 
 
 def identify_with_retry(
@@ -209,14 +204,15 @@ def identify_with_retry(
     """
     for iteration in range(config.max_iterations):
         t = config.threshold_t + iteration * config.threshold_t_step
-        centroids, threshold = find_centroids(image, t)
-        if len(centroids) < MIN_ASTERISM:
+        xy, span, threshold = find_centroids(image, t)
+        if len(xy) < MIN_ASTERISM:
             return None
-        result = identify_stars(centroids, camera, catalog, db, index, config.epsilon_rad)
+        result = identify_stars(xy, camera, catalog, db, index, config.epsilon_rad)
         if result is not None:
             return RetryResult(
                 result=replace(result, iterations_used=iteration + 1),
                 threshold=threshold,
-                centroids=tuple(centroids),
+                centroids=xy,
+                span=span,
             )
     return None

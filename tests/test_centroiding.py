@@ -41,50 +41,54 @@ class TestExtractRois:
         img = np.zeros((64, 64))
         _spot(img, 15.0, 20.0, 200.0)
         _spot(img, 25.0, 20.0, 200.0)
-        rois = extract_rois(img, 10.0)
-        assert len(rois) == 2
+        boxes, span = extract_rois(img, 10.0)
+        assert boxes.shape == (2, 4) and span.shape == (2,)
 
     def test_overlapping_sources_merge(self):
         img = np.zeros((64, 64))
         _spot(img, 20.0, 20.0, 200.0)
         _spot(img, 22.5, 20.0, 200.0)
-        rois = extract_rois(img, 10.0)
-        assert len(rois) == 1
+        boxes, _ = extract_rois(img, 10.0)
+        assert len(boxes) == 1
 
     def test_diagonal_adjacency_is_connected(self):
         img = np.zeros((8, 8))
         img[2, 2] = 100.0
         img[3, 3] = 100.0
-        assert len(extract_rois(img, 50.0)) == 1
+        assert len(extract_rois(img, 50.0)[0]) == 1
 
     def test_margin_grown_and_clipped(self):
         img = np.zeros((8, 8))
         img[0, 0] = 100.0
-        roi = extract_rois(img, 50.0)[0]
-        assert (roi.x0, roi.y0, roi.x1, roi.y1) == (0, 0, 1, 1)
+        boxes, span = extract_rois(img, 50.0)
+        assert boxes.tolist() == [[0, 0, 1, 1]] and span.tolist() == [0]
 
     def test_row_major_ordering(self):
         img = np.zeros((32, 32))
         for x, y in [(25, 3), (4, 10), (15, 20)]:
             img[y, x] = 100.0
-        rois = extract_rois(img, 50.0)
-        centers = [(r.y0 + 1, r.x0 + 1) for r in rois]
-        assert centers == [(3, 25), (10, 4), (20, 15)]
+        boxes, _ = extract_rois(img, 50.0)
+        assert (boxes[:, [1, 0]] + 1).tolist() == [[3, 25], [10, 4], [20, 15]]
+
+    def test_no_component_gives_empty_arrays(self):
+        for img in (np.zeros((8, 8)), np.zeros((0, 8))):
+            boxes, span = extract_rois(img, 50.0)
+            assert boxes.shape == (0, 4) and span.shape == (0,)
+            assert boxes.dtype == span.dtype == np.int64
 
 
 class TestComputeCentroid:
     def test_single_pixel(self):
         img = np.zeros((40, 40))
         img[20, 10] = 150.0
-        c = compute_centroid(extract_rois(img, 50.0)[0], img)
-        assert (c.x, c.y) == (10.0, 20.0)
-        assert c.roi.span == 0
+        boxes, span = extract_rois(img, 50.0)
+        assert compute_centroid(boxes[0], img) == (10.0, 20.0)
+        assert span[0] == 0
 
     def test_symmetric_plateau(self):
         img = np.zeros((40, 40))
         img[9:12, 19:22] = 80.0
-        c = compute_centroid(extract_rois(img, 50.0)[0], img)
-        assert (c.x, c.y) == pytest.approx((20.0, 10.0))
+        assert compute_centroid(extract_rois(img, 50.0)[0][0], img) == pytest.approx((20.0, 10.0))
 
     def test_rendered_spot_subpixel(self, camera):
         cat = catalog_from_records([])
@@ -99,31 +103,34 @@ class TestComputeCentroid:
             extra_sources=((100.3, 200.7, 1200.0),),
         )
         image, _ = render(scene)
-        cents, _ = find_centroids(image.data, 5.0)
-        assert len(cents) == 1
-        assert cents[0].x == pytest.approx(100.3, abs=0.02)
-        assert cents[0].y == pytest.approx(200.7, abs=0.02)
+        cents, span, _ = find_centroids(image.data, 5.0)
+        assert cents.shape == (1, 2) and span.shape == (1,)
+        assert cents[0, 0] == pytest.approx(100.3, abs=0.02)
+        assert cents[0, 1] == pytest.approx(200.7, abs=0.02)
 
     def test_translation_equivariance(self):
         img = np.zeros((64, 64))
         rng = np.random.default_rng(7)
         block = rng.uniform(60, 200, (3, 4))
         img[10:13, 20:24] = block
-        c1 = compute_centroid(extract_rois(img, 50.0)[0], img)
+        x1, y1 = compute_centroid(extract_rois(img, 50.0)[0][0], img)
         img2 = np.zeros((64, 64))
         img2[23:26, 31:35] = block
-        c2 = compute_centroid(extract_rois(img2, 50.0)[0], img2)
-        assert c2.x - c1.x == pytest.approx(11.0, abs=1e-12)
-        assert c2.y - c1.y == pytest.approx(13.0, abs=1e-12)
+        x2, y2 = compute_centroid(extract_rois(img2, 50.0)[0][0], img2)
+        assert x2 - x1 == pytest.approx(11.0, abs=1e-12)
+        assert y2 - y1 == pytest.approx(13.0, abs=1e-12)
 
     def test_intensity_scaling_invariance(self):
         img = np.zeros((64, 64))
         rng = np.random.default_rng(8)
         img[30:34, 40:43] = rng.uniform(60, 200, (4, 3))
-        roi = extract_rois(img, 50.0)[0]
-        c1 = compute_centroid(roi, img)
-        c2 = compute_centroid(roi, img * 2.5)
-        assert (c2.x, c2.y) == pytest.approx((c1.x, c1.y), abs=1e-12)
+        box = extract_rois(img, 50.0)[0][0]
+        assert compute_centroid(box, img * 2.5) == pytest.approx(compute_centroid(box, img), abs=1e-12)
+
+    def test_blank_box_rejected(self):
+        img = np.zeros((8, 8))
+        with pytest.raises(ValueError, match="no signal"):
+            compute_centroid([1, 1, 3, 3], img)
 
 
 def test_roi_count_monotone_in_t(camera, sky):
@@ -138,7 +145,7 @@ def test_roi_count_monotone_in_t(camera, sky):
     image, _ = render(scene)
     counts = []
     for t in (5.0, 10.0, 20.0, 40.0):
-        counts.append(len(extract_rois(image.data, compute_threshold(image.data, t))))
+        counts.append(len(extract_rois(image.data, compute_threshold(image.data, t))[0]))
     assert counts == sorted(counts, reverse=True)
 
 

@@ -25,8 +25,9 @@ def test_empty_file(tmp_path):
 def test_duplicate_name_epoch_rejected(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("mars,t0,1,2,3,0\nmars,t0,4,5,6,1\n")
-    with pytest.raises(EphemerisError, match="duplicate"):
+    with pytest.raises(EphemerisError) as info:
         load_ephemeris(path)
+    assert str(info.value) == f"{path} line 2: duplicate entry ('mars', 't0')"
 
 
 def test_same_name_different_epoch_ok(tmp_path):
@@ -44,8 +45,22 @@ def test_same_name_different_epoch_ok(tmp_path):
 def test_parse_error_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("mars,t0,1,2,3,0\nvenus,t0,x,2,3,0\n")
-    with pytest.raises(EphemerisError, match="line 2"):
+    with pytest.raises(EphemerisError) as info:
         load_ephemeris(path)
+    assert str(info.value) == f"{path} line 2: unparseable field (could not convert string to float: 'x')"
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [("venus,t0,1,2", "expected 6 fields, got 4"), ("venus,t0,inf,2,3,0", "bad position for venus: [inf, 2.0, 3.0]")],
+    ids=["short", "inf_position"],
+)
+def test_line_error_names_file_and_line(tmp_path, line, reason):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"mars,t0,1,2,3,0\n{line}\n")
+    with pytest.raises(EphemerisError) as info:
+        load_ephemeris(path)
+    assert str(info.value) == f"{path} line 2: {reason}"
 
 
 def test_nonfinite_position_rejected():

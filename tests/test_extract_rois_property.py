@@ -1,7 +1,8 @@
 """Property: row-packed extract_rois equals full-frame labelling.
 
 The reference labels the whole frame with ``ndimage.label`` and boxes
-each component the way extract_rois always has: row-major order of the
+each component, one ``(x0, y0, x1, y1, span)`` tuple per component, the
+way extract_rois always has: row-major order of the
 seed pixel, a one-pixel margin clipped to the frame, and the span, the
 larger of the member pixels' x and y extents.
 """
@@ -35,10 +36,10 @@ def reference_rois(image, threshold):
 
 
 def check(image, threshold):
-    rois = extract_rois(image, threshold)
-    assert [(r.x0, r.y0, r.x1, r.y1, r.span) for r in rois] == reference_rois(image, threshold)
-    for roi in rois:
-        assert all(type(v) is int for v in (roi.x0, roi.y0, roi.x1, roi.y1, roi.span))
+    boxes, span = extract_rois(image, threshold)
+    assert boxes.dtype == span.dtype == np.int64
+    assert boxes.shape == (len(span), 4) and span.shape == (len(span),)
+    assert [(*box, s) for box, s in zip(boxes.tolist(), span.tolist())] == reference_rois(image, threshold)
 
 
 shapes = st.tuples(st.integers(1, 20), st.integers(1, 20))

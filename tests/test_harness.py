@@ -9,7 +9,6 @@ import pytest
 
 from opnav.attitude_solver import AttitudeSolution
 from opnav.beacon_detection import covariance_ellipse, ProjectionPrediction
-from opnav.centroiding import Centroid, Roi
 from opnav.config import PipelineConfig, load_config, save_config
 from opnav.geometry import (
     ARCSEC_TO_RAD,
@@ -47,13 +46,17 @@ TRUE_POINTING = PointingAngles(alpha=0.7, delta=0.21, phi=1.01)
 
 
 def _centroid(x, y, span=0):
-    roi = Roi(x0=int(x) - 2, y0=int(y) - 2, x1=int(x) + 2, y1=int(y) + 2, span=span)
-    return Centroid(x=x, y=y, roi=roi)
+    """One detection as the ``(xy, span)`` arrays of ``find_centroids``."""
+    return np.array([[x, y]]), np.array([span], dtype=np.int64)
 
 
-def _attitude_output(pointing_err_arcsec=0.0, centroids=(), spikes=(), matched=()):
+NO_CENTROIDS = np.empty((0, 2)), np.empty(0, dtype=np.int64)
+
+
+def _attitude_output(pointing_err_arcsec=0.0, centroids=NO_CENTROIDS, spikes=(), matched=()):
     """AttitudeOutput with a solution whose boresight is off by the given
-    angle; `spikes` are indices into `centroids`."""
+    angle; `centroids` are ``(xy, span)`` arrays and `spikes` index them."""
+    xy, span = centroids
     a_true = attitude_from_axis_azimuth(TRUE_POINTING)
     a_est = rot2(pointing_err_arcsec * ARCSEC_TO_RAD) @ a_true
     solution = AttitudeSolution(
@@ -66,10 +69,10 @@ def _attitude_output(pointing_err_arcsec=0.0, centroids=(), spikes=(), matched=(
     retry = RetryResult(
         result=MatchResult(matches=(), spikes=tuple(spikes), iterations_used=1),
         threshold=45.0,
-        centroids=tuple(centroids),
+        centroids=xy,
+        span=span,
     )
-    positions = np.array([(centroids[i].x, centroids[i].y) for i in spikes]).reshape(-1, 2)
-    return AttitudeOutput(retry, solution, tuple(spikes), positions)
+    return AttitudeOutput(retry, solution, tuple(spikes), xy[list(spikes)])
 
 
 def _truth(planet_xy=(400.0, 300.0), peak=200.0, visible=True):
@@ -106,7 +109,7 @@ class TestClassifyOutcome:
 
     def test_correct_detection(self, camera, cfg):
         c = _centroid(400.05, 300.08)
-        att = _attitude_output(centroids=(c,), spikes=(0,))
+        att = _attitude_output(centroids=c, spikes=(0,))
         label = classify_outcome(
             _truth(), att, _obs(spike_index=0, selected=(400.05, 300.08)), camera, cfg
         )
@@ -116,7 +119,7 @@ class TestClassifyOutcome:
 
     def test_wrong_spike_beyond_five_px(self, camera, cfg):
         c = _centroid(407.0, 300.0)
-        att = _attitude_output(centroids=(c,), spikes=(0,))
+        att = _attitude_output(centroids=c, spikes=(0,))
         label = classify_outcome(
             _truth(), att, _obs(spike_index=0, selected=(407.0, 300.0)), camera, cfg
         )
@@ -124,7 +127,7 @@ class TestClassifyOutcome:
 
     def test_exactly_five_px_is_correct(self, camera, cfg):
         c = _centroid(405.0, 300.0)
-        att = _attitude_output(centroids=(c,), spikes=(0,))
+        att = _attitude_output(centroids=c, spikes=(0,))
         label = classify_outcome(
             _truth(), att, _obs(spike_index=0, selected=(405.0, 300.0)), camera, cfg
         )
@@ -145,7 +148,7 @@ class TestClassifyOutcome:
     def test_false_positive_detection(self, camera, cfg):
         truth = _truth(peak=50.0, visible=False)
         c = _centroid(401.0, 300.0)
-        att = _attitude_output(centroids=(c,), spikes=(0,))
+        att = _attitude_output(centroids=c, spikes=(0,))
         label = classify_outcome(
             truth, att, _obs(spike_index=0, selected=(401.0, 300.0)), camera, cfg
         )
@@ -171,13 +174,13 @@ class TestClassifyOutcome:
 
     def test_forensics_planet_matched_as_star(self, camera, cfg):
         c = _centroid(400.1, 300.1)
-        att = _attitude_output(centroids=(c,), spikes=(), matched=(0,))
+        att = _attitude_output(centroids=c, spikes=(), matched=(0,))
         label = classify_outcome(_truth(), att, _obs(), camera, cfg)
         assert label.label == "1.III.A"
 
     def test_forensics_gate_miss(self, camera, cfg):
         c = _centroid(402.0, 300.0)  # a one-pixel spike near the planet
-        att = _attitude_output(centroids=(c,), spikes=(0,))
+        att = _attitude_output(centroids=c, spikes=(0,))
         label = classify_outcome(_truth(), att, _obs(), camera, cfg)
         assert label.label == "1.III.B"
 
@@ -193,7 +196,7 @@ class TestClassifyOutcome:
     )
     def test_forensics_merged_with_neighbour(self, camera, cfg, dx, span, expected):
         c = _centroid(400.0 + dx, 300.0, span=span)
-        att = _attitude_output(centroids=(c,), spikes=(0,))
+        att = _attitude_output(centroids=c, spikes=(0,))
         label = classify_outcome(_truth(), att, _obs(), camera, cfg)
         assert label.label == expected
 
@@ -660,6 +663,24 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr.startswith(f"error: {reason.format(cfg=cfgfile)}") and r.stderr.count("\n") == 1
         assert not (tmp_path / "mc").exists()
+
+    @pytest.mark.parametrize("command", ["montecarlo", "process"])
+    def test_non_finite_catalog_value_fails_fast(self, tmp_path, command):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("1,0,0,1.0\n2,nan,10,2.0\n")
+        if command == "montecarlo":
+            args = ("montecarlo", "--n", "2", "--sigma-r", "1e4", "--seed", "1", "--out", str(tmp_path / "mc"))
+        else:
+            cfgfile = tmp_path / "camera.cfg"
+            save_config(PipelineConfig(), cfgfile)
+            pgm = tmp_path / "frame.pgm"
+            write_pgm(Image(width=1024, height=1024, data=np.zeros((1024, 1024), dtype=np.uint8)), pgm)
+            db = tmp_path / "onboard.npz"  # never read: the catalog fails first
+            args = ("process", "--image", str(pgm), "--db", str(db), "--config", str(cfgfile))
+        r = _cli(*args, "--catalog", str(catalog))
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == f"error: {catalog} line 2: right ascension nan is not finite\n"
 
     def test_process_rejects_mis_sized_image(self, tmp_path, desk_catalog, desk_db):
         cfgfile = tmp_path / "camera.cfg"

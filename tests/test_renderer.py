@@ -172,9 +172,9 @@ class TestRender:
             x = rng.uniform(100, 900)
             y = rng.uniform(100, 900)
             image, _ = render(_empty_scene(camera, extra_sources=((x, y, 1200.0),)))
-            cents, _ = find_centroids(image.data, 5.0)
+            cents, _, _ = find_centroids(image.data, 5.0)
             assert len(cents) == 1
-            worst = max(worst, abs(cents[0].x - x), abs(cents[0].y - y))
+            worst = max(worst, abs(cents[0, 0] - x), abs(cents[0, 1] - y))
         assert worst < 0.02
 
     def test_visible_flag_matches_peak_recount(self, camera, sky):
@@ -241,6 +241,23 @@ class TestIO:
         write_truth(truth, path)
         back = read_truth(path)
         assert back == truth
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("star,1,2.5,3.5", "expected 6 fields, got 4"),
+            ("star,1,2.5,y,40.0,1", "could not convert string to float: 'y'"),
+            ("star,1,2.5,3.5,40.0,yes", "invalid literal for int() with base 10: 'yes'"),
+            ("# attitude 0.1 0.2", "expected 3 attitude angles, got 2"),
+        ],
+        ids=["short", "bad_float", "bad_visible", "short_attitude"],
+    )
+    def test_truth_line_error_names_file_and_line(self, tmp_path, line, reason):
+        path = tmp_path / "truth.csv"
+        path.write_text(f"# attitude 0.1 0.2 0.3\nstar,0,1.0,2.0,50.0,1\n{line}\n")
+        with pytest.raises(ValueError) as info:
+            read_truth(path)
+        assert str(info.value) == f"{path} line 3: {reason}"
 
     def test_bad_pgm_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"

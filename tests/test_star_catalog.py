@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,14 +49,37 @@ class TestLoadCatalog:
         np.testing.assert_allclose(np.linalg.norm(cat.unit_vectors, axis=1), 1.0, atol=1e-12)
 
     def test_parse_error_names_line(self, tmp_path):
-        with pytest.raises(CatalogError, match="line 2"):
-            load_catalog(_write(tmp_path, "1,0,0,1.0\n2,zzz,0,1.0\n"))
-        with pytest.raises(CatalogError, match="line 3"):
-            load_catalog(_write(tmp_path, "1,0,0,1.0\n2,5,0,1.0\n3,5,0\n"))
+        path = _write(tmp_path, "1,0,0,1.0\n2,zzz,0,1.0\n")
+        with pytest.raises(CatalogError, match=re.escape(f"{path} line 2: unparseable field")):
+            load_catalog(path)
+        path = _write(tmp_path, "1,0,0,1.0\n2,5,0,1.0\n3,5,0\n")
+        with pytest.raises(CatalogError) as info:
+            load_catalog(path)
+        assert str(info.value) == f"{path} line 3: expected 4 comma-separated fields, got 3"
 
     def test_id_outside_int64_rejected(self, tmp_path):
-        with pytest.raises(CatalogError, match=f"line 2: star id {2**63} outside the int64 range"):
-            load_catalog(_write(tmp_path, f"1,0,0,1.0\n{2**63},10,0,1.0\n"))
+        path = _write(tmp_path, f"1,0,0,1.0\n{2**63},10,0,1.0\n")
+        with pytest.raises(CatalogError) as info:
+            load_catalog(path)
+        assert str(info.value) == f"{path} line 2: star id {2**63} outside the int64 range"
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("2,nan,10,2.0", "right ascension nan is not finite"),
+            ("2,inf,10,2.0", "right ascension inf is not finite"),
+            ("2,-inf,10,2.0", "right ascension -inf is not finite"),
+            ("2,10,10,nan", "magnitude nan is not finite"),
+            ("2,10,10,inf", "magnitude inf is not finite"),
+        ],
+        ids=["ra_nan", "ra_inf", "ra_minus_inf", "mag_nan", "mag_inf"],
+    )
+    def test_non_finite_field_rejected(self, tmp_path, line, reason):
+        # a NaN star would load with a NaN unit vector and lose its pairs silently
+        path = _write(tmp_path, f"1,0,0,1.0\n{line}\n")
+        with pytest.raises(CatalogError) as info:
+            load_catalog(path)
+        assert str(info.value) == f"{path} line 2: {reason}"
 
     def test_duplicate_id_rejected(self, tmp_path):
         with pytest.raises(CatalogError, match="duplicate"):

@@ -31,7 +31,7 @@ def desk_scene(camera, catalog, **kw):
 @pytest.fixture(scope="module")
 def desk_centroids(camera, desk_catalog):
     image, truth = render(desk_scene(camera, desk_catalog))
-    cents, _ = find_centroids(image.data, 20.0)
+    cents, _, _ = find_centroids(image.data, 20.0)
     return cents, truth
 
 
@@ -54,8 +54,8 @@ class TestIdentifyStars:
         assert len(result.matches) == 6
         assert result.spikes == ()
         for m in result.matches:
-            c = cents[m.centroid_index]
-            assert str(m.star_id) == _truth_id_by_position(truth, c.x, c.y)
+            x, y = cents[m.centroid_index]
+            assert str(m.star_id) == _truth_id_by_position(truth, x, y)
 
     def test_injected_planet_becomes_spike(self, camera, desk_catalog, desk_db):
         db, index = desk_db
@@ -63,14 +63,14 @@ class TestIdentifyStars:
         image, truth = render(
             desk_scene(camera, desk_catalog, extra_sources=((650.0, 250.0, flux),), seed=12)
         )
-        cents, _ = find_centroids(image.data, 20.0)
+        cents, _, _ = find_centroids(image.data, 20.0)
         assert len(cents) == 7
         result = identify_stars(cents, camera, desk_catalog, db, index, EPS7)
         assert result is not None
         assert len(result.matches) == 6
         assert len(result.spikes) == 1
-        spike = cents[result.spikes[0]]
-        assert math.hypot(spike.x - 650.0, spike.y - 250.0) < 0.5
+        x, y = cents[result.spikes[0]]
+        assert math.hypot(x - 650.0, y - 250.0) < 0.5
 
     def test_fewer_than_three_centroids(self, camera, desk_catalog, desk_db, desk_centroids):
         db, index = desk_db
@@ -88,7 +88,7 @@ class TestIdentifyStars:
                 seed=13,
             )
         )
-        cents, _ = find_centroids(image.data, 20.0)
+        cents, _, _ = find_centroids(image.data, 20.0)
         result = identify_stars(cents, camera, desk_catalog, db, index, EPS7)
         claimed = sorted([m.centroid_index for m in result.matches] + list(result.spikes))
         assert claimed == list(range(len(cents)))
@@ -128,7 +128,7 @@ class TestSoundnessOnCleanSky(object):
                 seed=0,
             )
             image, truth = render(scene)
-            cents, _ = find_centroids(image.data, 20.0)
+            cents, _, _ = find_centroids(image.data, 20.0)
             if len(cents) < 3:
                 continue
             result = identify_stars(cents, camera, catalog, db, index, EPS7)
@@ -138,8 +138,8 @@ class TestSoundnessOnCleanSky(object):
             for m in result.matches:
                 row = catalog.rows_of([m.star_id])[0]
                 px = project_star(camera, att, catalog.right_ascension[row], catalog.declination[row])
-                c = cents[m.centroid_index]
-                assert math.hypot(px[0] - c.x, px[1] - c.y) < 1.0
+                x, y = cents[m.centroid_index]
+                assert math.hypot(px[0] - x, px[1] - y) < 1.0
                 checked += 1
         assert checked > 300  # plenty of matches actually exercised
 

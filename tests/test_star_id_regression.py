@@ -11,8 +11,12 @@ does not move when the renderer does.
 The second test replays the reference-star voting as nested loops over
 per-pair partner sets on a sparse sky, once with the flight tolerance and
 once with a tolerance so wide that ambiguous (two or more shared stars)
-intersections are common.  The last test gives it centroids whose pair
-angles match no k-vector row at all.
+intersections are common.  The last of these gives it centroids whose
+pair angles match no k-vector row at all.
+
+The nested loops settle the votes with the dict rules in
+``reference_resolve``; a property test checks the array resolution of
+``star_id`` against the same rules on random vote tables.
 """
 
 import json
@@ -22,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from opnav.centroiding import Centroid
 from opnav.config import PipelineConfig
 from opnav.geometry import (
     ARCSEC_TO_RAD,
@@ -35,7 +40,7 @@ from opnav.geometry import (
 )
 from opnav.skysim import synthetic_catalog
 from opnav.star_catalog import build_kvector, build_pair_database, kvector_range_query
-from opnav.star_id import _resolve_votes, identify_stars
+from opnav.star_id import _assign, identify_stars
 
 FRAMES = json.loads((Path(__file__).parent / "data" / "star_id_frames.json").read_text())
 
@@ -60,7 +65,7 @@ def workload(request):
 def test_matches_and_spikes_frozen(workload):
     name, cfg, catalog, db, index = workload
     for case in FRAMES[name]:
-        centroids = [Centroid(x, y, None) for x, y in case["centroids"]]
+        centroids = np.array(case["centroids"], dtype=float).reshape(-1, 2)
         result = identify_stars(
             centroids, cfg.camera(), catalog, db, index, cfg.identify_config().epsilon_rad
         )
@@ -70,10 +75,43 @@ def test_matches_and_spikes_frozen(workload):
         assert list(result.spikes) == case["spikes"], case["frame"]
 
 
-def reference_identify(centroids, camera, db, index, epsilon_rad):
+def reference_resolve(votes, n_centroids):
+    """Per-centroid unique argmax with >= 2 votes, then global id uniqueness.
+
+    ``votes`` maps (centroid, star) to a vote count.  A tie for a
+    centroid's best star drops the centroid; a star claimed by several
+    centroids stays with the highest vote count, ties drop all claimants.
+    Returns centroid -> star.
+    """
+    by_centroid = defaultdict(dict)
+    for (i, star), v in votes.items():
+        by_centroid[i][star] = v
+    best = {}
+    for i, options in by_centroid.items():
+        top = max(options.values())
+        if top < 2:
+            continue
+        winners = [s for s, v in options.items() if v == top]
+        if len(winners) != 1:
+            continue
+        best[i] = (winners[0], top)
+
+    by_star = defaultdict(list)
+    for i, (star, v) in best.items():
+        by_star[star].append((v, i))
+    assignment = {}
+    for star, claims in by_star.items():
+        claims.sort(reverse=True)
+        if len(claims) > 1 and claims[0][0] == claims[1][0]:
+            continue
+        assignment[claims[0][1]] = star
+    return assignment
+
+
+def reference_identify(pixels, camera, db, index, epsilon_rad):
     """Matches and spikes by the nested dict/set voting loop."""
-    n = len(centroids)
-    los = [los_from_pixel(camera, (c.x, c.y)) for c in centroids]
+    n = len(pixels)
+    los = [los_from_pixel(camera, (x, y)) for x, y in pixels.tolist()]
     maps = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -98,7 +136,7 @@ def reference_identify(centroids, camera, db, index, epsilon_rad):
                             votes[(i, a)] += 1
                             votes[(j, b)] += 1
                             votes[(r, next(iter(common)))] += 1
-    assignment = _resolve_votes(votes, n)
+    assignment = reference_resolve(votes, n)
     if len(assignment) < 3:
         return None
     return sorted(assignment.items()), tuple(i for i in range(n) if i not in assignment)
@@ -128,10 +166,9 @@ def test_equals_nested_loop_voting(camera, cfg, sparse_sky, tolerance_arcsec):
         pixels = [p for p in pixels if p is not None and camera.in_frame(*p)]
         pixels += list(rng.uniform(0, camera.width - 1, (rng.integers(0, 4), 2)))  # false detections
         rng.shuffle(pixels)
-        centroids = [
-            Centroid(float(x) + rng.normal(0, 0.2), float(y) + rng.normal(0, 0.2), None)
-            for x, y in pixels[:8]
-        ]
+        centroids = np.array(
+            [(float(x) + rng.normal(0, 0.2), float(y) + rng.normal(0, 0.2)) for x, y in pixels[:8]]
+        ).reshape(-1, 2)
         if len(centroids) < 3:
             continue
         result = identify_stars(centroids, camera, catalog, db, index, eps)
@@ -144,10 +181,35 @@ def test_equals_nested_loop_voting(camera, cfg, sparse_sky, tolerance_arcsec):
 def test_no_pair_has_a_candidate(camera, cfg, sparse_sky):
     catalog, db, index = sparse_sky
     eps = 7.0 * ARCSEC_TO_RAD
-    centroids = [Centroid(x, y, None) for x, y in [(100, 100), (101, 100), (100, 102), (103, 103)]]
-    los = [los_from_pixel(camera, (c.x, c.y)) for c in centroids]
+    centroids = np.array([(100, 100), (101, 100), (100, 102), (103, 103)], dtype=float)
+    los = [los_from_pixel(camera, (x, y)) for x, y in centroids.tolist()]
     for i in range(len(los)):
         for j in range(i + 1, len(los)):
             assert len(kvector_range_query(index, db, angular_separation(los[i], los[j]), eps)) == 0
     assert identify_stars(centroids, camera, catalog, db, index, eps) is None
     assert reference_identify(centroids, camera, db, index, eps) is None
+
+
+@st.composite
+def vote_tables(draw):
+    """(n centroids, n stars, {(centroid, star): votes}) with counts in
+    1..4, so single votes and ties for a centroid or a star are common."""
+    n, n_stars = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n_stars - 1))
+    keys = draw(st.sets(cells, max_size=n * n_stars))
+    return n, n_stars, {key: draw(st.integers(1, 4)) for key in sorted(keys)}
+
+
+@settings(max_examples=500, deadline=None)
+@given(table=vote_tables())
+@example(table=(3, 2, {}))  # no votes at all
+@example(table=(3, 2, {(0, 0): 1, (1, 1): 1, (2, 0): 1}))  # single votes only
+@example(table=(2, 2, {(0, 0): 3, (0, 1): 3, (1, 1): 2}))  # centroid 0 tied: only 1 -> 1
+@example(table=(3, 2, {(0, 0): 2, (1, 0): 2, (2, 0): 1, (2, 1): 5}))  # star 0 tied: only 2 -> 1
+@example(table=(3, 1, {(0, 0): 4, (1, 0): 2, (2, 0): 4}))  # tie at the top, lower claimant loses too
+def test_array_resolution_equals_dict_rules(table):
+    n, n_stars, votes = table
+    voted = np.array([i * n_stars + star for i, star in votes], dtype=np.int64)
+    counts = np.array(list(votes.values()), dtype=np.int64)
+    centroids, stars = _assign(voted, counts, n_stars)
+    assert list(zip(centroids.tolist(), stars.tolist())) == sorted(reference_resolve(votes, n).items())
