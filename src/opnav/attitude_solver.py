@@ -167,7 +167,8 @@ def ransac_attitude(matches, config: RansacConfig) -> AttitudeSolution | None:
     rng = np.random.default_rng(config.seed)
     threshold_rad = config.threshold_arcsec * ARCSEC_TO_RAD
 
-    subsets = np.array([rng.choice(m, size=3, replace=False) for _ in range(config.n_samples)])
+    # n_samples distinct-index triples in one draw: the first three of a random permutation per row
+    subsets = rng.random((config.n_samples, m)).argsort(axis=1)[:, :3]
     rotations, degenerate = wahba_svds(c_all[subsets], n_all[subsets])
     # A degenerate sample still has a proper rotation, so it has an axis;
     # the consensus ignores it.

@@ -25,6 +25,7 @@ import numpy as np
 from scipy import ndimage
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+_UINT32_ROW_WIDTH = (2**32 - 1) // 255**2  # widest row whose sum of squares fits in uint32
 
 
 def compute_threshold(image: np.ndarray, t: float) -> float:
@@ -33,7 +34,9 @@ def compute_threshold(image: np.ndarray, t: float) -> float:
     An 8-bit frame takes both moments as exact unsigned-integer sums, with
     no widening of the frame beyond uint16: the mean is the correctly
     rounded quotient, the variance the correctly rounded
-    (n * sum(v^2) - sum(v)^2) / n^2.
+    (n * sum(v^2) - sum(v)^2) / n^2.  A 2-D frame up to
+    ``_UINT32_ROW_WIDTH`` columns sums each row in uint32 first, the same
+    integers at about half the cost.
     """
     if image.size == 0:
         raise ValueError("empty image")
@@ -41,8 +44,13 @@ def compute_threshold(image: np.ndarray, t: float) -> float:
         data = image.astype(np.float64, copy=False)
         return float(data.mean() + t * data.std())
     n = image.size
-    s1 = int(image.sum(dtype=np.uint64))
-    s2 = int(np.square(image, dtype=np.uint16).sum(dtype=np.uint64))  # 255**2 fits in uint16
+    squares = np.square(image, dtype=np.uint16)  # 255**2 fits in uint16
+    if image.ndim == 2 and image.shape[1] <= _UINT32_ROW_WIDTH:
+        s1 = int(np.add.reduce(image, axis=1, dtype=np.uint32).sum(dtype=np.uint64))
+        s2 = int(np.add.reduce(squares, axis=1, dtype=np.uint32).sum(dtype=np.uint64))
+    else:
+        s1 = int(image.sum(dtype=np.uint64))
+        s2 = int(squares.sum(dtype=np.uint64))
     mean = s1 / n
     std = math.sqrt((n * s2 - s1 * s1) / (n * n))
     return float(mean + t * std)

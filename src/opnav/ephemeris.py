@@ -8,6 +8,7 @@ per line, ``#`` starts a comment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ class Planet:
         pos = np.array(self.position_km, dtype=float)
         if pos.shape != (3,) or not np.all(np.isfinite(pos)):
             raise EphemerisError(f"bad position for {self.name}: {self.position_km}")
+        if not math.isfinite(self.magnitude):
+            raise EphemerisError(f"magnitude {self.magnitude} of {self.name} is not finite")
         pos.setflags(write=False)
         object.__setattr__(self, "position_km", pos)
 
@@ -34,8 +37,8 @@ class Planet:
 def load_ephemeris(path) -> dict[str, tuple[Planet, ...]]:
     """Epoch -> planets, both in file order.
 
-    A line that does not parse, a non-finite position or a repeated
-    (name, epoch) raises EphemerisError naming the file and line.
+    A line that does not parse, a non-finite position or magnitude or a
+    repeated (name, epoch) raises EphemerisError naming the file and line.
     """
     table: dict[str, list[Planet]] = {}
     with open(path, "r", encoding="utf-8") as fh:

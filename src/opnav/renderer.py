@@ -13,19 +13,27 @@ Rendering order: float signal field -> optional per-pixel Poisson shot
 noise -> additive Gaussian background -> round to integer DN -> clamp to
 [0, 255].  With a fixed seed, output is bit-identical.
 
-Shot noise is drawn only on the pixels whose signal is non-zero, in C
-order.  numpy's ``Generator.poisson`` returns 0 for a zero rate without
-taking a draw, so this leaves the random stream, and every output byte,
-exactly as a draw over the whole frame would; a default frame has about
-0.3 % of its pixels lit.  The background is drawn into the one float
-buffer that is then rounded, clamped and cast.
+A pixel is lit when its signal is non-zero.  Only lit pixels take that
+continuous path, in C order: a Poisson count (or the raw signal with
+photon noise off) plus ``Generator.normal(mean, sigma)``, then rounded and
+clamped; a default frame has about 0.3 % of its pixels lit.  Every other
+pixel is ``rint(clip(mean + sigma * Z))``, a fixed pmf over 0..255, and is
+drawn from it directly by a table method (Marsaglia, Tsang & Wang, "Fast
+generation of discrete random variables", J. Stat. Softw. 11(3), 2004):
+one uint16 draw picks one of 2^16 equal cells of [0, 1), and a cached
+table maps the cell to its level.  The few cells that straddle two levels
+draw a float64 ``u`` inside the cell and take the level from the CDF, so
+each level's probability is exact to float64.  The random stream is read
+in that order: Poisson (lit), normal (lit), one cell per pixel of the
+frame (lit ones included), one float per straddling cell.  With
+``sigma == 0`` the background is the constant ``clip(rint(mean))``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import ndtr
@@ -41,6 +49,7 @@ _REF_APERTURE_MM = 40.0 / 2.2
 
 DETECTABILITY_DN = 120.0
 PSF_TRUNCATION_SIGMAS = 4.0
+BACKGROUND_CELLS = 2**16  # lookup cells of the background sampler
 
 
 @dataclass(frozen=True)
@@ -207,23 +216,54 @@ def render(scene: SceneSpec) -> tuple[Image, GroundTruth]:
 
 
 def _add_noise_and_quantize(field: np.ndarray, scene: SceneSpec) -> np.ndarray:
-    """Shot noise on the lit pixels, then the Gaussian background, in one
-    float buffer rounded and clamped in place and cast once to uint8."""
+    """The quantized frame: lit pixels on the continuous path, every other
+    pixel sampled from the background pmf (see the module docstring)."""
+    bg, sigma = scene.background_mean_dn, scene.background_sigma_dn
     rng = np.random.default_rng(scene.seed)
     flat = field.ravel()
-    if scene.photon_noise:
-        lit = np.flatnonzero(flat != 0)  # != 0, not > 0: poisson still raises on a negative or NaN signal
-        signal = rng.poisson(flat[lit])
+    lit = np.flatnonzero(flat != 0)  # != 0, not > 0: poisson still raises on a negative or NaN signal
+    signal = rng.poisson(flat[lit]) if scene.photon_noise else flat[lit]
+    lit_dn = rng.normal(bg, sigma, lit.size) + signal  # raises "scale < 0" for any frame
+    if sigma > 0:
+        out = _sample_background(rng, flat.size, bg, sigma)
     else:
-        lit, signal = slice(None), flat
-    if scene.background_sigma_dn > 0 or scene.background_mean_dn != 0:
-        out = rng.normal(scene.background_mean_dn, scene.background_sigma_dn, size=flat.size)
-    else:
-        out = np.zeros(flat.size)
-    out[lit] += signal
-    np.rint(out, out=out)
-    np.clip(out, 0, 255, out=out)
-    return out.astype(np.uint8).reshape(field.shape)
+        out = np.full(flat.size, np.clip(np.rint(bg), 0, 255), dtype=np.uint8)
+    out[lit] = np.clip(np.rint(lit_dn), 0, 255)
+    return out.reshape(field.shape)
+
+
+@lru_cache(maxsize=8)
+def background_table(mean: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 255-entry CDF of ``rint(clip(mean + sigma * Z, 0, 255))`` and
+    its ``BACKGROUND_CELLS``-entry lookup table.
+
+    ``cdf[k]`` is P(level <= k); level 255 takes the rest.  Table entry c
+    is the level of every u in [c, c + 1) / BACKGROUND_CELLS, or
+    ``256 + level(c / BACKGROUND_CELLS)`` when that cell straddles a CDF
+    step.
+    """
+    with np.errstate(over="ignore"):  # a tiny sigma: +-inf, so the CDF steps from 0 to 1
+        cdf = ndtr((np.arange(255) + 0.5 - mean) / sigma)
+    edges = np.arange(BACKGROUND_CELLS + 1) / BACKGROUND_CELLS
+    low = np.searchsorted(cdf, edges[:-1], "right")
+    high = np.searchsorted(cdf, edges[1:], "left")
+    table = np.where(low == high, low, 256 + low).astype(np.uint16)
+    cdf.setflags(write=False)
+    table.setflags(write=False)
+    return cdf, table
+
+
+def _sample_background(rng: np.random.Generator, n: int, mean: float, sigma: float) -> np.ndarray:
+    """``n`` uint8 draws of the quantized background: one uint16 cell per
+    pixel, and an exact inverse-CDF draw inside the cell where it
+    straddles two levels."""
+    cdf, table = background_table(mean, sigma)
+    cells = rng.integers(0, BACKGROUND_CELLS, n, dtype=np.uint16)
+    levels = table.take(cells)
+    straddle = np.flatnonzero(levels > 255)
+    u = (cells[straddle] + rng.random(straddle.size)) / BACKGROUND_CELLS
+    levels[straddle] = np.searchsorted(cdf, u, "right")
+    return levels.astype(np.uint8)
 
 
 def _peak_near(data: np.ndarray, x: float, y: float, sigma: float) -> float:

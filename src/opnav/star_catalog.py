@@ -154,13 +154,33 @@ def load_catalog(path) -> StarCatalog:
         raise CatalogError(f"{exc} in {path}") from None
 
 
+def _degrees_text(angle: float) -> str:
+    """The shortest degree string whose ``math.radians`` is ``angle`` bit
+    for bit; ``repr(math.degrees(angle))`` when no float64 degree value
+    maps there (about 9 % of arbitrary angles: radians() skips values).
+
+    The search covers ``math.degrees(angle)`` and its two float64
+    neighbours (no preimage lay farther in 4 million random angles); ties
+    in length go to ``math.degrees(angle)``, then to the lower neighbour.
+    """
+    nearest = math.degrees(angle)
+    candidates = (nearest, math.nextafter(nearest, -math.inf), math.nextafter(nearest, math.inf))
+    exact = [repr(d) for d in candidates if math.radians(d).hex() == angle.hex()]
+    return min(exact, key=len, default=repr(nearest))
+
+
 def save_catalog(catalog: StarCatalog, path) -> None:
-    """Write a StarCatalog back out in the raw text format."""
+    """Write a StarCatalog back out in the raw text format.
+
+    Each angle is the shortest degree string that ``load_catalog`` reads
+    back to the stored radians, so every catalog read from a file (and
+    any angle that ``math.radians`` can produce) round-trips bit-exactly.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# id,ra_deg,dec_deg,vmag\n")
         columns = (catalog.ids, catalog.right_ascension, catalog.declination, catalog.magnitudes)
         for star_id, ra, dec, mag in zip(*(column.tolist() for column in columns)):
-            fh.write(f"{star_id},{math.degrees(ra)!r},{math.degrees(dec)!r},{mag!r}\n")
+            fh.write(f"{star_id},{_degrees_text(ra)},{_degrees_text(dec)},{mag!r}\n")
 
 
 def build_pair_database(catalog: StarCatalog, mag_limit: float, max_angle_rad: float) -> PairDatabase:

@@ -52,8 +52,13 @@ def test_parse_error_names_line(tmp_path):
 
 @pytest.mark.parametrize(
     "line, reason",
-    [("venus,t0,1,2", "expected 6 fields, got 4"), ("venus,t0,inf,2,3,0", "bad position for venus: [inf, 2.0, 3.0]")],
-    ids=["short", "inf_position"],
+    [
+        ("venus,t0,1,2", "expected 6 fields, got 4"),
+        ("venus,t0,inf,2,3,0", "bad position for venus: [inf, 2.0, 3.0]"),
+        ("venus,t0,1,2,3,nan", "magnitude nan of venus is not finite"),
+        ("venus,t0,1,2,3,-inf", "magnitude -inf of venus is not finite"),
+    ],
+    ids=["short", "inf_position", "nan_magnitude", "inf_magnitude"],
 )
 def test_line_error_names_file_and_line(tmp_path, line, reason):
     path = tmp_path / "bad.csv"
@@ -68,6 +73,12 @@ def test_nonfinite_position_rejected():
         Planet("x", np.array([np.inf, 0, 0]), 1.0)
     with pytest.raises(EphemerisError):
         Planet("x", np.zeros(2), 1.0)
+
+
+@pytest.mark.parametrize("magnitude", [np.nan, np.inf, -np.inf])
+def test_nonfinite_magnitude_rejected(magnitude):
+    with pytest.raises(EphemerisError, match=f"magnitude {magnitude} of x is not finite"):
+        Planet("x", np.zeros(3), magnitude)
 
 
 def test_roundtrip_bit_exact(tmp_path):

@@ -378,8 +378,8 @@ def test_frozen_campaign_digest(sky, tmp_path):
         for name in ("scenarios.csv", "pdf_errors.csv")
     }
     assert digests == {
-        "scenarios.csv": "a175f37ca9ecbef3f4c46ea24f420b87a8fa4c9444390abdf72f45c537de1006",
-        "pdf_errors.csv": "70f63b7b26d16f5536a43a93896be4c4483cc82c122711aae33a8ff5990236e2",
+        "scenarios.csv": "66b1a3019b5871d513286925a1a5912b838136ce5b59dc19aeea2c6ca2b8c726",
+        "pdf_errors.csv": "6c441de9fd81f914334b119f145526aad41eea9ba5018011418d855ebe2456c6",
     }
 
 
@@ -491,12 +491,12 @@ def _cli(*args):
 # The README commands at the default config; the .npz entries carry a
 # fixed 1980 date, so every output is reproducible byte for byte.
 README_SCENE_SHA256 = {
-    "catalog.csv": "83cb619f4169b26497374af69038c461eed0c8e4c6eafd348a6124e3c781ddcf",
+    "catalog.csv": "f0bb2c129f9557de2421499ef93bfc987b1b6dcc2910f4854c3a9d400d1c118b",
     "planets.csv": "a278447ce32b00cf4397a7cb31095505ecfb350e1a285ee821b3e61a73f6e592",
-    "onboard.npz": "e84b99309a0d84f9b6da4f86927e70b1fb05d0bef996585ad9945917562ea0c9",
-    "frame.pgm": "a7b829c94c183dea711a000a4ec3ed8c19e71c7e5e40f646beea8d1eeec29d4b",
-    "frame_truth.csv": "dc539a41c7c1d8d90e503a3a0d8443fc4ee40841f0271001ada3c0ce3171d867",
-    "process stdout": "7d21139a76c51ceca85871d9da1c7480ff7456ce169ef3f573e6be13c33ffb47",
+    "onboard.npz": "878217fa291e0a24639be8f6743b937b12471bf0e979b3659a1aa5a048fb4940",
+    "frame.pgm": "b839a90ee006e84083e3927a53cbcafa5df6b84197bcc9edbe91b0313c0f037a",
+    "frame_truth.csv": "1a0f87909a6ff9a375fb1b681025a2ad122405d89b9961379c8e6aca39446bfa",
+    "process stdout": "2a652f9c6a8a4c3ede575f66856c3d396e0aecc1596d26672c2ae482c4eea1b0",
 }
 
 
@@ -578,6 +578,18 @@ class TestCli:
         r = _cli("render", "--scene", str(scene), "--out", str(tmp_path / "f.pgm"), "--truth", str(tmp_path / "t.csv"))
         assert r.returncode == 1
         assert r.stderr == f"error: {scene} line 4: {expected}\n"
+
+    def test_render_rejects_non_finite_planet_magnitude(self, tmp_path):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("1,0,0,1.0\n")
+        eph = tmp_path / "planets.csv"
+        eph.write_text("# name,epoch,x_km,y_km,z_km,app_mag\nmars,t0,2.2e8,0,0,nan\n")
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(f"catalog={catalog}\nephemeris={eph}\nalpha_rad=0\ndelta_rad=0\nphi_rad=0\n")
+        r = _cli("render", "--scene", str(scene), "--out", str(tmp_path / "f.pgm"), "--truth", str(tmp_path / "t.csv"))
+        assert r.returncode == 1
+        assert r.stderr == f"error: {eph} line 2: magnitude nan of mars is not finite\n"
+        assert not (tmp_path / "f.pgm").exists()
 
     def test_montecarlo_outputs(self, tmp_path):
         out = tmp_path / "mc"

@@ -1,18 +1,27 @@
-"""Property: the sparse noise stage of ``render`` equals the dense one.
+"""Properties of the noise stage of ``render``.
 
-The reference draws Poisson shot noise over every pixel of the signal
-field, adds the Gaussian background as a separate full-frame array, and
-rounds, clamps and casts, the way ``render`` did before shot noise was
-drawn on the lit pixels only.  ``Generator.poisson`` takes no draw for a
-zero rate, so both forms must give the same bytes for any scene.
+Away from lit pixels each pixel is ``rint(clip(mean + sigma * Z))``, a
+fixed pmf over 0..255, which ``render`` samples with a 2^16-cell lookup
+table and an exact inverse-CDF draw inside the cells that straddle two
+levels.  Three properties pin it:
+
+* the table's level probabilities equal the exact pmf to float64;
+* 10^7 sampled pixels pass a chi-square test against that pmf;
+* ``render`` equals a slow per-pixel reference of the same algorithm,
+  lit pixels and random stream order included, for any scene.
 """
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
+from scipy.stats import chisquare
 
 from opnav.geometry import CameraModel, PointingAngles
-from opnav.renderer import SceneSpec, render, render_field
+from opnav.renderer import BACKGROUND_CELLS, SceneSpec, _sample_background, background_table, render, render_field
 from opnav.star_catalog import catalog_from_records
 
 WIDTH, HEIGHT = 40, 30
@@ -21,13 +30,39 @@ CORNERS = ((0.0, 0.0, 900.0), (WIDTH - 1.0, HEIGHT - 1.0, 900.0))
 OVERLAPPING = ((12.3, 14.1, 1500.0), (13.0, 14.6, 800.0), (12.8, 13.2, 40.0))
 
 
-def dense_reference(field, scene):
+def exact_pmf(mean, sigma):
+    """P(level k), k = 0..255, of rint(clip(mean + sigma * Z, 0, 255))."""
+    cdf = ndtr((np.arange(255) + 0.5 - mean) / sigma)
+    return np.diff(np.concatenate(([0.0], cdf, [1.0])))
+
+
+def reference_noise(field, scene):
+    """The noise stage pixel by pixel, in the documented stream order."""
+    mean, sigma = scene.background_mean_dn, scene.background_sigma_dn
     rng = np.random.default_rng(scene.seed)
-    if scene.photon_noise:
-        field = rng.poisson(field).astype(np.float64)
-    if scene.background_sigma_dn > 0 or scene.background_mean_dn != 0:
-        field = field + rng.normal(scene.background_mean_dn, scene.background_sigma_dn, size=field.shape)
-    return np.clip(np.rint(field), 0, 255).astype(np.uint8)
+    flat = field.ravel()
+    lit = [i for i, v in enumerate(flat.tolist()) if v != 0]
+    signal = rng.poisson(flat[lit]) if scene.photon_noise else flat[lit]
+    lit_dn = rng.normal(mean, sigma, len(lit)) + signal
+    out = np.empty(flat.size, dtype=np.uint8)
+    if sigma > 0:
+        with np.errstate(over="ignore"):
+            cdf = ndtr((np.arange(255) + 0.5 - mean) / sigma).tolist()
+        cells = rng.integers(0, 2**16, flat.size, dtype=np.uint16).tolist()
+        straddling = []
+        for i, c in enumerate(cells):
+            low, high = bisect_right(cdf, c / 2**16), bisect_left(cdf, (c + 1) / 2**16)
+            if low == high:
+                out[i] = low
+            else:
+                straddling.append(i)
+        for i, r in zip(straddling, rng.random(len(straddling)).tolist()):
+            out[i] = bisect_right(cdf, (cells[i] + r) / 2**16)
+    else:
+        out[:] = min(max(np.rint(mean), 0), 255)
+    for i, v in zip(lit, lit_dn.tolist()):
+        out[i] = min(max(np.rint(v), 0), 255)
+    return out.reshape(field.shape)
 
 
 def scene_of(sources, photon_noise, background, seed):
@@ -74,6 +109,41 @@ background = st.one_of(
 )
 
 
+BACKGROUNDS = [(5.0, 2.0), (100.2, 7.3), (0.3, 1.7), (250.0, 3.0), (-3.0, 0.5), (5.0, 1e-3), (128.0, 300.0)]
+
+
+@pytest.mark.parametrize("mean, sigma", BACKGROUNDS)
+def test_table_level_probabilities_are_exact(mean, sigma):
+    cdf, table = background_table(mean, sigma)
+    pmf = exact_pmf(mean, sigma)
+    pure = table < 256
+    prob = np.bincount(table[pure], minlength=256) / BACKGROUND_CELLS
+    # a straddling cell [a, b) gives each level its overlap with [cdf[k - 1], cdf[k])
+    lower = np.concatenate(([0.0], cdf))
+    upper = np.concatenate((cdf, [1.0]))
+    for c in np.flatnonzero(~pure):
+        a, b = c / BACKGROUND_CELLS, (c + 1) / BACKGROUND_CELLS
+        prob += np.clip(np.minimum(b, upper) - np.maximum(a, lower), 0.0, None)
+        assert table[c] == 256 + np.searchsorted(cdf, a, "right")
+    np.testing.assert_allclose(prob, pmf, rtol=0, atol=1e-15)
+    if (mean, sigma) == (5.0, 2.0):
+        assert (~pure).sum() == 14
+
+
+@pytest.mark.parametrize("mean, sigma", BACKGROUNDS[:3], ids=["default", "bright", "clipped_at_0"])
+def test_sampled_background_chi_square(mean, sigma):
+    n = 10**7
+    counts = np.bincount(_sample_background(np.random.default_rng(20240611), n, mean, sigma), minlength=256)
+    expected = n * exact_pmf(mean, sigma)
+    # tail levels with fewer than 5 expected pixels join the nearest kept level
+    kept = np.flatnonzero(expected >= 5)
+    lo, hi = kept[0], kept[-1] + 1
+    observed = np.concatenate(([counts[: lo + 1].sum()], counts[lo + 1 : hi - 1], [counts[hi - 1 :].sum()]))
+    expected = np.concatenate(([expected[: lo + 1].sum()], expected[lo + 1 : hi - 1], [expected[hi - 1 :].sum()]))
+    assert counts.sum() == n
+    assert chisquare(observed, expected).pvalue > 1e-3
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     sources=sources,
@@ -89,11 +159,12 @@ background = st.one_of(
 @example(sources=list(OVERLAPPING), photon_noise=True, background=(5.0, 2.0), seed=4)
 @example(sources=list(OVERLAPPING), photon_noise=True, background=(0.0, 0.0), seed=4)
 @example(sources=list(OVERLAPPING), photon_noise=False, background=(0.0, 0.0), seed=4)
-def test_render_equals_dense_noise(sources, photon_noise, background, seed):
+@example(sources=list(OVERLAPPING), photon_noise=False, background=(7.6, 0.0), seed=4)
+def test_render_equals_reference_noise(sources, photon_noise, background, seed):
     scene = scene_of(sources, photon_noise, background, seed)
     field, _ = render_field(scene)
     image, _ = render(scene)
-    np.testing.assert_array_equal(image.data, dense_reference(field, scene))
+    np.testing.assert_array_equal(image.data, reference_noise(field, scene))
 
 
 def test_corner_example_lights_first_and_last_pixel():

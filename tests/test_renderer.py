@@ -112,14 +112,15 @@ class TestRender:
         assert t1 == t2
 
     # SHA-256 of the uint8 frame, default sky at DESK_POINTING, seed 99;
-    # recorded before shot noise was drawn on the lit pixels only.
+    # default and no_photon_noise recorded with the table-sampled
+    # background, no_background (no random background) before that.
     @pytest.mark.parametrize(
         "overrides, digest",
         [
-            ({}, "f6b6e65a6c2b7074956b81bdf322e0bec82fa503db9a75b236c916d53b556f27"),
+            ({}, "061f771db177c7c4bf1a158de9664013eecf5420a1f1a5aaed541d2ede40a2d0"),
             (
                 {"photon_noise": False},
-                "f71ebe5b381f6b5553b12e6d20b458df7a5a24d6b6abdb6a45e7ff96bed2a310",
+                "b19f6cf9a6cf5388355e9c9ad37b6333f27076837358526a32bd7dc7e2ff61ef",
             ),
             (
                 {"background_mean_dn": 0.0, "background_sigma_dn": 0.0},

@@ -1,9 +1,12 @@
 """Properties: quaternion <-> matrix and file-format round trips.
 
 Every file format writes floats with ``repr``, so a value read back is
-the value written, bit for bit.  The raw star catalog is the exception:
-it stores degrees, and ``math.radians(math.degrees(x))`` can differ from
-``x`` by one ulp, so its angles are checked to one ulp.
+the value written, bit for bit.  The raw star catalog stores degrees:
+each angle is written as the shortest degree string whose
+``math.radians`` is the stored angle, so it reads back bit for bit
+whenever such a float64 degree value exists.  ``math.radians`` skips
+about 9 % of arbitrary angles; those come back within one ulp, and the
+catalog read back is then a fixed point of the round trip.
 """
 
 import dataclasses
@@ -65,6 +68,24 @@ def test_quaternion_matrix_quaternion(q):
 # --- text and binary files ----------------------------------------------------
 
 
+def radians_preimage(angle: float) -> bool:
+    """Some float64 degree value within 4 ulps of ``math.degrees(angle)``
+    has ``math.radians`` equal to ``angle`` bit for bit."""
+    below = above = math.degrees(angle)
+    near = [below]
+    for _ in range(4):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        near += [below, above]
+    return any(bits(math.radians(d)) == bits(angle) for d in near)
+
+
+def catalog_columns(catalog) -> tuple[bytes, ...]:
+    return tuple(
+        column.tobytes()
+        for column in (catalog.ids, catalog.right_ascension, catalog.declination, catalog.magnitudes, catalog.unit_vectors)
+    )
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     stars=st.lists(
@@ -76,6 +97,8 @@ def test_quaternion_matrix_quaternion(q):
         max_size=20,
     )
 )
+@example(stars=[(math.radians(123.4), -0.0, 1.0), (0.0, math.pi / 2, 2.0), (2.0 * math.pi - 1e-15, -math.pi / 2, 3.0)])
+@example(stars=[(5.0000000000000036, 0.3000000000000003, 4.0)])  # neither angle has a float64 degree preimage
 def test_catalog_file(workdir, stars):
     catalog = catalog_from_records((3 * i + 1, ra, dec, m) for i, (ra, dec, m) in enumerate(stars))
     path = workdir / "catalog.csv"
@@ -83,10 +106,40 @@ def test_catalog_file(workdir, stars):
     back = load_catalog(path)
     assert back.ids.tolist() == catalog.ids.tolist()
     assert back.magnitudes.tobytes() == catalog.magnitudes.tobytes()
-    d_ra = (back.right_ascension - catalog.right_ascension + math.pi) % (2.0 * math.pi) - math.pi
-    assert (np.abs(d_ra) <= math.ulp(2.0 * math.pi)).all()
-    assert (np.abs(back.declination - catalog.declination) <= np.spacing(np.abs(catalog.declination))).all()
+    for name in ("right_ascension", "declination"):
+        stored, read = getattr(catalog, name), getattr(back, name)
+        exact = np.array([radians_preimage(a) for a in stored.tolist()], dtype=bool)
+        assert read[exact].tobytes() == stored[exact].tobytes()
+        assert (np.abs(read - stored)[~exact] <= np.spacing(np.abs(stored[~exact]))).all()
     np.testing.assert_allclose(back.unit_vectors, catalog.unit_vectors, rtol=0, atol=2e-15)
+    # a catalog read from a file round-trips bit for bit
+    save_catalog(back, path)
+    assert catalog_columns(load_catalog(path)) == catalog_columns(back)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    stars=st.lists(
+        st.tuples(
+            st.floats(0.0, 360.0, exclude_max=True),
+            st.floats(-90.0, 90.0),
+            st.integers(0, 12),
+            st.floats(-2.0, 12.0),
+        ),
+        max_size=20,
+    )
+)
+def test_catalog_text_written_back_unchanged(workdir, stars):
+    """Degrees of up to 12 decimals (15 significant digits at most), RA in
+    [0, 360), are the shortest strings for their angles: save writes the
+    file back as read."""
+    text = "# id,ra_deg,dec_deg,vmag\n" + "".join(
+        f"{i + 1},{round(ra, k) % 360.0!r},{round(dec, k)!r},{mag!r}\n" for i, (ra, dec, k, mag) in enumerate(stars)
+    )
+    path = workdir / "typed.csv"
+    path.write_text(text)
+    save_catalog(load_catalog(path), path)
+    assert path.read_text() == text
 
 
 @settings(max_examples=15, deadline=None)
