@@ -87,8 +87,8 @@ def projection_jacobian(
     """
     q = attitude_q.q
     a = matrix_from_quaternion(q)
-    rho, h, in_front = project_points(camera, a, sc_position_km, [beacon_position_km])
-    if not in_front[0]:
+    rho, h, px = project_points(camera, a, sc_position_km, [beacon_position_km])
+    if math.isnan(px[0, 0]):
         raise ValueError("beacon is behind the camera")
     return _jacobians(camera.intrinsic, q, a, rho, h)[0]
 
@@ -201,18 +201,15 @@ def predict_projections(
     """
     q = attitude_q.q
     a = matrix_from_quaternion(q)
-    rho, h, in_front = project_points(camera, a, sc_position_km, beacon_positions_km)
+    rho, h, px = project_points(camera, a, sc_position_km, beacon_positions_km)
     out: list[ProjectionPrediction | None] = [None] * len(rho)
-    front = np.flatnonzero(in_front)
+    front = np.flatnonzero(~np.isnan(px[:, 0]))
     if not len(front):
         return out
-    k = camera.intrinsic
-    h = h[front]
-    expected = h[:, :2] / h[:, 2:]
-    jac = _jacobians(k, q, a, rho[front], h)
+    jac = _jacobians(camera.intrinsic, q, a, rho[front], h[front])
     p = floor_covariance(projection_covariance(jac, budget), floor_px)
-    for i, px, cov, ellipse in zip(front.tolist(), expected, p, covariance_ellipses(p)):
-        out[i] = ProjectionPrediction(expected_px=px, covariance=cov, ellipse=ellipse)
+    for i, expected, cov, ellipse in zip(front.tolist(), px[front], p, covariance_ellipses(p)):
+        out[i] = ProjectionPrediction(expected_px=expected, covariance=cov, ellipse=ellipse)
     return out
 
 

@@ -32,7 +32,7 @@ from .harness import (
     write_report,
     write_scenarios_csv,
 )
-from .renderer import SceneSpec, read_pgm, render, write_pgm, write_truth
+from .renderer import read_pgm, render, write_pgm, write_truth
 from .star_catalog import (
     CatalogError,
     build_kvector,
@@ -105,8 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_build_catalog(args) -> int:
     catalog = load_catalog(args.raw)
     db = build_pair_database(catalog, args.mlim, math.radians(args.gamma_max_deg))
-    index = build_kvector(db)
-    save_pair_database(db, index, args.out)
+    save_pair_database(db, args.out)
     print(f"{len(catalog)} stars -> {len(db)} pairs -> {args.out}")
     return 0
 
@@ -152,21 +151,12 @@ def _cmd_render(args) -> int:
     cfg = load_config(kv["config"]) if "config" in kv else PipelineConfig()
     catalog = load_catalog(kv["catalog"])
     planets = planets_at(kv["ephemeris"], kv.get("epoch")) if "ephemeris" in kv else ()
-    scene = SceneSpec(
-        camera=cfg.camera(),
-        true_attitude=PointingAngles(alpha=kv["alpha_rad"], delta=kv["delta_rad"], phi=kv["phi_rad"]),
-        sc_position_km=np.array([kv.get("sc_x_km", 0.0), kv.get("sc_y_km", 0.0), kv.get("sc_z_km", 0.0)]),
-        star_catalog=catalog,
-        planets=planets,
-        render_mag_cutoff=kv.get("mag_cutoff", cfg.render_mag_cutoff),
-        background_mean_dn=cfg.background_mean_dn,
-        background_sigma_dn=cfg.background_sigma_dn,
-        photon_noise=cfg.photon_noise,
-        seed=kv.get("seed", 0),
-        anchor_mag=cfg.anchor_mag,
-        anchor_peak_dn=cfg.anchor_peak_dn,
-    )
-    image, truth = render(scene)
+    cfg.render_mag_cutoff = kv.get("mag_cutoff", cfg.render_mag_cutoff)
+    image, truth = render(cfg.scene(
+        PointingAngles(alpha=kv["alpha_rad"], delta=kv["delta_rad"], phi=kv["phi_rad"]),
+        np.array([kv.get("sc_x_km", 0.0), kv.get("sc_y_km", 0.0), kv.get("sc_z_km", 0.0)]),
+        catalog, planets, kv.get("seed", 0),
+    ))
     write_pgm(image, args.out)
     write_truth(truth, args.truth)
     n_vis = sum(1 for o in truth.objects if o.visible)
@@ -215,7 +205,7 @@ def _cmd_process(args) -> int:
         return 3
     sol = attitude_out.solution
     retry = attitude_out.retry
-    print(f"threshold={retry.threshold:.3f} iterations={retry.result.iterations_used}")
+    print(f"threshold={retry.threshold:.3f} iterations={retry.iterations}")
     for m in retry.result.matches:
         tag = "outlier" if m.centroid_index in sol.outlier_centroids else "inlier"
         x, y = retry.centroids[m.centroid_index]

@@ -16,6 +16,7 @@ from .geometry import ARCSEC_TO_RAD, CameraModel
 from .star_id import IdentifyConfig
 from .attitude_solver import RansacConfig
 from .beacon_detection import UncertaintyBudget
+from .renderer import SceneSpec
 
 
 @dataclass
@@ -103,6 +104,23 @@ class PipelineConfig:
             exposure_ms=self.exposure_ms,
             qe_tlens=self.qe_tlens,
             defocus_sigma_px=self.defocus_sigma_px,
+        )
+
+    def scene(self, pointing, sc_position_km, catalog, planets, seed) -> SceneSpec:
+        """The scene this camera and renderer setup sees from one pose."""
+        return SceneSpec(
+            camera=self.camera(),
+            true_attitude=pointing,
+            sc_position_km=sc_position_km,
+            star_catalog=catalog,
+            planets=planets,
+            render_mag_cutoff=self.render_mag_cutoff,
+            background_mean_dn=self.background_mean_dn,
+            background_sigma_dn=self.background_sigma_dn,
+            photon_noise=self.photon_noise,
+            seed=seed,
+            anchor_mag=self.anchor_mag,
+            anchor_peak_dn=self.anchor_peak_dn,
         )
 
     def identify_config(self) -> IdentifyConfig:

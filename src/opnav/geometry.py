@@ -17,7 +17,7 @@ Conventions shared by every module in this package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,8 +257,8 @@ def project_point(
     clipping is applied; callers decide what off-image means.  The
     one-target call of ``project_points``.
     """
-    _, h, in_front = project_points(camera, attitude_matrix, sc_position, [target_position])
-    return h[0, :2] / h[0, 2] if in_front[0] else None
+    px = project_points(camera, attitude_matrix, sc_position, [target_position])[2][0]
+    return None if math.isnan(px[0]) else px
 
 
 def project_star(
@@ -279,10 +279,9 @@ def project_points(
     Returns
     -------
     rho : (n, 3) spacecraft-to-target vectors in N.
-    h : (n, 3) homogeneous pixels K A rho; the pixel of row i is
-        h[i, :2] / h[i, 2], valid only where ``in_front`` is True.
-    in_front : (n,) boolean array, False where the third camera-frame
-        component is <= 0.
+    h : (n, 3) homogeneous pixels K A rho.
+    px : (n, 2) pixels h[i, :2] / h[i, 2]; NaN where the third
+        camera-frame component is <= 0 (behind the camera).
 
     Each row goes through stacked ``matmul``, so it comes out as the
     one-target products ``A @ rho`` and ``K @ rho_c`` would.  Raises
@@ -293,7 +292,8 @@ def project_points(
         raise ValueError("target coincides with the spacecraft position")
     rho_c = (attitude_matrix @ rho[:, :, None])[:, :, 0]
     h = (camera.intrinsic @ rho_c[:, :, None])[:, :, 0]
-    return rho, h, rho_c[:, 2] > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return rho, h, np.where(rho_c[:, 2:] > 0.0, h[:, :2] / h[:, 2:], np.nan)
 
 
 def los_from_pixel(camera: CameraModel, pixel) -> np.ndarray:

@@ -46,19 +46,21 @@ from .config import PipelineConfig
 from .ephemeris import Planet
 from .geometry import (
     RAD_TO_ARCSEC,
-    Attitude,
     CameraModel,
     PointingAngles,
     angular_separation,
     attitude_from_axis_azimuth,
     project_points,
 )
-from .renderer import GroundTruth, SceneSpec, TruthObject, render
+from .renderer import GroundTruth, TruthObject, render
 from .skysim import AU_KM, seen_from
 from .star_catalog import KVectorIndex, PairDatabase, StarCatalog
 from .star_id import IdentifyConfig, RetryResult, identify_with_retry
 
 PLANET_ASSOC_RADIUS_PX = 5.0
+# Smallest share of declination draws that may fall inside +-delta_max_rad:
+# the rejection sampler takes 1/share draws per scenario on average.
+MIN_DECLINATION_ACCEPT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -86,14 +88,13 @@ class AttitudeOutput:
     retry: RetryResult | None
     solution: AttitudeSolution | None
     spike_centroids: tuple[int, ...]  # unmatched + RANSAC-relabeled
-    spike_positions: np.ndarray  # (k, 2)
 
 
 @dataclass(frozen=True)
 class BeaconObservation:
     prediction: ProjectionPrediction | None
     attempted: bool  # False when the expected projection is off-frame
-    spike_index: int | None  # index into spike_positions
+    spike_index: int | None  # index into spike_centroids
     selected_px: np.ndarray | None
 
 
@@ -108,12 +109,12 @@ def solve_attitude(
 ) -> AttitudeOutput:
     retry = identify_with_retry(image_data, camera, catalog, db, index, identify_cfg)
     if retry is None:
-        return AttitudeOutput(None, None, (), np.empty((0, 2)))
+        return AttitudeOutput(None, None, ())
     solution = ransac_attitude(retry.result.matches, ransac_cfg)
     if solution is None:
-        return AttitudeOutput(retry, None, (), np.empty((0, 2)))
+        return AttitudeOutput(retry, None, ())
     spike_centroids = tuple(sorted(set(retry.result.spikes) | set(solution.outlier_centroids)))
-    return AttitudeOutput(retry, solution, spike_centroids, retry.centroids[list(spike_centroids)])
+    return AttitudeOutput(retry, solution, spike_centroids)
 
 
 def detect_beacons(
@@ -131,15 +132,16 @@ def detect_beacons(
     predictions = predict_projections(
         camera, solution.quaternion, est_position_km, [p.position_km for p in planets], budget, floor_px
     )
+    spikes = attitude_out.retry.centroids[list(attitude_out.spike_centroids)]
     out: dict[str, BeaconObservation] = {}
     for planet, prediction in zip(planets, predictions):
         attempted = prediction is not None and camera.in_frame(*prediction.expected_px)
         spike_index = None
         selected = None
-        if attempted and len(attitude_out.spike_positions):
-            spike_index = detect_beacon(attitude_out.spike_positions, prediction)
+        if attempted and len(spikes):
+            spike_index = detect_beacon(spikes, prediction)
             if spike_index is not None:
-                selected = attitude_out.spike_positions[spike_index]
+                selected = spikes[spike_index]
         out[planet.name] = BeaconObservation(prediction, attempted, spike_index, selected)
     return out
 
@@ -320,6 +322,12 @@ def sample_scenarios(
         raise ValueError("need at least one scenario")
     if not cfg.delta_max_rad > 0:
         raise ValueError("delta_max_rad must be > 0")
+    accept = math.erf(cfg.delta_max_rad / (cfg.delta_sigma_rad * math.sqrt(2.0))) if cfg.delta_sigma_rad else 1.0
+    if accept < MIN_DECLINATION_ACCEPT:
+        raise ValueError(
+            f"delta_max_rad {cfg.delta_max_rad!r} keeps only a fraction {accept:.3g} of the declination "
+            f"draws of delta_sigma_rad {cfg.delta_sigma_rad!r} (need >= {MIN_DECLINATION_ACCEPT:g})"
+        )
     specs = []
     for idx in range(n):
         rng = np.random.default_rng(np.random.SeedSequence((master_seed, idx, 0)))
@@ -331,14 +339,14 @@ def sample_scenarios(
         phi = rng.uniform(0.0, 2.0 * math.pi)
         pointing = PointingAngles(alpha=alpha, delta=delta, phi=phi)
         attitude = attitude_from_axis_azimuth(pointing)
-        _, h, front = project_points(camera, attitude, pos, [p.position_km for p in planets])
+        pixels = project_points(camera, attitude, pos, [p.position_km for p in planets])[2]
         specs.append(
             ScenarioSpec(
                 index=idx,
                 sc_position_km=pos,
                 pointing=pointing,
                 planets=tuple(seen_from(p, pos) for p in planets),
-                planet_in_frame=any(camera.in_frame(*px) for px in h[front, :2] / h[front, 2:]),
+                planet_in_frame=any(camera.in_frame(*px) for px in pixels),
             )
         )
     return specs
@@ -370,6 +378,9 @@ def run_campaign(
     identify_cfg = cfg.identify_config()
     sigma_r_list = [float(s) for s in sigma_r_list]
     budgets = [cfg.budget(s) for s in sigma_r_list]
+    repeated = next((s for i, s in enumerate(sigma_r_list) if s in sigma_r_list[:i]), None)
+    if repeated is not None:  # aggregate() selects a sigma_r's records by value
+        raise ValueError(f"sigma_r {repeated!r} km is listed more than once")
     specs = sample_scenarios(n, master_seed, cfg, camera, planets)
     records: list[ScenarioRecord] = []
 
@@ -382,21 +393,7 @@ def run_campaign(
             np.random.SeedSequence((master_seed, spec.index, 3))
         ).standard_normal(3)
 
-        scene = SceneSpec(
-            camera=camera,
-            true_attitude=spec.pointing,
-            sc_position_km=spec.sc_position_km,
-            star_catalog=catalog,
-            planets=spec.planets,
-            render_mag_cutoff=cfg.render_mag_cutoff,
-            background_mean_dn=cfg.background_mean_dn,
-            background_sigma_dn=cfg.background_sigma_dn,
-            photon_noise=cfg.photon_noise,
-            seed=render_seed,
-            anchor_mag=cfg.anchor_mag,
-            anchor_peak_dn=cfg.anchor_peak_dn,
-        )
-        image, truth = render(scene)
+        image, truth = render(cfg.scene(spec.pointing, spec.sc_position_km, catalog, spec.planets, render_seed))
         attitude_out = solve_attitude(
             image.data, camera, catalog, db, index, identify_cfg, cfg.ransac_config(ransac_seed)
         )
@@ -415,7 +412,7 @@ def run_campaign(
             n_centroids=len(retry.centroids) if retry else 0,
             n_matches=len(solution.inlier_centroids) if solution else 0,
             n_spikes=len(attitude_out.spike_centroids),
-            iterations=retry.result.iterations_used if retry else 0,
+            iterations=retry.iterations if retry else 0,
             outcome=attitude,
         )
 

@@ -157,13 +157,6 @@ def _deposit(field: np.ndarray, x: float, y: float, flux: float, sigma: float) -
     field[y0 : y1 + 1, x0 : x1 + 1] += flux * np.outer(fy, fx)
 
 
-def _pixels(camera: CameraModel, attitude: np.ndarray, sc_position, targets) -> np.ndarray:
-    """(n, 2) ``project_points`` pixels, NaN where a target is behind the camera."""
-    _, h, in_front = project_points(camera, attitude, sc_position, targets)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(in_front[:, None], h[:, :2] / h[:, 2:], np.nan)
-
-
 def render_field(scene: SceneSpec) -> tuple[np.ndarray, list[TruthObject]]:
     """Noise-free, unclamped float signal field plus the projected objects.
 
@@ -180,8 +173,8 @@ def render_field(scene: SceneSpec) -> tuple[np.ndarray, list[TruthObject]]:
     field = np.zeros((cam.height, cam.width))
     margin = PSF_TRUNCATION_SIGMAS * cam.defocus_sigma_px + 1.0
     stars = scene.star_catalog
-    star_px = _pixels(cam, att, np.zeros(3), stars.unit_vectors)
-    planet_px = _pixels(cam, att, scene.sc_position_km, [p.position_km for p in scene.planets])
+    star_px = project_points(cam, att, np.zeros(3), stars.unit_vectors)[2]
+    planet_px = project_points(cam, att, scene.sc_position_km, [p.position_km for p in scene.planets])[2]
     with np.errstate(invalid="ignore"):  # NaN rows (behind camera) compare False
         in_box = ((star_px >= -margin) & (star_px <= np.array([cam.width, cam.height]) - 1 + margin)).all(axis=1)
     rows = np.flatnonzero(in_box & (stars.magnitudes <= scene.render_mag_cutoff))

@@ -276,30 +276,22 @@ def kvector_range_queries(
     return bracket[keep], offsets
 
 
-def save_pair_database(db: PairDatabase, index: KVectorIndex, path) -> None:
-    """Persist database + k-vector as a single .npz artifact (bit-exact)."""
-    np.savez(
-        path,
-        cos_angles=db.cos_angles,
-        star_i=db.star_i,
-        star_j=db.star_j,
-        mag_limit=np.float64(db.mag_limit),
-        max_angle_rad=np.float64(db.max_angle_rad),
-        counts=index.counts,
-        intercept=np.float64(index.intercept),
-        slope=np.float64(index.slope),
-    )
+_ARTIFACT_KEYS = ("cos_angles", "star_i", "star_j", "mag_limit", "max_angle_rad")
 
 
-_ARTIFACT_KEYS = ("cos_angles", "star_i", "star_j", "mag_limit", "max_angle_rad", "counts", "intercept", "slope")
+def save_pair_database(db: PairDatabase, path) -> None:
+    """Persist the pair table as a single .npz artifact (bit-exact); the
+    k-vector is rebuilt from it on load."""
+    np.savez(path, **{key: getattr(db, key) for key in _ARTIFACT_KEYS})
 
 
 def load_pair_database(path) -> tuple[PairDatabase, KVectorIndex]:
-    """Read a ``save_pair_database`` artifact.
+    """Read a ``save_pair_database`` artifact and rebuild its k-vector.
 
     Raises CatalogError naming ``path`` when a key is missing, the pair
-    arrays and ``counts`` differ in length, the cosines are not sorted, or
-    the stored k-vector is not bit-equal to ``build_kvector`` of them.
+    arrays differ in length, the cosines are not sorted, or they admit no
+    k-vector.  The ``counts``, ``intercept`` and ``slope`` keys of an older
+    artifact are ignored.
     """
     with np.load(path) as z:
         missing = [key for key in _ARTIFACT_KEYS if key not in z.files]
@@ -312,25 +304,14 @@ def load_pair_database(path) -> tuple[PairDatabase, KVectorIndex]:
             mag_limit=float(z["mag_limit"]),
             max_angle_rad=float(z["max_angle_rad"]),
         )
-        index = KVectorIndex(
-            counts=z["counts"], intercept=float(z["intercept"]), slope=float(z["slope"])
-        )
-    shapes = {a.shape for a in (db.cos_angles, db.star_i, db.star_j, index.counts)}
-    if len(shapes) != 1 or db.cos_angles.ndim != 1:
-        raise CatalogError(f"{path}: cos_angles, star_i, star_j and counts are not 1-D arrays of one length")
+    if len({a.shape for a in (db.cos_angles, db.star_i, db.star_j)}) != 1 or db.cos_angles.ndim != 1:
+        raise CatalogError(f"{path}: cos_angles, star_i and star_j are not 1-D arrays of one length")
     if not (np.diff(db.cos_angles) >= 0).all():
         raise CatalogError(f"{path}: cos_angles are not sorted ascending")
     try:
-        rebuilt = build_kvector(db)
+        return db, build_kvector(db)
     except CatalogError as exc:
         raise CatalogError(f"{path}: {exc}") from None
-    if _kvector_bits(rebuilt) != _kvector_bits(index):
-        raise CatalogError(f"{path}: the stored k-vector differs from the one its cosines give")
-    return db, index
-
-
-def _kvector_bits(index: KVectorIndex) -> bytes:
-    return index.counts.tobytes() + np.float64([index.intercept, index.slope]).tobytes()
 
 
 # A pair cosine recomputed from the catalog agrees with the stored one to

@@ -22,7 +22,7 @@ asterism is recognized or fewer than three centroids survive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class StarMatch:
 class MatchResult:
     matches: tuple[StarMatch, ...]
     spikes: tuple[int, ...]  # centroid indices with no accepted assignment
-    iterations_used: int = 1
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,7 @@ class IdentifyConfig:
 class RetryResult:
     result: MatchResult
     threshold: float
+    iterations: int  # centroiding + identification attempts made
     centroids: np.ndarray  # (n, 2) pixel x, y of every centroid
     span: np.ndarray  # (n,) component span of every centroid
 
@@ -209,10 +209,5 @@ def identify_with_retry(
             return None
         result = identify_stars(xy, camera, catalog, db, index, config.epsilon_rad)
         if result is not None:
-            return RetryResult(
-                result=replace(result, iterations_used=iteration + 1),
-                threshold=threshold,
-                centroids=xy,
-                span=span,
-            )
+            return RetryResult(result, threshold, iteration + 1, xy, span)
     return None

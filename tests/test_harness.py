@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import subprocess
 import sys
 
@@ -27,7 +28,7 @@ from opnav.harness import (
     write_pdf_errors_csv,
     write_scenarios_csv,
 )
-from opnav.renderer import GroundTruth, Image, TruthObject, write_pgm
+from opnav.renderer import GroundTruth, Image, TruthObject, read_truth, write_pgm
 from opnav.skysim import AU_KM, seen_from, solar_system, synthetic_catalog
 from opnav.star_catalog import (
     build_kvector,
@@ -67,12 +68,13 @@ def _attitude_output(pointing_err_arcsec=0.0, centroids=NO_CENTROIDS, spikes=(),
         consensus_score=5,
     )
     retry = RetryResult(
-        result=MatchResult(matches=(), spikes=tuple(spikes), iterations_used=1),
+        result=MatchResult(matches=(), spikes=tuple(spikes)),
         threshold=45.0,
+        iterations=1,
         centroids=xy,
         span=span,
     )
-    return AttitudeOutput(retry, solution, tuple(spikes), xy[list(spikes)])
+    return AttitudeOutput(retry, solution, tuple(spikes))
 
 
 def _truth(planet_xy=(400.0, 300.0), peak=200.0, visible=True):
@@ -102,7 +104,7 @@ def _obs(expected=(400.0, 300.0), attempted=True, spike_index=None, selected=Non
 
 class TestClassifyOutcome:
     def test_no_attitude(self, camera, cfg):
-        out = AttitudeOutput(None, None, (), np.empty((0, 2)))
+        out = AttitudeOutput(None, None, ())
         label = classify_outcome(_truth(), out, {}, camera, cfg)
         assert label.label == "ATT_NONE"
         assert label.attitude_status == "none"
@@ -267,11 +269,29 @@ class TestSampleScenarios:
         assert far.magnitude == pytest.approx(mars.magnitude + 5.0)
         np.testing.assert_array_equal(far.position_km, mars.position_km)
 
-    @pytest.mark.parametrize("bound", [0.0, -0.1, math.nan])
-    def test_nonpositive_delta_max_rejected(self, cfg, camera, bound):
+    @pytest.mark.parametrize(
+        "bound, reason",
+        [
+            (0.0, "delta_max_rad must be > 0"),
+            (-0.1, "delta_max_rad must be > 0"),
+            (math.nan, "delta_max_rad must be > 0"),
+            # the rejection sampler would take ~1/p draws per scenario
+            (1e-6, "delta_max_rad 1e-06 keeps only a fraction 3.99e-06 of the declination draws"),
+            (1e-12, "delta_max_rad 1e-12 keeps only a fraction 3.99e-12 of the declination draws"),
+            (2.5e-5, "delta_max_rad 2.5e-05 keeps only a fraction 9.97e-05 of the declination draws"),
+        ],
+    )
+    def test_nonpositive_delta_max_rejected(self, cfg, camera, bound, reason):
         bad = dataclasses.replace(cfg, delta_max_rad=bound)
-        with pytest.raises(ValueError, match="delta_max_rad must be > 0"):
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}"):
             sample_scenarios(3, 1, bad, camera, solar_system())
+
+    def test_tight_delta_max_accepted_when_draws_pass(self, cfg, camera):
+        # p = 2.0e-4 at sigma 0.2 (about 5000 draws a scenario); sigma 0 always passes
+        for bound, sigma in ((5e-5, 0.2), (1e-12, 0.0)):
+            tight = dataclasses.replace(cfg, delta_max_rad=bound, delta_sigma_rad=sigma)
+            deltas = [s.pointing.delta for s in sample_scenarios(3, 1, tight, camera, solar_system())]
+            assert max(abs(d) for d in deltas) <= bound
 
 
 # --- campaign ----------------------------------------------------------------
@@ -364,6 +384,20 @@ def test_render_cutoff_must_cover_catalog_limit(sky):
     cfg.render_mag_cutoff = 5.0  # below the 5.5 catalog limit
     with pytest.raises(ValueError, match="render_mag_cutoff"):
         run_campaign(2, [1e4], 1, cfg, catalog, db, index, solar_system())
+
+
+def test_repeated_sigma_r_rejected_before_sampling(sky, monkeypatch):
+    """aggregate() selects records by sigma_r value, so a repeated value
+    would count every one of its scenarios twice."""
+    from opnav import harness
+
+    def no_sampling(*args):
+        raise AssertionError("scenarios sampled")
+
+    monkeypatch.setattr(harness, "sample_scenarios", no_sampling)
+    catalog, db, index = sky
+    with pytest.raises(ValueError, match=r"^sigma_r 100000\.0 km is listed more than once$"):
+        run_campaign(2, [1e4, 1e5, 1e6, 100000], 3, PipelineConfig(), catalog, db, index, solar_system())
 
 
 def test_frozen_campaign_digest(sky, tmp_path):
@@ -493,7 +527,7 @@ def _cli(*args):
 README_SCENE_SHA256 = {
     "catalog.csv": "f0bb2c129f9557de2421499ef93bfc987b1b6dcc2910f4854c3a9d400d1c118b",
     "planets.csv": "a278447ce32b00cf4397a7cb31095505ecfb350e1a285ee821b3e61a73f6e592",
-    "onboard.npz": "878217fa291e0a24639be8f6743b937b12471bf0e979b3659a1aa5a048fb4940",
+    "onboard.npz": "f104a7f9be855dbfe8092689bf8efb147cf876283e84f5f5db6cfdc455d87a64",
     "frame.pgm": "b839a90ee006e84083e3927a53cbcafa5df6b84197bcc9edbe91b0313c0f037a",
     "frame_truth.csv": "1a0f87909a6ff9a375fb1b681025a2ad122405d89b9961379c8e6aca39446bfa",
     "process stdout": "2a652f9c6a8a4c3ede575f66856c3d396e0aecc1596d26672c2ae482c4eea1b0",
@@ -578,6 +612,17 @@ class TestCli:
         r = _cli("render", "--scene", str(scene), "--out", str(tmp_path / "f.pgm"), "--truth", str(tmp_path / "t.csv"))
         assert r.returncode == 1
         assert r.stderr == f"error: {scene} line 4: {expected}\n"
+
+    @pytest.mark.parametrize("cutoff_line, stars", [("", {1, 2, 3, 4, 5, 6}), ("mag_cutoff=2.2\n", {1, 2, 4})])
+    def test_render_scene_mag_cutoff(self, tmp_path, cutoff_line, stars):
+        catalog = tmp_path / "catalog.csv"
+        save_catalog(catalog_from_records(DESK_STARS), catalog)
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(f"catalog={catalog}\nalpha_rad=0.7\ndelta_rad=0.21\nphi_rad=1.01\n{cutoff_line}")
+        truth = tmp_path / "t.csv"
+        r = _cli("render", "--scene", str(scene), "--out", str(tmp_path / "f.pgm"), "--truth", str(truth))
+        assert r.returncode == 0, r.stderr
+        assert {int(o.ident) for o in read_truth(truth).objects if o.kind == "star"} == stars
 
     def test_render_rejects_non_finite_planet_magnitude(self, tmp_path):
         catalog = tmp_path / "catalog.csv"
@@ -700,7 +745,7 @@ class TestCli:
         catalog = tmp_path / "catalog.csv"
         save_catalog(desk_catalog, catalog)
         db = tmp_path / "onboard.npz"
-        save_pair_database(*desk_db, db)
+        save_pair_database(desk_db[0], db)
         pgm = tmp_path / "small.pgm"
         write_pgm(Image(width=640, height=480, data=np.zeros((480, 640), dtype=np.uint8)), pgm)
         r = _cli(
@@ -715,7 +760,7 @@ class TestCli:
         cfgfile = tmp_path / "camera.cfg"
         save_config(PipelineConfig(), cfgfile)
         db = tmp_path / "onboard.npz"
-        save_pair_database(*desk_db, db)
+        save_pair_database(desk_db[0], db)
         # the same stars renumbered: star 2 is now star 20
         catalog = tmp_path / "renumbered.csv"
         save_catalog(
@@ -736,7 +781,7 @@ class TestCli:
         cfgfile = tmp_path / "camera.cfg"
         save_config(PipelineConfig(), cfgfile)
         db_path = tmp_path / "onboard.npz"
-        save_pair_database(*desk_db, db_path)
+        save_pair_database(desk_db[0], db_path)
         # the same ids, but star 3 is 1 arcsec further east than the database has it
         catalog = tmp_path / "moved.csv"
         arcsec = math.radians(1.0 / 3600.0)
@@ -770,6 +815,17 @@ class TestCli:
         )
         assert r.returncode == 1
         assert r.stderr == f"error: sigma_r_km must be finite and >= 0, got {sigma_r.split(',')[0]}\n"
+        assert not (tmp_path / "mc").exists()
+
+    def test_montecarlo_rejects_repeated_sigma_r(self, tmp_path):
+        cfgfile = tmp_path / "small.cfg"
+        cfgfile.write_text("sky_star_count=300\n")
+        r = _cli(
+            "montecarlo", "--n", "2", "--sigma-r", "1e5,1e5", "--seed", "3",
+            "--out", str(tmp_path / "mc"), "--config", str(cfgfile),
+        )
+        assert r.returncode == 1
+        assert r.stderr == "error: sigma_r 100000.0 km is listed more than once\n"
         assert not (tmp_path / "mc").exists()
 
     @pytest.mark.parametrize(

@@ -150,7 +150,7 @@ def test_pair_database_file(workdir, seed, n_stars):
     assume(len(db) >= 2 and db.cos_angles[0] < db.cos_angles[-1])
     index = build_kvector(db)
     path = workdir / "onboard.npz"
-    save_pair_database(db, index, path)
+    save_pair_database(db, path)
     db2, index2 = load_pair_database(path)
     for name in ("cos_angles", "star_i", "star_j"):
         a, b = getattr(db, name), getattr(db2, name)

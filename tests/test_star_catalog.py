@@ -264,7 +264,9 @@ class TestRangeQuery:
 def test_artifact_roundtrip_bit_exact(tmp_path, sky):
     _, db, idx = sky
     path = tmp_path / "onboard.npz"
-    save_pair_database(db, idx, path)
+    save_pair_database(db, path)
+    with np.load(path) as z:
+        assert z.files == ["cos_angles", "star_i", "star_j", "mag_limit", "max_angle_rad"]
     db2, idx2 = load_pair_database(path)
     np.testing.assert_array_equal(db.cos_angles, db2.cos_angles)
     np.testing.assert_array_equal(db.star_i, db2.star_i)
@@ -276,11 +278,10 @@ def test_artifact_roundtrip_bit_exact(tmp_path, sky):
 
 def _artifact(tmp_path, desk_db, **changes):
     """An .npz pair database written key by key; a change of None drops the key."""
-    db, idx = desk_db
+    db, _ = desk_db
     arrays = dict(
         cos_angles=db.cos_angles, star_i=db.star_i, star_j=db.star_j,
         mag_limit=np.float64(db.mag_limit), max_angle_rad=np.float64(db.max_angle_rad),
-        counts=idx.counts, intercept=np.float64(idx.intercept), slope=np.float64(idx.slope),
     )
     arrays.update(changes)
     path = tmp_path / "onboard.npz"
@@ -290,14 +291,14 @@ def _artifact(tmp_path, desk_db, **changes):
 
 class TestLoadPairDatabase:
     def test_missing_key_named(self, tmp_path, desk_db):
-        path = _artifact(tmp_path, desk_db, star_i=None, slope=None)
-        with pytest.raises(CatalogError, match=f"^{path}: missing star_i, slope$"):
+        path = _artifact(tmp_path, desk_db, star_i=None, max_angle_rad=None)
+        with pytest.raises(CatalogError, match=f"^{path}: missing star_i, max_angle_rad$"):
             load_pair_database(path)
 
-    @pytest.mark.parametrize("name", ["cos_angles", "star_j", "counts"])
+    @pytest.mark.parametrize("name", ["cos_angles", "star_j"])
     def test_unequal_lengths_rejected(self, tmp_path, desk_db, name):
-        db, idx = desk_db
-        short = getattr(idx if name == "counts" else db, name)[:-1]
+        db, _ = desk_db
+        short = getattr(db, name)[:-1]
         path = _artifact(tmp_path, desk_db, **{name: short})
         with pytest.raises(CatalogError, match=f"^{path}: .* not 1-D arrays of one length$"):
             load_pair_database(path)
@@ -308,17 +309,30 @@ class TestLoadPairDatabase:
         with pytest.raises(CatalogError, match=f"^{path}: cos_angles are not sorted ascending$"):
             load_pair_database(path)
 
-    @pytest.mark.parametrize("field", ["counts", "intercept", "slope"])
-    def test_stored_kvector_must_equal_rebuilt(self, tmp_path, desk_db, field):
-        _, idx = desk_db
-        changed = {
-            "counts": np.where(np.arange(len(idx.counts)) == 3, idx.counts + 1, idx.counts),
-            "intercept": np.nextafter(idx.intercept, 2.0),
-            "slope": np.nextafter(idx.slope, 0.0),
-        }[field]
-        path = _artifact(tmp_path, desk_db, **{field: changed})
-        with pytest.raises(CatalogError, match=f"^{path}: the stored k-vector differs"):
+    def test_equal_cosines_rejected(self, tmp_path, desk_db):
+        db, _ = desk_db
+        path = _artifact(tmp_path, desk_db, cos_angles=np.full(len(db), 0.5))
+        with pytest.raises(CatalogError, match=f"^{path}: degenerate invariant range"):
             load_pair_database(path)
+
+    @pytest.mark.parametrize("stale", [False, True], ids=["as_built", "stale"])
+    def test_artifact_with_kvector_keys_loads(self, tmp_path, desk_db, stale):
+        """An artifact that still stores the k-vector (counts, intercept,
+        slope) loads to the same pair table and to ``build_kvector`` of
+        it, whatever those keys hold."""
+        db, idx = desk_db
+        kvector = dict(counts=idx.counts, intercept=np.float64(idx.intercept), slope=np.float64(idx.slope))
+        if stale:
+            kvector = dict(counts=idx.counts + 1, intercept=np.float64(0.0), slope=np.float64(1.0))
+        db2, idx2 = load_pair_database(_artifact(tmp_path, desk_db, **kvector))
+        for name in ("cos_angles", "star_i", "star_j"):
+            a, b = getattr(db, name), getattr(db2, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (db2.mag_limit, db2.max_angle_rad) == (db.mag_limit, db.max_angle_rad)
+        rebuilt = build_kvector(db)
+        assert idx2.counts.dtype == rebuilt.counts.dtype and idx2.counts.tobytes() == rebuilt.counts.tobytes()
+        line, rebuilt_line = (np.float64([k.intercept, k.slope]).tobytes() for k in (idx2, rebuilt))
+        assert line == rebuilt_line
 
 
 class TestCheckPairsMatch:

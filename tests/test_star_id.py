@@ -152,7 +152,7 @@ class TestRetry:
             image.data, camera, desk_catalog, db, index, IdentifyConfig(epsilon_rad=EPS7)
         )
         assert out is not None
-        assert out.result.iterations_used == 1
+        assert out.iterations == 1
         assert len(out.result.matches) == 6
 
     def test_black_image_no_solution(self, camera, desk_catalog, desk_db):
@@ -190,5 +190,5 @@ class TestRetry:
         )
         out = identify_with_retry(image.data, camera, desk_catalog, db, index, config)
         assert out is not None
-        assert out.result.iterations_used == 2
+        assert out.iterations == 2
         assert len(out.result.matches) == 6
