@@ -9,23 +9,30 @@ Qe*Tlens 0.49, 40 mm / f2.2 optics); everything else follows from the
 2.5-log magnitude scale and linear scaling with exposure, throughput,
 and aperture area.
 
-Rendering order: float signal field -> optional per-pixel Poisson shot
-noise -> additive Gaussian background -> round to integer DN -> clamp to
-[0, 255].  With a fixed seed, output is bit-identical.
+Rendering order: signal -> optional per-pixel Poisson shot noise ->
+additive Gaussian background -> round to integer DN -> clamp to [0, 255].
+With a fixed seed, output is bit-identical.
 
-A pixel is lit when its signal is non-zero.  Only lit pixels take that
-continuous path, in C order: a Poisson count (or the raw signal with
-photon noise off) plus ``Generator.normal(mean, sigma)``, then rounded and
-clamped; a default frame has about 0.3 % of its pixels lit.  Every other
+The signal is sparse.  ``render_field`` takes every source's clipped
+4-sigma window in one array pass and returns only the lit pixels, those
+with a non-zero sum, as sorted C-order flat indices with their float64
+sums; ``np.bincount`` adds the deposits in deposit order, so each sum is
+the one a dense float frame would hold.  A default frame has about 0.3 %
+of its pixels lit.  Lit pixels take the continuous path, in C order: a
+Poisson count (or the raw signal with photon noise off) plus
+``Generator.normal(mean, sigma)``, then rounded and clamped.  Every other
 pixel is ``rint(clip(mean + sigma * Z))``, a fixed pmf over 0..255, and is
 drawn from it directly by a table method (Marsaglia, Tsang & Wang, "Fast
 generation of discrete random variables", J. Stat. Softw. 11(3), 2004):
-one uint16 draw picks one of 2^16 equal cells of [0, 1), and a cached
-table maps the cell to its level.  The few cells that straddle two levels
-draw a float64 ``u`` inside the cell and take the level from the CDF, so
-each level's probability is exact to float64.  The random stream is read
-in that order: Poisson (lit), normal (lit), one cell per pixel of the
-frame (lit ones included), one float per straddling cell.  With
+one uint16 cell picks one of 2^16 equal cells of [0, 1), and a cached
+table maps the cell to its level.  The cells are the little-endian 16-bit
+lanes of ``ceil(n / 4)`` raw 64-bit words of the bit generator: the values
+of ``Generator.integers(0, 2**16, n, dtype=uint16)``, with the same float
+stream after them.  The few cells that straddle two levels draw a float64
+``u`` inside the cell and take the level from the CDF, so each level's
+probability is exact to float64.  The random stream is read in that
+order: Poisson (lit), normal (lit), one cell per pixel of the frame (lit
+ones included), one float per straddling cell.  With
 ``sigma == 0`` the background is the constant ``clip(rint(mean))``.
 """
 
@@ -67,8 +74,17 @@ class SceneSpec:
     anchor_mag: float = 0.0
     anchor_peak_dn: float = 2000.0
     # (x_px, y_px, total_flux_dn) artifacts injected on top of the scene,
-    # e.g. to force overlapping objects in adversarial tests.
+    # e.g. to force overlapping objects in adversarial tests; each value
+    # must be finite (a source far off the frame is simply not drawn).
     extra_sources: tuple[tuple[float, float, float], ...] = ()
+
+    def __post_init__(self):
+        for i, src in enumerate(self.extra_sources):
+            if len(src) != 3:
+                raise ValueError(f"extra_sources[{i}]: expected (x, y, flux), got {len(src)} values")
+            for name, v in zip(("x", "y", "flux"), src):
+                if not math.isfinite(v):
+                    raise ValueError(f"extra_sources[{i}]: {name} {v} is not finite")
 
 
 @dataclass(frozen=True)
@@ -130,47 +146,61 @@ def magnitude_to_flux(
     return anchor_total * throughput * 10.0 ** (-0.4 * (m - anchor_mag))
 
 
-def _psf_box(shape, x: float, y: float, sigma: float) -> tuple[int, int, int, int] | None:
-    """Inclusive (x0, x1, y0, y1) of the 4-sigma box around (x, y) clipped
-    to the frame, or None when the box misses the frame."""
+def _windows(shape, x: np.ndarray, y: np.ndarray, sigma: float):
+    """The 4-sigma box around each (x, y), clipped to the frame.
+
+    Returns ``on``, the mask of the sources whose window meets the frame,
+    and for those: ``xs`` and ``ys``, each window's columns and rows
+    concatenated window by window, with the counts ``nx`` and ``ny``; and
+    ``ix`` and ``iy``, for every window pixel (window by window, row-major
+    within a window), its index into ``xs`` and ``ys``.  A NaN position has
+    no window.  The boxes are clipped in float and only those that meet the
+    frame are cast to int64, so a finite source far off it (say x = 1e30)
+    is skipped, not overflowed.
+    """
     height, width = shape
     r = PSF_TRUNCATION_SIGMAS * sigma
-    x0 = max(int(math.floor(x - r)), 0)
-    x1 = min(int(math.ceil(x + r)), width - 1)
-    y0 = max(int(math.floor(y - r)), 0)
-    y1 = min(int(math.ceil(y + r)), height - 1)
-    if x0 > x1 or y0 > y1:
-        return None
-    return x0, x1, y0, y1
+    x0, x1 = np.maximum(np.floor(x - r), 0), np.minimum(np.ceil(x + r), width - 1)
+    y0, y1 = np.maximum(np.floor(y - r), 0), np.minimum(np.ceil(y + r), height - 1)
+    on = (x0 <= x1) & (y0 <= y1)
+    x0, x1, y0, y1 = (v[on].astype(np.int64) for v in (x0, x1, y0, y1))
+    nx, ny = x1 - x0 + 1, y1 - y0 + 1
+    size = nx * ny
+    window = np.repeat(np.arange(size.size), size)
+    row, col = np.divmod(_ranges(0, size), nx[window])
+    ix = (np.cumsum(nx) - nx)[window] + col
+    iy = (np.cumsum(ny) - ny)[window] + row
+    return on, (_ranges(x0, nx), nx, _ranges(y0, ny), ny), (ix, iy)
 
 
-def _deposit(field: np.ndarray, x: float, y: float, flux: float, sigma: float) -> None:
-    """Add one pixel-integrated Gaussian spot to the float field."""
-    box = _psf_box(field.shape, x, y, sigma)
-    if box is None:
-        return
-    x0, x1, y0, y1 = box
-    xs = np.arange(x0, x1 + 1)
-    ys = np.arange(y0, y1 + 1)
-    fx = ndtr((xs + 0.5 - x) / sigma) - ndtr((xs - 0.5 - x) / sigma)
-    fy = ndtr((ys + 0.5 - y) / sigma) - ndtr((ys - 0.5 - y) / sigma)
-    field[y0 : y1 + 1, x0 : x1 + 1] += flux * np.outer(fy, fx)
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges ``start[k], ..., start[k] + count[k] - 1``, concatenated."""
+    return np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
 
 
-def render_field(scene: SceneSpec) -> tuple[np.ndarray, list[TruthObject]]:
-    """Noise-free, unclamped float signal field plus the projected objects.
+def _pixel_fractions(pixels: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
+    """Share of a unit Gaussian line spread at ``centers`` that falls on
+    each pixel (one value per entry)."""
+    return ndtr((pixels + 0.5 - centers) / sigma) - ndtr((pixels - 0.5 - centers) / sigma)
 
-    The objects carry ``peak_dn=0.0, visible=False``; ``render`` fills
-    both in from the quantized frame.  Each star and planet pixel is a
-    ``project_points`` row, bit for bit its ``project_star`` /
+
+def render_field(scene: SceneSpec) -> tuple[np.ndarray, np.ndarray, list[TruthObject]]:
+    """Noise-free, unclamped signal plus the projected objects.
+
+    Returns the lit pixels (non-zero sum; ``!= 0``, so a negative sum
+    still reaches the Poisson draw and raises there) as sorted C-order flat
+    indices, their float64 sums, and the objects, which carry
+    ``peak_dn=0.0, visible=False`` for ``render`` to fill in.  Each source
+    adds ``flux * (fy * fx)`` to its window; the sums are taken in deposit
+    order (stars in catalog order, planets, then ``extra_sources``), so
+    each is the one a dense float frame would hold.  Each star and planet
+    pixel is a ``project_points`` row, bit for bit its ``project_star`` /
     ``project_point``; a planet behind the camera has NaN coordinates and
-    is not drawn.  The deposit order (stars in catalog order, planets,
-    then ``extra_sources``) fixes the float sums.  Exposed separately so
-    photometric linearity can be checked without quantization in the way.
+    is not drawn.  Exposed separately so photometric linearity can be
+    checked without quantization in the way.
     """
     cam = scene.camera
     att = attitude_from_axis_azimuth(scene.true_attitude)
-    field = np.zeros((cam.height, cam.width))
     margin = PSF_TRUNCATION_SIGMAS * cam.defocus_sigma_px + 1.0
     stars = scene.star_catalog
     star_px = project_points(cam, att, np.zeros(3), stars.unit_vectors)[2]
@@ -184,45 +214,60 @@ def render_field(scene: SceneSpec) -> tuple[np.ndarray, list[TruthObject]]:
         *(("planet", p.name, *xy, flux(p.magnitude)) for p, xy in zip(scene.planets, planet_px)),
         *(("artifact", f"artifact-{i}", *src) for i, src in enumerate(scene.extra_sources)),
     ]
-    for _, _, x, y, total in sources:
-        if not math.isnan(x):
-            _deposit(field, x, y, total, cam.defocus_sigma_px)
-    return field, [TruthObject(kind, ident, float(x), float(y), 0.0, False) for kind, ident, x, y, _ in sources]
+    x, y, total = np.array([s[2:] for s in sources], dtype=float).reshape(-1, 3).T
+    sigma = cam.defocus_sigma_px
+    on, (xs, nx, ys, ny), (ix, iy) = _windows((cam.height, cam.width), x, y, sigma)
+    fx = _pixel_fractions(xs, np.repeat(x[on], nx), sigma)
+    fy = _pixel_fractions(ys, np.repeat(y[on], ny), sigma)
+    deposit = np.repeat(total[on], nx * ny) * (fy[iy] * fx[ix])
+    lit, inverse = np.unique(ys[iy] * cam.width + xs[ix], return_inverse=True)
+    signal = np.bincount(inverse, deposit, lit.size).astype(float, copy=False)  # int64 when empty
+    keep = signal != 0
+    objects = [TruthObject(kind, ident, float(sx), float(sy), 0.0, False) for kind, ident, sx, sy, _ in sources]
+    return lit[keep], signal[keep], objects
 
 
 def render(scene: SceneSpec) -> tuple[Image, GroundTruth]:
-    """Render the scene to an 8-bit frame and its ground-truth sidecar."""
+    """Render the scene to an 8-bit frame and its ground-truth sidecar.
+
+    Each object's ``peak_dn`` is the largest quantized DN in its 4-sigma
+    window (0 when the window misses the frame), read for all objects in
+    one gather.
+    """
     cam = scene.camera
-    field, objects = render_field(scene)
-    data = _add_noise_and_quantize(field, scene)
+    lit, signal, objects = render_field(scene)
+    data = _add_noise_and_quantize(lit, signal, scene)
     image = Image(width=cam.width, height=cam.height, data=data)
 
-    scored = []
-    for o in objects:
-        if math.isnan(o.x):  # a planet behind the camera: no peak, not visible
-            scored.append(o)
-            continue
-        peak = _peak_near(data, o.x, o.y, cam.defocus_sigma_px)
-        visible = cam.in_frame(o.x, o.y) and peak >= DETECTABILITY_DN
-        scored.append(TruthObject(o.kind, o.ident, o.x, o.y, peak, visible))
-    return image, GroundTruth(objects=tuple(scored), attitude=scene.true_attitude)
+    x, y = np.array([(o.x, o.y) for o in objects], dtype=float).reshape(-1, 2).T
+    on, (xs, nx, ys, ny), (ix, iy) = _windows(data.shape, x, y, cam.defocus_sigma_px)
+    peaks = np.zeros(len(objects))
+    if ix.size:
+        size = nx * ny
+        peaks[on] = np.maximum.reduceat(data[ys[iy], xs[ix]], np.cumsum(size) - size)
+    scored = tuple(
+        TruthObject(o.kind, o.ident, o.x, o.y, peak, cam.in_frame(o.x, o.y) and peak >= DETECTABILITY_DN)
+        for o, peak in zip(objects, peaks.tolist())
+    )
+    return image, GroundTruth(objects=scored, attitude=scene.true_attitude)
 
 
-def _add_noise_and_quantize(field: np.ndarray, scene: SceneSpec) -> np.ndarray:
+def _add_noise_and_quantize(lit: np.ndarray, signal: np.ndarray, scene: SceneSpec) -> np.ndarray:
     """The quantized frame: lit pixels on the continuous path, every other
     pixel sampled from the background pmf (see the module docstring)."""
+    cam = scene.camera
     bg, sigma = scene.background_mean_dn, scene.background_sigma_dn
     rng = np.random.default_rng(scene.seed)
-    flat = field.ravel()
-    lit = np.flatnonzero(flat != 0)  # != 0, not > 0: poisson still raises on a negative or NaN signal
-    signal = rng.poisson(flat[lit]) if scene.photon_noise else flat[lit]
+    if scene.photon_noise:
+        signal = rng.poisson(signal)
     lit_dn = rng.normal(bg, sigma, lit.size) + signal  # raises "scale < 0" for any frame
+    n = cam.width * cam.height
     if sigma > 0:
-        out = _sample_background(rng, flat.size, bg, sigma)
+        out = _sample_background(rng, n, bg, sigma)
     else:
-        out = np.full(flat.size, np.clip(np.rint(bg), 0, 255), dtype=np.uint8)
+        out = np.full(n, np.clip(np.rint(bg), 0, 255), dtype=np.uint8)
     out[lit] = np.clip(np.rint(lit_dn), 0, 255)
-    return out.reshape(field.shape)
+    return out.reshape(cam.height, cam.width)
 
 
 @lru_cache(maxsize=8)
@@ -246,26 +291,26 @@ def background_table(mean: float, sigma: float) -> tuple[np.ndarray, np.ndarray]
     return cdf, table
 
 
+def _background_cells(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` uint16 cells: the little-endian 16-bit lanes of ``ceil(n / 4)``
+    raw 64-bit words.  These are the values of ``rng.integers(0, 2**16, n,
+    dtype=np.uint16)``, and float draws that follow read the same stream,
+    without the per-value bounded-integer loop."""
+    words = rng.bit_generator.random_raw(-(-n // 4))
+    return words.astype("<u8", copy=False).view("<u2")[:n]
+
+
 def _sample_background(rng: np.random.Generator, n: int, mean: float, sigma: float) -> np.ndarray:
     """``n`` uint8 draws of the quantized background: one uint16 cell per
     pixel, and an exact inverse-CDF draw inside the cell where it
     straddles two levels."""
     cdf, table = background_table(mean, sigma)
-    cells = rng.integers(0, BACKGROUND_CELLS, n, dtype=np.uint16)
+    cells = _background_cells(rng, n)
     levels = table.take(cells)
     straddle = np.flatnonzero(levels > 255)
     u = (cells[straddle] + rng.random(straddle.size)) / BACKGROUND_CELLS
     levels[straddle] = np.searchsorted(cdf, u, "right")
     return levels.astype(np.uint8)
-
-
-def _peak_near(data: np.ndarray, x: float, y: float, sigma: float) -> float:
-    """Max rendered DN within the 4-sigma footprint of a true position."""
-    box = _psf_box(data.shape, x, y, sigma)
-    if box is None:
-        return 0.0
-    x0, x1, y0, y1 = box
-    return float(data[y0 : y1 + 1, x0 : x1 + 1].max())
 
 
 def write_pgm(image: Image, path) -> None:

@@ -149,7 +149,7 @@ def test_render_field_pixels_equal_one_target_projection(seed, placements):
         Planet(f"planet-{i}", _beacon_at(rng, a, sc, where), rng.uniform(-3.0, 3.0))
         for i, where in enumerate(placements)
     )
-    _, objects = render_field(SceneSpec(CAMERA, pose, sc, DEFAULT_SKY, planets))
+    _, _, objects = render_field(SceneSpec(CAMERA, pose, sc, DEFAULT_SKY, planets))
 
     stars = [o for o in objects if o.kind == "star"]
     for o, row in zip(stars, DEFAULT_SKY.rows_of([int(o.ident) for o in stars])):

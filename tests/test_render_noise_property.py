@@ -21,7 +21,15 @@ from scipy.special import ndtr
 from scipy.stats import chisquare
 
 from opnav.geometry import CameraModel, PointingAngles
-from opnav.renderer import BACKGROUND_CELLS, SceneSpec, _sample_background, background_table, render, render_field
+from opnav.renderer import (
+    BACKGROUND_CELLS,
+    SceneSpec,
+    _background_cells,
+    _sample_background,
+    background_table,
+    render,
+    render_field,
+)
 from opnav.star_catalog import catalog_from_records
 
 WIDTH, HEIGHT = 40, 30
@@ -144,6 +152,21 @@ def test_sampled_background_chi_square(mean, sigma):
     assert chisquare(observed, expected).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 1199, 1200, 2**20])
+def test_background_cells_are_the_uint16_integer_stream(n):
+    """The cells are ``rng.integers(0, 2**16, n, dtype=uint16)`` for any
+    ``n``, a multiple of 4 or not, after the lit pixels' Poisson and normal
+    draws, and the float draws that follow read the same stream."""
+    ours, reference = np.random.default_rng(n), np.random.default_rng(n)
+    for rng in (ours, reference):
+        rng.poisson([3.0, 0.4, 250.0])
+        rng.normal(5.0, 2.0, 5)
+    cells = _background_cells(ours, n)
+    assert cells.dtype == np.uint16
+    np.testing.assert_array_equal(cells, reference.integers(0, 2**16, n, dtype=np.uint16))
+    np.testing.assert_array_equal(ours.random(7), reference.random(7))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     sources=sources,
@@ -162,12 +185,13 @@ def test_sampled_background_chi_square(mean, sigma):
 @example(sources=list(OVERLAPPING), photon_noise=False, background=(7.6, 0.0), seed=4)
 def test_render_equals_reference_noise(sources, photon_noise, background, seed):
     scene = scene_of(sources, photon_noise, background, seed)
-    field, _ = render_field(scene)
+    lit, signal, _ = render_field(scene)
+    field = np.zeros((HEIGHT, WIDTH))
+    field.flat[lit] = signal
     image, _ = render(scene)
     np.testing.assert_array_equal(image.data, reference_noise(field, scene))
 
 
 def test_corner_example_lights_first_and_last_pixel():
-    field, _ = render_field(scene_of(CORNERS, True, (0.0, 0.0), 0))
-    flat = field.ravel()
-    assert flat[0] != 0 and flat[-1] != 0
+    lit, _, _ = render_field(scene_of(CORNERS, True, (0.0, 0.0), 0))
+    assert lit[0] == 0 and lit[-1] == WIDTH * HEIGHT - 1

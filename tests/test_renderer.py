@@ -25,6 +25,14 @@ from opnav.star_catalog import catalog_from_records
 from conftest import DESK_POINTING
 
 
+def _field(camera, scene):
+    """The dense float signal frame of ``render_field``'s lit pixels."""
+    lit, signal, _ = render_field(scene)
+    field = np.zeros((camera.height, camera.width))
+    field.flat[lit] = signal
+    return field
+
+
 def _empty_scene(camera, **kw):
     defaults = dict(
         camera=camera,
@@ -71,7 +79,7 @@ class TestRender:
 
     def test_anchor_peak_at_pixel_center(self, camera):
         flux = magnitude_to_flux(0.0, camera)
-        field, _ = render_field(_empty_scene(camera, extra_sources=((512.0, 512.0, flux),)))
+        field = _field(camera, _empty_scene(camera, extra_sources=((512.0, 512.0, flux),)))
         assert field.max() == pytest.approx(2000.0, rel=1e-6)
 
     def test_rotational_symmetry_at_pixel_center(self, camera):
@@ -82,7 +90,7 @@ class TestRender:
         np.testing.assert_array_equal(patch, patch.T)
 
     def test_psf_truncated_at_four_sigma(self, camera):
-        field, _ = render_field(_empty_scene(camera, extra_sources=((200.0, 300.0, 1e6),)))
+        field = _field(camera, _empty_scene(camera, extra_sources=((200.0, 300.0, 1e6),)))
         r = PSF_TRUNCATION_SIGMAS * camera.defocus_sigma_px
         assert field[300, 200 + math.ceil(r) + 1] == 0.0
         assert field[300, 200] > 0.0
@@ -90,9 +98,9 @@ class TestRender:
     def test_superposition_before_quantization(self, camera):
         s1 = ((100.2, 100.8, 900.0),)
         s2 = ((103.4, 101.1, 700.0),)
-        f1, _ = render_field(_empty_scene(camera, extra_sources=s1))
-        f2, _ = render_field(_empty_scene(camera, extra_sources=s2))
-        f12, _ = render_field(_empty_scene(camera, extra_sources=s1 + s2))
+        f1 = _field(camera, _empty_scene(camera, extra_sources=s1))
+        f2 = _field(camera, _empty_scene(camera, extra_sources=s2))
+        f12 = _field(camera, _empty_scene(camera, extra_sources=s1 + s2))
         np.testing.assert_allclose(f12, f1 + f2, atol=1e-9)
 
     def test_same_seed_bit_identical(self, camera, sky):
@@ -205,7 +213,7 @@ class TestRender:
             camera,
             planets=(Planet("ahead", 1e8 * boresight, -3.0), Planet("behind", -1e8 * boresight, -3.0)),
         )
-        _, objects = render_field(scene)
+        _, _, objects = render_field(scene)
         assert [(o.ident, o.peak_dn, o.visible) for o in objects] == [("ahead", 0.0, False), ("behind", 0.0, False)]
         assert (objects[0].x, objects[0].y) == pytest.approx(camera.principal_point)
         assert math.isnan(objects[1].x) and math.isnan(objects[1].y)
@@ -213,6 +221,24 @@ class TestRender:
         ahead, behind = truth.objects
         assert ahead.visible and ahead.peak_dn == 255.0
         assert math.isnan(behind.x) and (behind.peak_dn, behind.visible) == (0.0, False)
+
+    @pytest.mark.parametrize(
+        "source, reason",
+        [
+            ((float("nan"), 300.0, 50.0), "extra_sources[1]: x nan is not finite"),
+            ((200.0, float("nan"), 50.0), "extra_sources[1]: y nan is not finite"),
+            ((float("inf"), 300.0, 50.0), "extra_sources[1]: x inf is not finite"),
+            ((200.0, -float("inf"), 50.0), "extra_sources[1]: y -inf is not finite"),
+            ((200.0, 300.0, float("inf")), "extra_sources[1]: flux inf is not finite"),
+            ((200.0, 300.0, float("nan")), "extra_sources[1]: flux nan is not finite"),
+            ((200.0, 300.0), "extra_sources[1]: expected (x, y, flux), got 2 values"),
+        ],
+        ids=["nan_x", "nan_y", "inf_x", "inf_y", "inf_flux", "nan_flux", "short"],
+    )
+    def test_non_finite_extra_source_rejected(self, camera, source, reason):
+        with pytest.raises(ValueError) as info:
+            _empty_scene(camera, extra_sources=((10.0, 10.0, 50.0), source))
+        assert str(info.value) == reason
 
     def test_clamped_to_eight_bit(self, camera):
         image, truth = render(_empty_scene(camera, extra_sources=((300.0, 300.0, 1e9),)))
