@@ -4,8 +4,8 @@ The RANSAC stage solves the three-star Wahba problem for ``n_samples``
 random triples, represents each solution by its principal rotation
 axis, and scores every axis by how many other sample axes fall within
 the threshold angle.  Stars feeding any sample inside the best
-consensus set are inliers; stars that only appear in rejected samples
-are relabeled spikes; the final attitude refits the inliers.
+consensus set are inliers; the final attitude refits the inliers.
+Every centroid that is not an inlier, matched or not, is a spike.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ class RansacConfig:
 class AttitudeSolution:
     matrix: np.ndarray
     quaternion: Attitude
-    inlier_centroids: tuple[int, ...]
-    outlier_centroids: tuple[int, ...]  # relabeled spikes
+    inlier_centroids: tuple[int, ...]  # in match order; the other matches are outliers
     consensus_score: int
 
 
@@ -156,8 +155,8 @@ def consensus_scores(axes, indeterminate, degenerate, threshold_rad: float) -> n
 def ransac_attitude(matches, config: RansacConfig) -> AttitudeSolution | None:
     """Consensus attitude over identified stars; None when unsolvable.
 
-    ``matches`` is the match sequence of a MatchResult.  Outliers keep
-    their centroid indices so the caller can relabel them as spikes.
+    ``matches`` is the match sequence of a MatchResult; the solution
+    names the centroid index of every inlier match.
     """
     m = len(matches)
     if m < 3:
@@ -206,6 +205,5 @@ def ransac_attitude(matches, config: RansacConfig) -> AttitudeSolution | None:
         matrix=attitude,
         quaternion=quaternion_from_matrix(attitude),
         inlier_centroids=tuple(matches[k].centroid_index for k in np.flatnonzero(inlier)),
-        outlier_centroids=tuple(matches[k].centroid_index for k in np.flatnonzero(~inlier)),
         consensus_score=int(scores[best]),
     )

@@ -184,9 +184,10 @@ def _cmd_process(args) -> int:
     planets = planets_at(args.ephemeris, args.epoch) if args.ephemeris else ()
     camera = cfg.camera()
     image = read_pgm(args.image)
-    if (image.width, image.height) != (camera.width, camera.height):
+    height, width = image.data.shape
+    if (width, height) != (camera.width, camera.height):
         raise ValueError(
-            f"{args.image}: image is {image.width}x{image.height} px, "
+            f"{args.image}: image is {width}x{height} px, "
             f"the camera config expects {camera.width}x{camera.height}"
         )
     catalog = load_catalog(args.catalog)
@@ -207,7 +208,7 @@ def _cmd_process(args) -> int:
     retry = attitude_out.retry
     print(f"threshold={retry.threshold:.3f} iterations={retry.iterations}")
     for m in retry.result.matches:
-        tag = "outlier" if m.centroid_index in sol.outlier_centroids else "inlier"
+        tag = "inlier" if m.centroid_index in sol.inlier_centroids else "outlier"
         x, y = retry.centroids[m.centroid_index]
         print(f"match centroid {m.centroid_index} ({x:.2f},{y:.2f}) -> star {m.star_id} [{tag}]")
     q = sol.quaternion.q

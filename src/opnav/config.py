@@ -153,11 +153,11 @@ class PipelineConfig:
 # finite value in every float field.
 POSITIVE_FIELDS = (
     "fov_deg", "image_width", "image_height", "focal_length_mm", "f_number", "exposure_ms",
-    "qe_tlens", "ransac_samples", "ransac_threshold_arcsec", "max_pair_angle_deg",
+    "qe_tlens", "defocus_sigma_px", "ransac_samples", "ransac_threshold_arcsec", "max_pair_angle_deg",
     "delta_max_rad", "sky_star_count",
 )
 NON_NEGATIVE_FIELDS = (
-    "defocus_sigma_px", "kvector_epsilon_arcsec", "sigma_qv", "sigma_rbc_km",
+    "kvector_epsilon_arcsec", "sigma_qv", "sigma_rbc_km",
     "anchor_peak_dn", "background_mean_dn", "background_sigma_dn", "ellipse_floor_px",
     "sigma_x_au", "sigma_y_au", "sigma_z_au", "delta_sigma_rad",
 )

@@ -87,7 +87,7 @@ class AttitudeOutput:
 
     retry: RetryResult | None
     solution: AttitudeSolution | None
-    spike_centroids: tuple[int, ...]  # unmatched + RANSAC-relabeled
+    spike_centroids: tuple[int, ...]  # every centroid that is not a RANSAC inlier, ascending
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def solve_attitude(
     solution = ransac_attitude(retry.result.matches, ransac_cfg)
     if solution is None:
         return AttitudeOutput(retry, None, ())
-    spike_centroids = tuple(sorted(set(retry.result.spikes) | set(solution.outlier_centroids)))
+    spike_centroids = tuple(sorted(set(range(len(retry.centroids))).difference(solution.inlier_centroids)))
     return AttitudeOutput(retry, solution, spike_centroids)
 
 

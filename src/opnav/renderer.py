@@ -13,13 +13,13 @@ Rendering order: signal -> optional per-pixel Poisson shot noise ->
 additive Gaussian background -> round to integer DN -> clamp to [0, 255].
 With a fixed seed, output is bit-identical.
 
-The signal is sparse.  ``render_field`` takes every source's clipped
-4-sigma window in one array pass and returns only the lit pixels, those
-with a non-zero sum, as sorted C-order flat indices with their float64
-sums; ``np.bincount`` adds the deposits in deposit order, so each sum is
-the one a dense float frame would hold.  A default frame has about 0.3 %
-of its pixels lit.  Lit pixels take the continuous path, in C order: a
-Poisson count (or the raw signal with photon noise off) plus
+The signal is sparse.  ``render_field`` lays every source's clipped
+4-sigma window on one fixed-shape masked grid and returns only the lit
+pixels, those with a non-zero sum, as sorted C-order flat indices with
+their float64 sums; ``np.bincount`` adds the deposits in deposit order, so
+each sum is the one a dense float frame would hold.  A default frame has
+about 0.3 % of its pixels lit.  Lit pixels take the continuous path, in C
+order: a Poisson count (or the raw signal with photon noise off) plus
 ``Generator.normal(mean, sigma)``, then rounded and clamped.  Every other
 pixel is ``rint(clip(mean + sigma * Z))``, a fixed pmf over 0..255, and is
 drawn from it directly by a table method (Marsaglia, Tsang & Wang, "Fast
@@ -30,10 +30,10 @@ lanes of ``ceil(n / 4)`` raw 64-bit words of the bit generator: the values
 of ``Generator.integers(0, 2**16, n, dtype=uint16)``, with the same float
 stream after them.  The few cells that straddle two levels draw a float64
 ``u`` inside the cell and take the level from the CDF, so each level's
-probability is exact to float64.  The random stream is read in that
-order: Poisson (lit), normal (lit), one cell per pixel of the frame (lit
-ones included), one float per straddling cell.  With
-``sigma == 0`` the background is the constant ``clip(rint(mean))``.
+probability is exact to float64.  The random stream is read in that order:
+Poisson (lit), normal (lit), one cell per pixel of the frame (lit ones
+included), one float per straddling cell.  With ``sigma == 0`` the
+background is the constant ``clip(rint(mean))``.
 """
 
 from __future__ import annotations
@@ -89,13 +89,9 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class Image:
-    width: int
-    height: int
     data: np.ndarray  # (height, width) uint8
 
     def __post_init__(self):
-        if self.data.shape != (self.height, self.width):
-            raise ValueError(f"image data shape {self.data.shape} is not ({self.height}, {self.width})")
         self.data.setflags(write=False)
 
 
@@ -149,33 +145,26 @@ def magnitude_to_flux(
 def _windows(shape, x: np.ndarray, y: np.ndarray, sigma: float):
     """The 4-sigma box around each (x, y), clipped to the frame.
 
-    Returns ``on``, the mask of the sources whose window meets the frame,
-    and for those: ``xs`` and ``ys``, each window's columns and rows
-    concatenated window by window, with the counts ``nx`` and ``ny``; and
-    ``ix`` and ``iy``, for every window pixel (window by window, row-major
-    within a window), its index into ``xs`` and ``ys``.  A NaN position has
-    no window.  The boxes are clipped in float and only those that meet the
-    frame are cast to int64, so a finite source far off it (say x = 1e30)
-    is skipped, not overflowed.
+    Returns ``on``, the mask of the sources whose box meets the frame, and
+    for those: ``xs`` (n, wx) and ``ys`` (n, wy), the columns and rows
+    from each box's low corner, and ``inside`` (n, wy, wx), the cells of
+    the box.  A box spans at most ``2 * ceil(4 sigma) + 2`` pixels per
+    axis, so ``wx`` and ``wy`` are that, capped at the frame size; grid
+    cells past the box (and maybe past the frame) are masked out.  A NaN
+    position has no box.  The boxes are clipped in float and only those
+    that meet the frame are cast to int64, so a finite source far off it
+    (say x = 1e30) is skipped, not overflowed.
     """
     height, width = shape
     r = PSF_TRUNCATION_SIGMAS * sigma
     x0, x1 = np.maximum(np.floor(x - r), 0), np.minimum(np.ceil(x + r), width - 1)
     y0, y1 = np.maximum(np.floor(y - r), 0), np.minimum(np.ceil(y + r), height - 1)
     on = (x0 <= x1) & (y0 <= y1)
-    x0, x1, y0, y1 = (v[on].astype(np.int64) for v in (x0, x1, y0, y1))
-    nx, ny = x1 - x0 + 1, y1 - y0 + 1
-    size = nx * ny
-    window = np.repeat(np.arange(size.size), size)
-    row, col = np.divmod(_ranges(0, size), nx[window])
-    ix = (np.cumsum(nx) - nx)[window] + col
-    iy = (np.cumsum(ny) - ny)[window] + row
-    return on, (_ranges(x0, nx), nx, _ranges(y0, ny), ny), (ix, iy)
-
-
-def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The ranges ``start[k], ..., start[k] + count[k] - 1``, concatenated."""
-    return np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+    wx, wy = (int(min(2 * np.ceil(r) + 2, n)) for n in (width, height))
+    xs = x0[on, None].astype(np.int64) + np.arange(wx)
+    ys = y0[on, None].astype(np.int64) + np.arange(wy)
+    inside = (ys <= y1[on, None])[:, :, None] & (xs <= x1[on, None])[:, None, :]
+    return on, xs, ys, inside
 
 
 def _pixel_fractions(pixels: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
@@ -216,11 +205,11 @@ def render_field(scene: SceneSpec) -> tuple[np.ndarray, np.ndarray, list[TruthOb
     ]
     x, y, total = np.array([s[2:] for s in sources], dtype=float).reshape(-1, 3).T
     sigma = cam.defocus_sigma_px
-    on, (xs, nx, ys, ny), (ix, iy) = _windows((cam.height, cam.width), x, y, sigma)
-    fx = _pixel_fractions(xs, np.repeat(x[on], nx), sigma)
-    fy = _pixel_fractions(ys, np.repeat(y[on], ny), sigma)
-    deposit = np.repeat(total[on], nx * ny) * (fy[iy] * fx[ix])
-    lit, inverse = np.unique(ys[iy] * cam.width + xs[ix], return_inverse=True)
+    on, xs, ys, inside = _windows((cam.height, cam.width), x, y, sigma)
+    fx = _pixel_fractions(xs, x[on, None], sigma)
+    fy = _pixel_fractions(ys, y[on, None], sigma)
+    deposit = (total[on, None, None] * (fy[:, :, None] * fx[:, None, :]))[inside]
+    lit, inverse = np.unique((ys[:, :, None] * cam.width + xs[:, None, :])[inside], return_inverse=True)
     signal = np.bincount(inverse, deposit, lit.size).astype(float, copy=False)  # int64 when empty
     keep = signal != 0
     objects = [TruthObject(kind, ident, float(sx), float(sy), 0.0, False) for kind, ident, sx, sy, _ in sources]
@@ -232,24 +221,22 @@ def render(scene: SceneSpec) -> tuple[Image, GroundTruth]:
 
     Each object's ``peak_dn`` is the largest quantized DN in its 4-sigma
     window (0 when the window misses the frame), read for all objects in
-    one gather.
+    one masked max over their ``_windows`` grids.
     """
     cam = scene.camera
     lit, signal, objects = render_field(scene)
     data = _add_noise_and_quantize(lit, signal, scene)
-    image = Image(width=cam.width, height=cam.height, data=data)
 
     x, y = np.array([(o.x, o.y) for o in objects], dtype=float).reshape(-1, 2).T
-    on, (xs, nx, ys, ny), (ix, iy) = _windows(data.shape, x, y, cam.defocus_sigma_px)
+    on, xs, ys, inside = _windows(data.shape, x, y, cam.defocus_sigma_px)
     peaks = np.zeros(len(objects))
-    if ix.size:
-        size = nx * ny
-        peaks[on] = np.maximum.reduceat(data[ys[iy], xs[ix]], np.cumsum(size) - size)
+    cells = data.take(ys[:, :, None] * cam.width + xs[:, None, :], mode="clip")  # cells off the frame are masked
+    peaks[on] = cells.max(axis=(1, 2), where=inside, initial=0)
     scored = tuple(
         TruthObject(o.kind, o.ident, o.x, o.y, peak, cam.in_frame(o.x, o.y) and peak >= DETECTABILITY_DN)
         for o, peak in zip(objects, peaks.tolist())
     )
-    return image, GroundTruth(objects=scored, attitude=scene.true_attitude)
+    return Image(data), GroundTruth(objects=scored, attitude=scene.true_attitude)
 
 
 def _add_noise_and_quantize(lit: np.ndarray, signal: np.ndarray, scene: SceneSpec) -> np.ndarray:
@@ -315,8 +302,9 @@ def _sample_background(rng: np.random.Generator, n: int, mean: float, sigma: flo
 
 def write_pgm(image: Image, path) -> None:
     """Binary PGM (P5, maxval 255)."""
+    height, width = image.data.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{image.width} {image.height}\n255\n".encode("ascii"))
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(image.data.tobytes())
 
 
@@ -348,7 +336,7 @@ def read_pgm(path) -> Image:
     if n_data != width * height:
         raise ValueError(f"{path}: expected {width * height} data bytes, got {n_data}")
     data = np.frombuffer(blob[pos:], dtype=np.uint8).reshape(height, width)
-    return Image(width=width, height=height, data=data.copy())
+    return Image(data.copy())
 
 
 def write_truth(truth: GroundTruth, path) -> None:

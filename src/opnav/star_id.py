@@ -9,8 +9,9 @@ intersection (two or more shared stars) confirms nothing.  Confirmed
 triangles vote for their three (centroid, star) assignments and each
 centroid keeps the star with the unique maximal vote count, requiring
 at least two votes; a star kept by several centroids stays with the one
-of unique maximal count, and a tie drops them all.  Centroids left
-without an assignment are spikes.  Centroids, votes and assignments are
+of unique maximal count, and a tie drops them all.  A centroid left
+without an assignment is never a RANSAC inlier, so the flight path
+counts it among the spikes.  Centroids, votes and assignments are
 arrays throughout: the centroids are the (n, 2) pixels of
 ``find_centroids``, the votes sorted ``(centroid, star)`` keys with
 their counts.
@@ -43,8 +44,7 @@ class StarMatch:
 
 @dataclass(frozen=True)
 class MatchResult:
-    matches: tuple[StarMatch, ...]
-    spikes: tuple[int, ...]  # centroid indices with no accepted assignment
+    matches: tuple[StarMatch, ...]  # by centroid index; unmatched centroids have none
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,7 @@ def identify_stars(
         StarMatch(centroid_index=i, star_id=star, los_camera=los[i], los_inertial=u)
         for i, star, u in zip(matched.tolist(), ids.tolist(), inertial)
     )
-    spikes = tuple(sorted(set(range(n)).difference(matched.tolist())))
-    return MatchResult(matches=matches, spikes=spikes)
+    return MatchResult(matches=matches)
 
 
 def _assign(voted: np.ndarray, counts: np.ndarray, n_stars: int) -> tuple[np.ndarray, np.ndarray]:

@@ -73,3 +73,9 @@ def stack_axes(axes):
     indeterminate = np.array([a is not None and a.indeterminate for a in axes], dtype=bool)
     degenerate = np.array([a is None for a in axes], dtype=bool)
     return axis, indeterminate, degenerate
+
+
+def unmatched(result, n):
+    """The centroids of ``range(n)`` that no match of ``result`` claims,
+    ascending: the spikes star identification leaves."""
+    return tuple(sorted(set(range(n)).difference(m.centroid_index for m in result.matches)))

@@ -177,7 +177,7 @@ class TestRansac:
             sol = ransac_attitude(matches, RansacConfig(n_samples=20, threshold_arcsec=15, seed=seed))
             assert sol is not None
             assert sol.inlier_centroids == tuple(range(8))
-            assert sol.outlier_centroids == ()
+            assert set(range(8)).difference(sol.inlier_centroids) == set()
             assert principal_axis_angle(sol.matrix @ r_true.T).angle < 1e-9
 
     def test_corrupted_match_relabeled_spike(self):
@@ -188,7 +188,7 @@ class TestRansac:
         for seed in range(40):
             sol = ransac_attitude(matches, RansacConfig(n_samples=20, threshold_arcsec=15, seed=seed))
             assert sol is not None
-            if 5 in sol.outlier_centroids:
+            if 5 not in sol.inlier_centroids:
                 rejected += 1
                 err = principal_axis_angle(sol.matrix @ r_true.T).angle
                 assert err < 10 * ARCSEC_TO_RAD

@@ -64,11 +64,10 @@ def _attitude_output(pointing_err_arcsec=0.0, centroids=NO_CENTROIDS, spikes=(),
         matrix=a_est,
         quaternion=quaternion_from_matrix(a_est),
         inlier_centroids=tuple(matched),
-        outlier_centroids=(),
         consensus_score=5,
     )
     retry = RetryResult(
-        result=MatchResult(matches=(), spikes=tuple(spikes)),
+        result=MatchResult(matches=()),
         threshold=45.0,
         iterations=1,
         centroids=xy,
@@ -378,6 +377,33 @@ def test_clean_scene_pointing_error_subarcsecond(camera, cfg, sky):
     assert checked >= 8
 
 
+def test_spikes_and_inliers_partition_the_centroids(camera, cfg, sky):
+    # the README scene: RANSAC rejects matched centroid 8; injected
+    # artifacts and stars fainter than the onboard catalog are unmatched
+    from opnav.harness import solve_attitude
+    from opnav.renderer import render
+
+    catalog, db, index = sky
+    rng = np.random.default_rng(56)
+    poses = [(PointingAngles(0.7, 0.21, 1.01), ())]
+    for _ in range(5):
+        pointing = PointingAngles(rng.uniform(0, 2 * math.pi), rng.uniform(-0.6, 0.6), rng.uniform(0, 2 * math.pi))
+        poses.append((pointing, ((300.5, 400.2, 3000.0), (700.1, 200.7, 3000.0))))
+    rejected = unmatched = 0
+    for k, (pointing, artifacts) in enumerate(poses):
+        scene = dataclasses.replace(cfg.scene(pointing, np.zeros(3), catalog, (), 5 + k), extra_sources=artifacts)
+        image, _ = render(scene)
+        out = solve_attitude(image.data, camera, catalog, db, index, cfg.identify_config(), cfg.ransac_config(k))
+        inliers, spikes = out.solution.inlier_centroids, out.spike_centroids
+        assert sorted(inliers + spikes) == list(range(len(out.retry.centroids)))
+        assert list(spikes) == sorted(spikes) and all(type(i) is int for i in spikes)
+        matched = {m.centroid_index for m in out.retry.result.matches}
+        assert set(inliers) <= matched
+        rejected += bool(matched - set(inliers))
+        unmatched += len(out.retry.centroids) > len(matched)
+    assert rejected >= 1 and unmatched >= 5
+
+
 def test_render_cutoff_must_cover_catalog_limit(sky):
     catalog, db, index = sky
     cfg = PipelineConfig()
@@ -485,6 +511,15 @@ class TestConfig:
         path = tmp_path / "pipeline.cfg"
         path.write_text(f"photon_noise={text}\n")
         assert load_config(path).photon_noise is value
+
+    @pytest.mark.parametrize("value", ["0", "0.0", "-0.5"])
+    def test_nonpositive_defocus_rejected(self, tmp_path, value):
+        # a zero-width PSF has no central-pixel fraction to anchor the photometry on
+        path = tmp_path / "pipeline.cfg"
+        path.write_text(f"defocus_sigma_px={value}\n")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == "defocus_sigma_px must be > 0"
 
     @pytest.mark.parametrize("text", ["ture", "", "2", "y"])
     def test_unknown_bool_rejected(self, tmp_path, text):
@@ -685,6 +720,7 @@ class TestCli:
             # a non-positive size, FOV, exposure or sample count
             ("fov_deg=0", "fov_deg must be > 0"),
             ("exposure_ms=-5", "exposure_ms must be > 0"),
+            ("defocus_sigma_px=0", "defocus_sigma_px must be > 0"),  # no PSF to anchor the photometry on
             ("fov_deg=180", "fov_deg must be < 180"),
             ("background_sigma_dn=-1", "background_sigma_dn must be >= 0"),  # a negative sigma
             ("threshold_max_iterations=0", "threshold_max_iterations must be >= 1"),
@@ -705,7 +741,7 @@ class TestCli:
             ("photon_noise=ture", "{cfg} line 2: photon_noise expects bool, got 'ture'"),
         ],
         ids=[
-            "fov", "exposure", "fov_wide", "sigma", "iterations", "cutoff",
+            "fov", "exposure", "zero_defocus", "fov_wide", "sigma", "iterations", "cutoff",
             "inf_exposure", "inf_fov", "inf_delta_max", "inf_background_sigma", "inf_sigma_x", "inf_defocus",
             "nan_wrong_beacon", "nan_threshold_t", "inf_anchor_mag", "nan_cutoff", "bool_typo",
         ],
@@ -731,7 +767,7 @@ class TestCli:
             cfgfile = tmp_path / "camera.cfg"
             save_config(PipelineConfig(), cfgfile)
             pgm = tmp_path / "frame.pgm"
-            write_pgm(Image(width=1024, height=1024, data=np.zeros((1024, 1024), dtype=np.uint8)), pgm)
+            write_pgm(Image(np.zeros((1024, 1024), dtype=np.uint8)), pgm)
             db = tmp_path / "onboard.npz"  # never read: the catalog fails first
             args = ("process", "--image", str(pgm), "--db", str(db), "--config", str(cfgfile))
         r = _cli(*args, "--catalog", str(catalog))
@@ -747,7 +783,7 @@ class TestCli:
         db = tmp_path / "onboard.npz"
         save_pair_database(desk_db[0], db)
         pgm = tmp_path / "small.pgm"
-        write_pgm(Image(width=640, height=480, data=np.zeros((480, 640), dtype=np.uint8)), pgm)
+        write_pgm(Image(np.zeros((480, 640), dtype=np.uint8)), pgm)
         r = _cli(
             "process", "--image", str(pgm), "--db", str(db), "--config", str(cfgfile),
             "--catalog", str(catalog),
@@ -768,7 +804,7 @@ class TestCli:
             catalog,
         )
         pgm = tmp_path / "frame.pgm"
-        write_pgm(Image(width=1024, height=1024, data=np.zeros((1024, 1024), dtype=np.uint8)), pgm)
+        write_pgm(Image(np.zeros((1024, 1024), dtype=np.uint8)), pgm)
         r = _cli(
             "process", "--image", str(pgm), "--db", str(db), "--config", str(cfgfile),
             "--catalog", str(catalog),
@@ -790,7 +826,7 @@ class TestCli:
             catalog,
         )
         pgm = tmp_path / "frame.pgm"
-        write_pgm(Image(width=1024, height=1024, data=np.zeros((1024, 1024), dtype=np.uint8)), pgm)
+        write_pgm(Image(np.zeros((1024, 1024), dtype=np.uint8)), pgm)
         r = _cli(
             "process", "--image", str(pgm), "--db", str(db_path), "--config", str(cfgfile),
             "--catalog", str(catalog),

@@ -1,18 +1,21 @@
 """``render_field`` and the peak gather of ``render`` against the
 per-source loops they replace.
 
-``render_field`` takes every source's clipped 4-sigma window in one array
-pass and adds the deposits with ``np.bincount`` in deposit order.  The
-reference here is the dense per-source loop: a float frame, one
-``+= flux * np.outer(fy, fx)`` per source, then the non-zero pixels in C
-order.  The two agree bit for bit, and each ``peak_dn`` of ``render`` is
+``render_field`` lays every source's clipped 4-sigma window on one
+fixed-shape grid and adds the deposits with ``np.bincount`` in deposit
+order.  The reference here is the dense per-source loop: a float frame,
+one ``+= flux * np.outer(fy, fx)`` per source, then the non-zero pixels in
+C order.  The two agree bit for bit, and each ``peak_dn`` of ``render`` is
 the largest quantized DN in that object's window, as a per-object loop
-reads it.
+reads it.  Both run over several PSF widths: at 1.0 and 1.25 px, 4 sigma
+is a whole number, so a box can fill the grid; at 12 px the box is wider
+than the frame, so the grid is capped at the frame size.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
@@ -24,7 +27,7 @@ from opnav.star_catalog import catalog_from_records
 
 WIDTH, HEIGHT = 40, 30
 CAMERA = CameraModel(width=WIDTH, height=HEIGHT)
-SIGMA = CAMERA.defocus_sigma_px
+SIGMAS = (0.5, 0.9, 1.0, 1.25, 12.0)  # 0.9 is the default
 POSE = PointingAngles(0.3, -0.2, 1.1)
 ATTITUDE = attitude_from_axis_azimuth(POSE)
 
@@ -42,24 +45,24 @@ def psf_box(shape, x, y, sigma):
     return x0, x1, y0, y1
 
 
-def reference_field(objects, fluxes):
+def reference_field(objects, fluxes, sigma):
     """The dense float frame, one source at a time in deposit order."""
     field = np.zeros((HEIGHT, WIDTH))
     for o, flux in zip(objects, fluxes):
-        box = None if math.isnan(o.x) else psf_box(field.shape, o.x, o.y, SIGMA)
+        box = None if math.isnan(o.x) else psf_box(field.shape, o.x, o.y, sigma)
         if box is None:
             continue
         x0, x1, y0, y1 = box
         xs = np.arange(x0, x1 + 1)
         ys = np.arange(y0, y1 + 1)
-        fx = ndtr((xs + 0.5 - o.x) / SIGMA) - ndtr((xs - 0.5 - o.x) / SIGMA)
-        fy = ndtr((ys + 0.5 - o.y) / SIGMA) - ndtr((ys - 0.5 - o.y) / SIGMA)
+        fx = ndtr((xs + 0.5 - o.x) / sigma) - ndtr((xs - 0.5 - o.x) / sigma)
+        fy = ndtr((ys + 0.5 - o.y) / sigma) - ndtr((ys - 0.5 - o.y) / sigma)
         field[y0 : y1 + 1, x0 : x1 + 1] += flux * np.outer(fy, fx)
     return field
 
 
-def reference_peak(data, x, y):
-    box = None if math.isnan(x) else psf_box(data.shape, x, y, SIGMA)
+def reference_peak(data, x, y, sigma):
+    box = None if math.isnan(x) else psf_box(data.shape, x, y, sigma)
     if box is None:
         return 0.0
     x0, x1, y0, y1 = box
@@ -77,9 +80,9 @@ def planet_at(name, x, y, mag, behind=False):
     return Planet(name, (-1e8 if behind else 1e8) * u, mag)
 
 
-def scene_of(stars, planets, artifacts, seed=0):
+def scene_of(stars, planets, artifacts, sigma, seed=0):
     return SceneSpec(
-        camera=CAMERA,
+        camera=CameraModel(width=WIDTH, height=HEIGHT, defocus_sigma_px=sigma),
         true_attitude=POSE,
         sc_position_km=np.zeros(3),
         star_catalog=catalog_from_records([star_at(i + 1, *s) for i, s in enumerate(stars)]),
@@ -101,7 +104,7 @@ def fluxes_of(scene, objects):
             out.append(next(artifacts)[2])
         else:
             m = mags[int(o.ident)] if o.kind == "star" else mags[o.ident]
-            out.append(magnitude_to_flux(m, CAMERA, scene.anchor_mag, scene.anchor_peak_dn))
+            out.append(magnitude_to_flux(m, scene.camera, scene.anchor_mag, scene.anchor_peak_dn))
     return out
 
 
@@ -142,6 +145,7 @@ CANCEL = [(12.3, 14.1, 700.0), (12.3, 14.1, -700.0)]
 CORNERS = [(0.2, 0.0, 900.0), (WIDTH - 1.0, 0.4, 900.0), (-0.9, HEIGHT - 1.0, 900.0), (WIDTH - 0.5, HEIGHT, 900.0)]
 
 
+@pytest.mark.parametrize("sigma", SIGMAS)
 @settings(max_examples=150, deadline=None)
 @given(stars=stars, planets=planets, artifacts=artifacts)
 @example(stars=[], planets=[], artifacts=[])
@@ -154,10 +158,10 @@ CORNERS = [(0.2, 0.0, 900.0), (WIDTH - 1.0, 0.4, 900.0), (-0.9, HEIGHT - 1.0, 90
     planets=[("mars", 20.4, 14.8, -1.0, False), ("venus", 5.0, 5.0, -2.0, True)],
     artifacts=[(20.0, 15.0, 0.0), *CANCEL],
 )
-def test_render_field_equals_dense_per_source_loop(stars, planets, artifacts):
-    scene = scene_of(stars, planets, artifacts)
+def test_render_field_equals_dense_per_source_loop(stars, planets, artifacts, sigma):
+    scene = scene_of(stars, planets, artifacts, sigma)
     lit, signal, objects = render_field(scene)
-    field = reference_field(objects, fluxes_of(scene, objects)).ravel()
+    field = reference_field(objects, fluxes_of(scene, objects), sigma).ravel()
     expected = np.flatnonzero(field != 0)
     np.testing.assert_array_equal(lit, expected)
     assert signal.dtype == np.float64
@@ -170,6 +174,6 @@ def test_render_field_equals_dense_per_source_loop(stars, planets, artifacts):
         (o.kind, o.ident, repr(o.x), repr(o.y)) for o in objects
     ]
     for o in truth.objects:
-        peak = reference_peak(image.data, o.x, o.y)
+        peak = reference_peak(image.data, o.x, o.y, sigma)
         assert type(o.peak_dn) is float and o.peak_dn == peak
         assert o.visible == (CAMERA.in_frame(o.x, o.y) and peak >= DETECTABILITY_DN)

@@ -262,9 +262,9 @@ def test_config_file_out_of_range_rejected(workdir, cfg, name, data):
 @given(data=st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(lambda s: arrays(np.uint8, s)))
 def test_pgm_file(workdir, data):
     path = workdir / "frame.pgm"
-    write_pgm(Image(width=data.shape[1], height=data.shape[0], data=data), path)
+    write_pgm(Image(data), path)
     back = read_pgm(path)
-    assert (back.width, back.height) == (data.shape[1], data.shape[0])
+    assert back.data.shape == data.shape
     assert back.data.dtype == np.uint8 and back.data.tobytes() == data.tobytes()
     again = workdir / "again.pgm"
     write_pgm(back, again)

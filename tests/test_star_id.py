@@ -7,7 +7,7 @@ from opnav.centroiding import find_centroids
 from opnav.geometry import ARCSEC_TO_RAD, PointingAngles, attitude_from_axis_azimuth, project_star
 from opnav.renderer import SceneSpec, magnitude_to_flux, render
 from opnav.star_id import IdentifyConfig, identify_stars, identify_with_retry
-from conftest import DESK_POINTING
+from conftest import DESK_POINTING, unmatched
 
 EPS7 = 7.0 * ARCSEC_TO_RAD
 
@@ -52,7 +52,7 @@ class TestIdentifyStars:
         result = identify_stars(cents, camera, desk_catalog, db, index, EPS7)
         assert result is not None
         assert len(result.matches) == 6
-        assert result.spikes == ()
+        assert unmatched(result, len(cents)) == ()
         for m in result.matches:
             x, y = cents[m.centroid_index]
             assert str(m.star_id) == _truth_id_by_position(truth, x, y)
@@ -68,8 +68,9 @@ class TestIdentifyStars:
         result = identify_stars(cents, camera, desk_catalog, db, index, EPS7)
         assert result is not None
         assert len(result.matches) == 6
-        assert len(result.spikes) == 1
-        x, y = cents[result.spikes[0]]
+        spikes = unmatched(result, len(cents))
+        assert len(spikes) == 1
+        x, y = cents[spikes[0]]
         assert math.hypot(x - 650.0, y - 250.0) < 0.5
 
     def test_fewer_than_three_centroids(self, camera, desk_catalog, desk_db, desk_centroids):
@@ -90,7 +91,7 @@ class TestIdentifyStars:
         )
         cents, _, _ = find_centroids(image.data, 20.0)
         result = identify_stars(cents, camera, desk_catalog, db, index, EPS7)
-        claimed = sorted([m.centroid_index for m in result.matches] + list(result.spikes))
+        claimed = sorted([m.centroid_index for m in result.matches] + list(unmatched(result, len(cents))))
         assert claimed == list(range(len(cents)))
         ids = [m.star_id for m in result.matches]
         assert len(ids) == len(set(ids))
@@ -103,7 +104,7 @@ class TestIdentifyStars:
         assert [(m.centroid_index, m.star_id) for m in r1.matches] == [
             (m.centroid_index, m.star_id) for m in r2.matches
         ]
-        assert r1.spikes == r2.spikes
+        assert unmatched(r1, len(cents)) == unmatched(r2, len(cents))
 
 
 class TestSoundnessOnCleanSky(object):

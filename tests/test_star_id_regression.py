@@ -41,6 +41,7 @@ from opnav.geometry import (
 from opnav.skysim import synthetic_catalog
 from opnav.star_catalog import build_kvector, build_pair_database, kvector_range_query
 from opnav.star_id import _assign, identify_stars
+from conftest import unmatched
 
 FRAMES = json.loads((Path(__file__).parent / "data" / "star_id_frames.json").read_text())
 
@@ -72,7 +73,7 @@ def test_matches_and_spikes_frozen(workload):
         assert result is not None, case["frame"]
         got = [[m.centroid_index, m.star_id] for m in result.matches]
         assert got == case["matches"], case["frame"]
-        assert list(result.spikes) == case["spikes"], case["frame"]
+        assert list(unmatched(result, len(centroids))) == case["spikes"], case["frame"]
 
 
 def reference_resolve(votes, n_centroids):
@@ -172,7 +173,9 @@ def test_equals_nested_loop_voting(camera, cfg, sparse_sky, tolerance_arcsec):
         if len(centroids) < 3:
             continue
         result = identify_stars(centroids, camera, catalog, db, index, eps)
-        got = None if result is None else ([(m.centroid_index, m.star_id) for m in result.matches], result.spikes)
+        got = None if result is None else (
+            [(m.centroid_index, m.star_id) for m in result.matches], unmatched(result, len(centroids))
+        )
         assert got == reference_identify(centroids, camera, db, index, eps)
         compared += 1
     assert compared >= 25
