@@ -26,6 +26,7 @@ from scipy import ndimage
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 _UINT32_ROW_WIDTH = (2**32 - 1) // 255**2  # widest row whose sum of squares fits in uint32
+_SQUARE_BLOCK = 2**16  # pixels compute_threshold squares at a time
 
 
 def compute_threshold(image: np.ndarray, t: float) -> float:
@@ -34,9 +35,11 @@ def compute_threshold(image: np.ndarray, t: float) -> float:
     An 8-bit frame takes both moments as exact unsigned-integer sums, with
     no widening of the frame beyond uint16: the mean is the correctly
     rounded quotient, the variance the correctly rounded
-    (n * sum(v^2) - sum(v)^2) / n^2.  A 2-D frame up to
-    ``_UINT32_ROW_WIDTH`` columns sums each row in uint32 first, the same
-    integers at about half the cost.
+    (n * sum(v^2) - sum(v)^2) / n^2.  Each row is summed first, in uint32
+    up to ``_UINT32_ROW_WIDTH`` columns (the same integers at about half
+    the cost of uint64).  The squares are taken ``max(1, _SQUARE_BLOCK //
+    width)`` rows at a time into one reused uint16 buffer that stays in
+    cache; a frame that is not 2-D is summed as one row.
     """
     if image.size == 0:
         raise ValueError("empty image")
@@ -44,13 +47,17 @@ def compute_threshold(image: np.ndarray, t: float) -> float:
         data = image.astype(np.float64, copy=False)
         return float(data.mean() + t * data.std())
     n = image.size
-    squares = np.square(image, dtype=np.uint16)  # 255**2 fits in uint16
-    if image.ndim == 2 and image.shape[1] <= _UINT32_ROW_WIDTH:
-        s1 = int(np.add.reduce(image, axis=1, dtype=np.uint32).sum(dtype=np.uint64))
-        s2 = int(np.add.reduce(squares, axis=1, dtype=np.uint32).sum(dtype=np.uint64))
-    else:
-        s1 = int(image.sum(dtype=np.uint64))
-        s2 = int(squares.sum(dtype=np.uint64))
+    frame = image if image.ndim == 2 else image.reshape(1, -1)
+    height, width = frame.shape
+    row_sum = np.uint32 if width <= _UINT32_ROW_WIDTH else np.uint64
+    block = max(1, _SQUARE_BLOCK // width)
+    squares = np.empty((min(block, height), width), dtype=np.uint16)  # 255**2 fits in uint16
+    s1 = int(np.add.reduce(frame, axis=1, dtype=row_sum).sum(dtype=np.uint64))
+    s2 = 0
+    for start in range(0, height, block):
+        rows = frame[start : start + block]
+        sq = np.square(rows, dtype=np.uint16, out=squares[: len(rows)])
+        s2 += int(np.add.reduce(sq, axis=1, dtype=row_sum).sum(dtype=np.uint64))
     mean = s1 / n
     std = math.sqrt((n * s2 - s1 * s1) / (n * n))
     return float(mean + t * std)

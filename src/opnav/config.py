@@ -16,7 +16,7 @@ from .geometry import ARCSEC_TO_RAD, CameraModel
 from .star_id import IdentifyConfig
 from .attitude_solver import RansacConfig
 from .beacon_detection import UncertaintyBudget
-from .renderer import SceneSpec
+from .renderer import PSF_TRUNCATION_SIGMAS, SceneSpec
 
 
 @dataclass
@@ -86,6 +86,13 @@ class PipelineConfig:
                 raise ValueError(f"{f.name} must be finite")
         if not self.fov_deg < 180.0:
             raise ValueError("fov_deg must be < 180")
+        half = PSF_TRUNCATION_SIGMAS * self.defocus_sigma_px  # inf past about 4.5e307
+        side = min(self.image_width, self.image_height)
+        if half > (side - 1) // 2:  # the box, 2 * ceil(half) + 1 px, is wider than side
+            box = 2 * math.ceil(half) + 1 if half < math.inf else half
+            raise ValueError(
+                f"defocus_sigma_px {self.defocus_sigma_px!r} gives a {box} px PSF box, wider than the {side} px frame"
+            )
         if self.threshold_max_iterations < 1:
             raise ValueError("threshold_max_iterations must be >= 1")
         if not self.render_mag_cutoff >= self.mag_limit:
@@ -149,8 +156,9 @@ class PipelineConfig:
 
 
 # Ranges that PipelineConfig.validate enforces besides fov_deg < 180,
-# threshold_max_iterations >= 1, render_mag_cutoff >= mag_limit and a
-# finite value in every float field.
+# threshold_max_iterations >= 1, render_mag_cutoff >= mag_limit, a
+# 4-sigma PSF box no wider than the smaller frame side and a finite value
+# in every float field.
 POSITIVE_FIELDS = (
     "fov_deg", "image_width", "image_height", "focal_length_mm", "f_number", "exposure_ms",
     "qe_tlens", "defocus_sigma_px", "ransac_samples", "ransac_threshold_arcsec", "max_pair_angle_deg",

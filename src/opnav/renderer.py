@@ -28,19 +28,22 @@ one uint16 cell picks one of 2^16 equal cells of [0, 1), and a cached
 table maps the cell to its level.  The cells are the little-endian 16-bit
 lanes of ``ceil(n / 4)`` raw 64-bit words of the bit generator: the values
 of ``Generator.integers(0, 2**16, n, dtype=uint16)``, with the same float
-stream after them.  The few cells that straddle two levels draw a float64
-``u`` inside the cell and take the level from the CDF, so each level's
-probability is exact to float64.  The random stream is read in that order:
-Poisson (lit), normal (lit), one cell per pixel of the frame (lit ones
-included), one float per straddling cell.  With ``sigma == 0`` the
-background is the constant ``clip(rint(mean))``.
+stream after them.  They are drawn and looked up in blocks of 2^16 pixels
+that stay in cache; a block is a whole number of words, so the blocks do
+not change the stream or its order.  The few cells that straddle two
+levels draw a float64 ``u`` inside the cell, after the last block, and
+take the level from the CDF, so each level's probability is exact to
+float64.  The random stream is read in that order: Poisson (lit), normal
+(lit), one cell per pixel of the frame (lit ones included), one float per
+straddling cell.  With ``sigma == 0`` the background is the constant
+``clip(rint(mean))``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr
@@ -57,6 +60,8 @@ _REF_APERTURE_MM = 40.0 / 2.2
 DETECTABILITY_DN = 120.0
 PSF_TRUNCATION_SIGMAS = 4.0
 BACKGROUND_CELLS = 2**16  # lookup cells of the background sampler
+_BACKGROUND_BLOCK = 2**16  # pixels the background sampler draws at a time, a multiple of 4
+_CONE_SLACK_RAD = 1e-6  # grows the star cone of render_field past rounding
 
 
 @dataclass(frozen=True)
@@ -185,21 +190,32 @@ def render_field(scene: SceneSpec) -> tuple[np.ndarray, np.ndarray, list[TruthOb
     each is the one a dense float frame would hold.  Each star and planet
     pixel is a ``project_points`` row, bit for bit its ``project_star`` /
     ``project_point``; a planet behind the camera has NaN coordinates and
-    is not drawn.  Exposed separately so photometric linearity can be
-    checked without quantization in the way.
+    is not drawn.  Only the bright stars within the half-diagonal angle of
+    the 4-sigma margin box are projected; ``project_points`` works row by
+    row, so they keep their bits.  Exposed separately so photometric
+    linearity can be checked without quantization in the way.
     """
     cam = scene.camera
     att = attitude_from_axis_azimuth(scene.true_attitude)
     margin = PSF_TRUNCATION_SIGMAS * cam.defocus_sigma_px + 1.0
     stars = scene.star_catalog
-    star_px = project_points(cam, att, np.zeros(3), stars.unit_vectors)[2]
+    # the cone of the margin box, grown past the rounding of the dot product
+    half_diagonal = math.atan(math.hypot(*np.add(cam.principal_point, margin)) / cam.focal_px)
+    cone = stars.unit_vectors @ att[2] > math.cos(half_diagonal + _CONE_SLACK_RAD)
+    rows = np.flatnonzero(cone & (stars.magnitudes <= scene.render_mag_cutoff))
+    star_px = project_points(cam, att, np.zeros(3), stars.unit_vectors[rows])[2]
     planet_px = project_points(cam, att, scene.sc_position_km, [p.position_km for p in scene.planets])[2]
     with np.errstate(invalid="ignore"):  # NaN rows (behind camera) compare False
         in_box = ((star_px >= -margin) & (star_px <= np.array([cam.width, cam.height]) - 1 + margin)).all(axis=1)
-    rows = np.flatnonzero(in_box & (stars.magnitudes <= scene.render_mag_cutoff))
-    flux = partial(magnitude_to_flux, camera=cam, anchor_mag=scene.anchor_mag, anchor_peak_dn=scene.anchor_peak_dn)
+    # magnitude_to_flux is anchor_total * throughput * 10 ** (...); at the
+    # anchor magnitude the power is exactly 1, so this is that product
+    scale = magnitude_to_flux(scene.anchor_mag, cam, scene.anchor_mag, scene.anchor_peak_dn)
+
+    def flux(m):  # magnitude_to_flux with its scale taken once per frame
+        return scale * 10.0 ** (-0.4 * (m - scene.anchor_mag))
+
     sources = [  # (kind, ident, x, y, total flux) in deposit order
-        *(("star", str(stars.ids[r]), *star_px[r], flux(stars.magnitudes[r])) for r in rows),
+        *(("star", str(stars.ids[r]), *xy, flux(stars.magnitudes[r])) for r, xy in zip(rows[in_box], star_px[in_box])),
         *(("planet", p.name, *xy, flux(p.magnitude)) for p, xy in zip(scene.planets, planet_px)),
         *(("artifact", f"artifact-{i}", *src) for i, src in enumerate(scene.extra_sources)),
     ]
@@ -290,14 +306,28 @@ def _background_cells(rng: np.random.Generator, n: int) -> np.ndarray:
 def _sample_background(rng: np.random.Generator, n: int, mean: float, sigma: float) -> np.ndarray:
     """``n`` uint8 draws of the quantized background: one uint16 cell per
     pixel, and an exact inverse-CDF draw inside the cell where it
-    straddles two levels."""
+    straddles two levels.  The cells are looked up ``_BACKGROUND_BLOCK``
+    at a time through two reused buffers that stay in cache, and the
+    straddle floats are drawn after the last block (see the module
+    docstring)."""
     cdf, table = background_table(mean, sigma)
-    cells = _background_cells(rng, n)
-    levels = table.take(cells)
-    straddle = np.flatnonzero(levels > 255)
-    u = (cells[straddle] + rng.random(straddle.size)) / BACKGROUND_CELLS
-    levels[straddle] = np.searchsorted(cdf, u, "right")
-    return levels.astype(np.uint8)
+    out = np.empty(n, dtype=np.uint8)
+    index = np.empty(min(n, _BACKGROUND_BLOCK), dtype=np.intp)
+    levels = np.empty(index.size, dtype=np.uint16)
+    straddle, straddle_cells = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.uint16)]
+    for start in range(0, n, _BACKGROUND_BLOCK):
+        cells = _background_cells(rng, min(_BACKGROUND_BLOCK, n - start))
+        idx, lev = index[: cells.size], levels[: cells.size]
+        idx[...] = cells
+        table.take(idx, out=lev, mode="clip")  # every cell is in range; "clip" skips take's buffered copy
+        hits = np.flatnonzero(lev > 255)
+        straddle.append(start + hits)
+        straddle_cells.append(cells[hits])
+        out[start : start + cells.size] = lev  # a straddling entry wraps here and is drawn below
+    straddle, straddle_cells = np.concatenate(straddle), np.concatenate(straddle_cells)
+    u = (straddle_cells + rng.random(straddle.size)) / BACKGROUND_CELLS
+    out[straddle] = np.searchsorted(cdf, u, "right")
+    return out
 
 
 def write_pgm(image: Image, path) -> None:

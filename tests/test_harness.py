@@ -521,6 +521,29 @@ class TestConfig:
             load_config(path)
         assert str(info.value) == "defocus_sigma_px must be > 0"
 
+    @pytest.mark.parametrize(
+        "lines, reason",
+        [
+            ("image_width=64\ndefocus_sigma_px=7.75\n", None),  # 2 * 31 + 1 = 63 px fits
+            ("image_width=64\ndefocus_sigma_px=7.76\n", "7.76 gives a 65 px PSF box, wider than the 64 px frame"),
+            # the smaller side bounds the box
+            ("image_height=64\ndefocus_sigma_px=8\n", "8.0 gives a 65 px PSF box, wider than the 64 px frame"),
+            ("defocus_sigma_px=127.5\n", None),  # 1021 px on the default 1024 x 1024 frame
+            ("defocus_sigma_px=128\n", "128.0 gives a 1025 px PSF box, wider than the 1024 px frame"),
+            ("defocus_sigma_px=1.7e308\n", "1.7e+308 gives a inf px PSF box, wider than the 1024 px frame"),
+        ],
+        ids=["fits_64", "wide_64", "tall_64", "fits_1024", "wide_1024", "box_overflows"],
+    )
+    def test_psf_wider_than_frame_rejected(self, tmp_path, lines, reason):
+        path = tmp_path / "pipeline.cfg"
+        path.write_text(lines)
+        if reason is None:
+            load_config(path)
+            return
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"defocus_sigma_px {reason}"
+
     @pytest.mark.parametrize("text", ["ture", "", "2", "y"])
     def test_unknown_bool_rejected(self, tmp_path, text):
         path = tmp_path / "pipeline.cfg"
@@ -739,11 +762,18 @@ class TestCli:
             ("render_mag_cutoff=nan", "render_mag_cutoff must be finite"),
             # a bool that is not 1/0, true/false, yes/no or on/off
             ("photon_noise=ture", "{cfg} line 2: photon_noise expects bool, got 'ture'"),
+            # a 4-sigma PSF box wider than the frame; at 1e17 px the photometry divided by zero
+            ("defocus_sigma_px=300", "defocus_sigma_px 300.0 gives a 2401 px PSF box, wider than the 1024 px frame"),
+            (
+                "defocus_sigma_px=1e17",
+                "defocus_sigma_px 1e+17 gives a 800000000000000001 px PSF box, wider than the 1024 px frame",
+            ),
         ],
         ids=[
             "fov", "exposure", "zero_defocus", "fov_wide", "sigma", "iterations", "cutoff",
             "inf_exposure", "inf_fov", "inf_delta_max", "inf_background_sigma", "inf_sigma_x", "inf_defocus",
             "nan_wrong_beacon", "nan_threshold_t", "inf_anchor_mag", "nan_cutoff", "bool_typo",
+            "wide_defocus", "huge_defocus",
         ],
     )
     def test_montecarlo_rejects_out_of_range_config(self, tmp_path, line, reason):

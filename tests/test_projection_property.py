@@ -6,10 +6,10 @@ beacon; each entry must equal ``predict_projection`` for that beacon
 alone, and a one-beacon reference written with plain per-beacon NumPy
 products, bit for bit, with None for a beacon behind the camera.
 
-``render_field`` projects the whole catalog and every planet through
-``project_points``; each truth pixel must equal ``project_star`` or
-``project_point`` of that one target, bit for bit, with NaN for a planet
-behind the camera.
+``render_field`` projects the stars of a cone around the boresight and
+every planet through ``project_points``; each truth pixel must equal
+``project_star`` or ``project_point`` of that one target, bit for bit,
+with NaN for a planet behind the camera.
 """
 
 import math

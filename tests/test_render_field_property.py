@@ -21,8 +21,18 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from opnav.ephemeris import Planet
-from opnav.geometry import CameraModel, PointingAngles, attitude_from_axis_azimuth, los_from_pixel
-from opnav.renderer import DETECTABILITY_DN, PSF_TRUNCATION_SIGMAS, SceneSpec, magnitude_to_flux, render, render_field
+from opnav.config import PipelineConfig
+from opnav.geometry import CameraModel, PointingAngles, attitude_from_axis_azimuth, los_from_pixel, project_star
+from opnav.renderer import (
+    DETECTABILITY_DN,
+    PSF_TRUNCATION_SIGMAS,
+    SceneSpec,
+    TruthObject,
+    magnitude_to_flux,
+    render,
+    render_field,
+)
+from opnav.skysim import synthetic_catalog
 from opnav.star_catalog import catalog_from_records
 
 WIDTH, HEIGHT = 40, 30
@@ -30,6 +40,10 @@ CAMERA = CameraModel(width=WIDTH, height=HEIGHT)
 SIGMAS = (0.5, 0.9, 1.0, 1.25, 12.0)  # 0.9 is the default
 POSE = PointingAngles(0.3, -0.2, 1.1)
 ATTITUDE = attitude_from_axis_azimuth(POSE)
+_CFG = PipelineConfig()
+DEFAULT_SKY = synthetic_catalog(
+    _CFG.sky_star_count, _CFG.sky_seed, _CFG.sky_mag_bright, _CFG.sky_mag_faint, _CFG.sky_mag_slope
+)
 
 
 def psf_box(shape, x, y, sigma):
@@ -45,9 +59,9 @@ def psf_box(shape, x, y, sigma):
     return x0, x1, y0, y1
 
 
-def reference_field(objects, fluxes, sigma):
+def reference_field(objects, fluxes, sigma, shape=(HEIGHT, WIDTH)):
     """The dense float frame, one source at a time in deposit order."""
-    field = np.zeros((HEIGHT, WIDTH))
+    field = np.zeros(shape)
     for o, flux in zip(objects, fluxes):
         box = None if math.isnan(o.x) else psf_box(field.shape, o.x, o.y, sigma)
         if box is None:
@@ -177,3 +191,84 @@ def test_render_field_equals_dense_per_source_loop(stars, planets, artifacts, si
         peak = reference_peak(image.data, o.x, o.y, sigma)
         assert type(o.peak_dn) is float and o.peak_dn == peak
         assert o.visible == (CAMERA.in_frame(o.x, o.y) and peak >= DETECTABILITY_DN)
+
+
+def uncut_field(scene):
+    """``render_field`` of a scene of stars with no cone cut: every catalog
+    row through ``project_star``, then the in-box and magnitude filters,
+    ``magnitude_to_flux`` and the dense per-source loop."""
+    cam = scene.camera
+    att = attitude_from_axis_azimuth(scene.true_attitude)
+    margin = PSF_TRUNCATION_SIGMAS * cam.defocus_sigma_px + 1.0
+    cat = scene.star_catalog
+    objects, fluxes = [], []
+    for ident, ra, dec, mag in zip(
+        cat.ids.tolist(), cat.right_ascension.tolist(), cat.declination.tolist(), cat.magnitudes.tolist()
+    ):
+        px = project_star(cam, att, ra, dec)
+        if px is None or mag > scene.render_mag_cutoff:
+            continue
+        x, y = px.tolist()
+        if -margin <= x <= cam.width - 1 + margin and -margin <= y <= cam.height - 1 + margin:
+            objects.append(TruthObject("star", str(ident), x, y, 0.0, False))
+            fluxes.append(magnitude_to_flux(mag, cam, scene.anchor_mag, scene.anchor_peak_dn))
+    field = reference_field(objects, fluxes, cam.defocus_sigma_px, (cam.height, cam.width)).ravel()
+    lit = np.flatnonzero(field != 0)
+    return lit, field[lit], objects
+
+
+def assert_equals_uncut(scene):
+    lit, signal, objects = render_field(scene)
+    ref_lit, ref_signal, ref_objects = uncut_field(scene)
+    assert [(o.kind, o.ident, repr(o.x), repr(o.y)) for o in objects] == [
+        (o.kind, o.ident, repr(o.x), repr(o.y)) for o in ref_objects
+    ]
+    np.testing.assert_array_equal(lit, ref_lit)
+    assert signal.view(np.int64).tolist() == ref_signal.view(np.int64).tolist()
+    return objects
+
+
+def edge_stars(camera, attitude):
+    """Catalog rows about one pixel inside and one pixel outside the PSF
+    margin past each frame edge and corner, a star in the frame, and one
+    in the frame fainter than the render cutoff."""
+    margin = PSF_TRUNCATION_SIGMAS * camera.defocus_sigma_px + 1.0
+    rows = []
+    for d, mag in ((margin - 0.01, 3.0), (margin + 0.01, 3.0)):
+        lo, hi = -d, (camera.width - 1 + d, camera.height - 1 + d)
+        mid = ((camera.width - 1) / 2, (camera.height - 1) / 2)
+        for x, y in (
+            (lo, mid[1]), (hi[0], mid[1]), (mid[0], lo), (mid[0], hi[1]),
+            (lo, lo), (hi[0], lo), (lo, hi[1]), hi,
+        ):
+            rows.append((x, y, mag))
+    rows += [(5.0, 7.0, 2.0), (12.0, 9.0, 7.0)]
+    out = []
+    for i, (x, y, mag) in enumerate(rows):
+        u = attitude.T @ los_from_pixel(camera, (x, y))
+        out.append((i + 1, math.atan2(u[1], u[0]), math.asin(u[2]), mag))
+    return catalog_from_records(out)
+
+
+@pytest.mark.parametrize("pose", [POSE, PointingAngles(5.0, 1.5, 4.0)], ids=["pose", "near_pole"])
+@pytest.mark.parametrize("sigma", (0.9, 1.25, 12.0))
+@pytest.mark.parametrize("fov", (20.0, 120.0, 170.0))
+def test_cone_cut_keeps_every_star_of_the_psf_margin(fov, sigma, pose):
+    camera = CameraModel(fov_deg=fov, width=WIDTH, height=HEIGHT, defocus_sigma_px=sigma)
+    catalog = edge_stars(camera, attitude_from_axis_azimuth(pose))
+    scene = SceneSpec(camera, pose, np.zeros(3), catalog, photon_noise=False)
+    objects = assert_equals_uncut(scene)
+    # the eight stars inside the margin and the bright one in the frame are drawn
+    assert [o.ident for o in objects] == [str(i) for i in range(1, 9)] + ["17"]
+
+
+@pytest.mark.parametrize("fov, poses", [(20.0, 20), (120.0, 3), (170.0, 3)])
+def test_cone_cut_on_the_default_sky(fov, poses):
+    camera = CameraModel(fov_deg=fov)
+    rng = np.random.default_rng(int(fov))
+    for _ in range(poses):
+        pose = PointingAngles(
+            rng.uniform(0.0, 2.0 * math.pi), math.asin(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
+        )
+        objects = assert_equals_uncut(SceneSpec(camera, pose, np.zeros(3), DEFAULT_SKY, photon_noise=False))
+        assert objects

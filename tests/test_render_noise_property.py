@@ -9,6 +9,9 @@ levels.  Three properties pin it:
 * 10^7 sampled pixels pass a chi-square test against that pmf;
 * ``render`` equals a slow per-pixel reference of the same algorithm,
   lit pixels and random stream order included, for any scene.
+
+The sampler draws the frame in blocks; a frame several blocks long must
+equal the one-call form, random stream included.
 """
 
 from bisect import bisect_left, bisect_right
@@ -22,6 +25,7 @@ from scipy.stats import chisquare
 
 from opnav.geometry import CameraModel, PointingAngles
 from opnav.renderer import (
+    _BACKGROUND_BLOCK,
     BACKGROUND_CELLS,
     SceneSpec,
     _background_cells,
@@ -164,6 +168,33 @@ def test_background_cells_are_the_uint16_integer_stream(n):
     cells = _background_cells(ours, n)
     assert cells.dtype == np.uint16
     np.testing.assert_array_equal(cells, reference.integers(0, 2**16, n, dtype=np.uint16))
+    np.testing.assert_array_equal(ours.random(7), reference.random(7))
+
+
+def one_shot_background(rng, n, mean, sigma):
+    """The sampler with all ``n`` cells drawn and looked up in one call."""
+    cdf, table = background_table(mean, sigma)
+    cells = _background_cells(rng, n)
+    levels = table.take(cells)
+    straddle = np.flatnonzero(levels > 255)
+    u = (cells[straddle] + rng.random(straddle.size)) / BACKGROUND_CELLS
+    levels[straddle] = np.searchsorted(cdf, u, "right")
+    return levels.astype(np.uint8)
+
+
+BLOCK = _BACKGROUND_BLOCK  # a multiple of 4, so each block is whole raw words
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 2**20])
+@pytest.mark.parametrize("mean, sigma", BACKGROUNDS[:3], ids=["default", "bright", "clipped_at_0"])
+def test_blocked_background_equals_one_shot(n, mean, sigma):
+    """Drawing the cells a block at a time reads the same words, and the
+    straddle floats after the last block, as one call over the frame."""
+    assert BLOCK % 4 == 0
+    ours, reference = np.random.default_rng(n), np.random.default_rng(n)
+    levels = _sample_background(ours, n, mean, sigma)
+    assert levels.dtype == np.uint8
+    np.testing.assert_array_equal(levels, one_shot_background(reference, n, mean, sigma))
     np.testing.assert_array_equal(ours.random(7), reference.random(7))
 
 

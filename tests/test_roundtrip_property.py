@@ -21,7 +21,16 @@ from hypothesis.extra.numpy import arrays
 from opnav.config import NON_NEGATIVE_FIELDS, POSITIVE_FIELDS, PipelineConfig, load_config, save_config
 from opnav.ephemeris import Planet, load_ephemeris, save_ephemeris
 from opnav.geometry import Attitude, PointingAngles, matrix_from_quaternion, quaternion_from_matrix
-from opnav.renderer import GroundTruth, Image, TruthObject, read_pgm, read_truth, write_pgm, write_truth
+from opnav.renderer import (
+    PSF_TRUNCATION_SIGMAS,
+    GroundTruth,
+    Image,
+    TruthObject,
+    read_pgm,
+    read_truth,
+    write_pgm,
+    write_truth,
+)
 from opnav.skysim import synthetic_catalog
 from opnav.star_catalog import (
     build_kvector,
@@ -227,6 +236,11 @@ def configs(draw):
             setattr(cfg, f.name, draw(_valid_values(f.name, type(getattr(cfg, f.name)))))
     if cfg.render_mag_cutoff < cfg.mag_limit:
         cfg.render_mag_cutoff, cfg.mag_limit = cfg.mag_limit, cfg.render_mag_cutoff
+    # the 4-sigma PSF box, 2 * ceil(4 sigma) + 1 px, fits the smaller frame side
+    cfg.image_width, cfg.image_height = max(cfg.image_width, 3), max(cfg.image_height, 3)
+    half_box = (min(cfg.image_width, cfg.image_height) - 1) // 2
+    if PSF_TRUNCATION_SIGMAS * cfg.defocus_sigma_px > half_box:
+        cfg.defocus_sigma_px = draw(st.floats(0.0, half_box / PSF_TRUNCATION_SIGMAS, exclude_min=True))
     return cfg
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from opnav.centroiding import compute_threshold
+from opnav.centroiding import _SQUARE_BLOCK, compute_threshold
 
 
 def histogram_threshold(image, t):
@@ -44,6 +44,14 @@ def test_threshold_equals_histogram_form_full_frame(seed, high, t):
     assert compute_threshold(image, t) == histogram_threshold(image, t)
 
 
+def _frame(seed, height, width):
+    return np.random.default_rng(seed).integers(0, 256, (height, width), dtype=np.uint8)
+
+
+ROWS_1024 = _SQUARE_BLOCK // 1024  # rows squared at a time in a 1024-wide frame
+WIDEST_ONE_ROW = _SQUARE_BLOCK // 2 + 1  # the narrowest width squared one row at a time
+
+
 @pytest.mark.parametrize(
     "image",
     [
@@ -54,9 +62,21 @@ def test_threshold_equals_histogram_form_full_frame(seed, high, t):
         np.full((1, 70_000), 255, dtype=np.uint8),
         np.random.default_rng(5).integers(0, 256, (1, 70_000), dtype=np.uint8),
         np.random.default_rng(6).integers(0, 256, (1024, 1024), dtype=np.uint8)[::2, 1::3],
+        # at the row blocks of the squares
+        _frame(1, ROWS_1024 - 1, 1024),
+        _frame(2, ROWS_1024, 1024),
+        _frame(3, ROWS_1024 + 1, 1024),
+        _frame(4, 2 * ROWS_1024 + 1, 1024),
+        _frame(5, 1, 1024),
+        _frame(7, 3, WIDEST_ONE_ROW),
+        np.full((3, WIDEST_ONE_ROW), 255, dtype=np.uint8),
     ],
-    ids=["1x1", "all_0", "all_255", "1x70000_all_255", "1x70000_random", "strided"],
+    ids=[
+        "1x1", "all_0", "all_255", "1x70000_all_255", "1x70000_random", "strided",
+        "block_minus_1", "block", "block_plus_1", "two_blocks_plus_1", "1x1024", "1_row_blocks", "1_row_blocks_all_255",
+    ],
 )
 @pytest.mark.parametrize("t", [0.0, 20.0])
 def test_threshold_edge_frames(image, t):
     assert compute_threshold(image, t) == histogram_threshold(image, t)
+
