@@ -3,13 +3,14 @@
 The threshold is mean + T * std over the whole frame (population std);
 an 8-bit frame takes both moments as exact integer sums.
 Pixels strictly above the threshold form 8-connected components.  Only
-the few rows that hold such pixels are labelled: they are packed into a
-small array, with one blank row between runs of rows that are not
-adjacent in the frame, so that connectivity is the frame's own, and the
-labels are mapped back to frame rows.  Each component is boxed with a
-one-pixel margin and the sub-pixel centroid is computed from
-intensity-weighted moments over every pixel inside the box, with weights
-w = I / I_max normalized by the brightest pixel of the box.
+the few rows and columns that hold such pixels are labelled: they are
+packed into a small array, with one blank row between runs of rows, and
+one blank column between runs of columns, that are not adjacent in the
+frame, so that connectivity and raster order are the frame's own, and
+the labels are mapped back to frame rows and columns.  Each component
+is boxed with a one-pixel margin and the sub-pixel centroid is computed
+from intensity-weighted moments over every pixel inside the box, with
+weights w = I / I_max normalized by the brightest pixel of the box.
 
 A frame's detections are arrays, one row per component in row-major
 order of its seed pixel: the (n, 4) int64 margin boxes ``x0, y0, x1, y1``
@@ -71,31 +72,44 @@ def extract_rois(image: np.ndarray, threshold: float) -> tuple[np.ndarray, np.nd
     the component's first (seed) pixel, the order in which
     ``ndimage.label`` numbers them.
 
-    Only rows holding a pixel above the threshold are labelled.  They are
-    packed into a small array in frame order, with one blank row between
-    runs of rows that are not adjacent in the frame, so two pixels touch
-    in the packed array exactly when they touch in the frame.
+    Only the rows and columns holding a pixel above the threshold are
+    labelled.  They are packed into a small array in frame order, with one
+    blank row (column) between runs of rows (columns) that are not
+    adjacent in the frame, so two pixels touch in the packed array exactly
+    when they touch in the frame, and the packed raster order is the
+    frame's.
     """
     height, width = image.shape
     # fmax: NaN pixels never count
     rows = np.flatnonzero(np.fmax.reduce(image, axis=1) > threshold) if image.size else []
     if len(rows) == 0:
         return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64)
-    packed_rows = np.arange(len(rows)) + np.concatenate(([0], np.cumsum(np.diff(rows) > 1)))
-    packed = np.zeros((packed_rows[-1] + 1, width), dtype=bool)
-    packed[packed_rows] = image[rows] > threshold
+    lit = image[rows] > threshold
+    cols = np.flatnonzero(lit.any(axis=0))
+    packed_rows, packed_cols = _pack(rows), _pack(cols)
+    packed = np.zeros((packed_rows[-1] + 1, packed_cols[-1] + 1), dtype=bool)
+    packed[np.ix_(packed_rows, packed_cols)] = lit[:, cols]
     labels, _ = ndimage.label(packed, structure=_EIGHT_CONNECTED)
     frame_row = np.zeros(len(packed), dtype=np.int64)
     frame_row[packed_rows] = rows
+    frame_col = np.zeros(packed.shape[1], dtype=np.int64)
+    frame_col[packed_cols] = cols
 
-    # The lowest and highest (x, y) of each component's member pixels, y
-    # mapped from packed to frame rows.
+    # The lowest and highest (x, y) of each component's member pixels,
+    # mapped from packed to frame columns and rows.
     slices = ndimage.find_objects(labels)
     lo = np.array([(c.start, r.start) for r, c in slices], dtype=np.int64)
     hi = np.array([(c.stop, r.stop) for r, c in slices], dtype=np.int64) - 1
+    lo[:, 0], hi[:, 0] = frame_col[lo[:, 0]], frame_col[hi[:, 0]]
     lo[:, 1], hi[:, 1] = frame_row[lo[:, 1]], frame_row[hi[:, 1]]
     boxes = np.hstack((np.maximum(lo - 1, 0), np.minimum(hi + 1, (width - 1, height - 1))))
     return boxes, (hi - lo).max(axis=1)
+
+
+def _pack(index: np.ndarray) -> np.ndarray:
+    """Packed positions of the ascending frame rows (or columns) ``index``:
+    consecutive, with one blank between runs that are not adjacent."""
+    return np.arange(len(index)) + np.concatenate(([0], np.cumsum(np.diff(index) > 1)))
 
 
 def compute_centroid(box, image: np.ndarray) -> tuple[float, float]:
@@ -103,7 +117,9 @@ def compute_centroid(box, image: np.ndarray) -> tuple[float, float]:
     inclusive box ``x0, y0, x1, y1``.
 
     Moments sum over the full box including the margin ring, so faint
-    PSF tails below the threshold still pull the estimate.
+    PSF tails below the threshold still pull the estimate.  The first
+    moments weight the box by broadcast rows and columns of pixel
+    coordinates.
     """
     x0, y0, x1, y1 = box
     pixels = image[y0 : y1 + 1, x0 : x1 + 1].astype(np.float64)
@@ -115,9 +131,8 @@ def compute_centroid(box, image: np.ndarray) -> tuple[float, float]:
     m00 = iw.sum()
     if m00 <= 0:
         raise ValueError("zero total weighted intensity")
-    ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
-    m10 = (xs * iw).sum()
-    m01 = (ys * iw).sum()
+    m10 = (np.arange(x0, x1 + 1) * iw).sum()
+    m01 = (np.arange(y0, y1 + 1)[:, None] * iw).sum()
     return float(m10 / m00), float(m01 / m00)
 
 

@@ -18,6 +18,10 @@ from .attitude_solver import RansacConfig
 from .beacon_detection import UncertaintyBudget
 from .renderer import PSF_TRUNCATION_SIGMAS, SceneSpec
 
+# consensus_scores takes the agreement of every pair of RANSAC samples at
+# once, about 160 B per pair at its peak: 1024 samples hold 160 MiB.
+MAX_RANSAC_SAMPLES = 1024
+
 
 @dataclass
 class PipelineConfig:
@@ -93,6 +97,10 @@ class PipelineConfig:
             raise ValueError(
                 f"defocus_sigma_px {self.defocus_sigma_px!r} gives a {box} px PSF box, wider than the {side} px frame"
             )
+        if self.ransac_samples > MAX_RANSAC_SAMPLES:
+            raise ValueError(
+                f"ransac_samples must be <= {MAX_RANSAC_SAMPLES}: consensus scoring compares every pair of samples"
+            )
         if self.threshold_max_iterations < 1:
             raise ValueError("threshold_max_iterations must be >= 1")
         if not self.render_mag_cutoff >= self.mag_limit:
@@ -156,9 +164,9 @@ class PipelineConfig:
 
 
 # Ranges that PipelineConfig.validate enforces besides fov_deg < 180,
-# threshold_max_iterations >= 1, render_mag_cutoff >= mag_limit, a
-# 4-sigma PSF box no wider than the smaller frame side and a finite value
-# in every float field.
+# ransac_samples <= MAX_RANSAC_SAMPLES, threshold_max_iterations >= 1,
+# render_mag_cutoff >= mag_limit, a 4-sigma PSF box no wider than the
+# smaller frame side and a finite value in every float field.
 POSITIVE_FIELDS = (
     "fov_deg", "image_width", "image_height", "focal_length_mm", "f_number", "exposure_ms",
     "qe_tlens", "defocus_sigma_px", "ransac_samples", "ransac_threshold_arcsec", "max_pair_angle_deg",

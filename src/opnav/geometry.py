@@ -229,15 +229,19 @@ def angular_separation(u, v) -> float:
 def angular_separations(u, v) -> np.ndarray:
     """``angular_separation`` over broadcast (..., 3) arrays, bit for bit.
 
-    The row dot products go through stacked ``matmul``, which takes the
-    same dot kernel as the scalar form, and the final step is the same
+    The cross product is written out as the separate multiplies and
+    subtracts that ``np.cross`` performs, so it holds the same bits.  The
+    row dot products go through stacked ``matmul``, which takes the same
+    dot kernel as the scalar form, and the final step is the same
     ``math.atan2``, so a threshold test on the result decides exactly as
     the scalar form would.
     """
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     u = np.ascontiguousarray(u)
     v = np.ascontiguousarray(v)
-    cross = np.cross(u, v)
+    cross = np.empty_like(u)
+    for k, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.subtract(u[..., a] * v[..., b], u[..., b] * v[..., a], out=cross[..., k])
     sin = np.sqrt((cross[..., None, :] @ cross[..., :, None])[..., 0, 0])
     cos = (u[..., None, :] @ v[..., :, None])[..., 0, 0]
     angles = map(math.atan2, sin.ravel().tolist(), cos.ravel().tolist())

@@ -14,7 +14,11 @@ without an assignment is never a RANSAC inlier, so the flight path
 counts it among the spikes.  Centroids, votes and assignments are
 arrays throughout: the centroids are the (n, 2) pixels of
 ``find_centroids``, the votes sorted ``(centroid, star)`` keys with
-their counts.
+their counts.  The votes are counted by a join over the runs of the
+sorted candidate keys, with no search of the key table: a dense node ->
+run table of n * S entries (n centroids, S candidate stars) finds the
+run of a leg's far end, and one search of sorted codes confirms the
+reference stars (``_count_votes``).
 
 When identification fails, the threshold tuning parameter is raised and
 the whole chain (thresholding, centroiding, matching) reruns, until the
@@ -94,7 +98,7 @@ def _candidate_table(
         dims,
     )
     keys.sort()
-    return keys[np.diff(keys, prepend=-1) != 0], dims, star_ids
+    return keys[_run_edges(keys)[:-1]], dims, star_ids
 
 
 def _count_votes(keys: np.ndarray, dims: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -104,28 +108,55 @@ def _count_votes(keys: np.ndarray, dims: tuple[int, int, int, int]) -> tuple[np.
     the reference stars c with (i -> a, r -> c) and (j -> b, r -> c) both
     candidates are joined; exactly one such c confirms the triangle and
     it votes for (i, a), (j, b) and (r, c).
+
+    The join runs over the sorted keys.  Each key is split into its node
+    (centroid * S + star, S compact stars) and its partner node, and the
+    keys of a node form one run, its partners ascending.  A leg's i-side
+    run is the run that holds the leg's own key; its j-side run is the run
+    of the node (j, b), found through a dense node -> run table of n * S
+    entries, of which only the nodes that have a run are written.  No
+    i-side partner has r = i and no j-side partner has r = j, so a run of
+    one key (the leg itself, or its mirror) confirms nothing and its leg
+    is dropped.  The runs of the other legs are expanded as ascending
+    (leg, r, c) codes, and the i-side codes found among the j-side codes
+    are the confirmations, in (leg, r) order.
     """
-    n, n_stars = dims[0], dims[1]
-    cx, sx, cy, sy = np.unravel_index(keys, dims)
-    leg = cx < cy
-    i, a, j, b = cx[leg], sx[leg], cy[leg], sy[leg]
-    # The entries (i -> a, r -> c) of a leg are one contiguous run of the sorted keys.
-    head = (i * n_stars + a) * (n * n_stars)
-    lo = np.searchsorted(keys, head)
-    length = np.searchsorted(keys, head + n * n_stars) - lo
-    which = np.repeat(np.arange(len(i)), length)
-    ref = np.repeat(lo - np.cumsum(length) + length, length) + np.arange(len(which))
-    r, c = cy[ref], sy[ref]
-    query = np.ravel_multi_index((j[which], b[which], r, c), dims)
-    found = keys[np.minimum(np.searchsorted(keys, query), len(keys) - 1)] == query
-    confirm = (r != j[which]) & found
-    which, r, c = which[confirm], r[confirm], c[confirm]
+    n_nodes, n_stars = dims[0] * dims[1], dims[1]
+    node, partner = np.divmod(keys, n_nodes)
+    opens = _run_edges(node)
+    starts = np.flatnonzero(opens[:-1])
+    lengths = np.diff(starts, append=len(keys))
+    run_of = np.empty(n_nodes, dtype=np.intp)
+    run_of[node[starts]] = np.arange(len(starts))
+    # Legs, i < j (the centroid is the high part of a node), not alone in their run
+    leg = np.flatnonzero((node < partner) & ~(opens[:-1] & opens[1:]))
+    j_run = run_of[partner[leg]]
+    keep = lengths[j_run] > 1
+    leg, j_run = leg[keep], j_run[keep]
+    i_codes = _run_codes(partner, starts, lengths, run_of[node[leg]], n_nodes)
+    j_codes = _run_codes(partner, starts, lengths, j_run, n_nodes)
+    at = np.minimum(np.searchsorted(j_codes, i_codes), len(j_codes) - 1)
+    confirmed = i_codes[j_codes[at] == i_codes]
     # Exactly one reference star per (leg, r): a run of length one.
-    _, first, runs = np.unique(which * n + r, return_index=True, return_counts=True)
-    k = first[runs == 1]
-    voters = np.concatenate((i[which[k]], j[which[k]], r[k]))
-    stars = np.concatenate((a[which[k]], b[which[k]], c[k]))
-    return np.unique(voters * n_stars + stars, return_counts=True)
+    edges = _run_edges(confirmed // n_stars)
+    which, rc = np.divmod(confirmed[edges[:-1] & edges[1:]], n_nodes)
+    return np.unique(np.concatenate((node[leg[which]], partner[leg[which]], rc)), return_counts=True)
+
+
+def _run_codes(partner, starts, lengths, runs, n_nodes):
+    """The partners of runs ``runs[k]``, as ascending ``k * n_nodes + partner``."""
+    size = lengths[runs]
+    first = np.repeat(starts[runs] - np.cumsum(size) + size, size) + np.arange(size.sum())
+    return np.repeat(np.arange(len(runs)) * n_nodes, size) + partner[first]
+
+
+def _run_edges(values: np.ndarray) -> np.ndarray:
+    """``edges[k]``: entry k of the grouped ``values`` opens a run (k =
+    len(values) is past the end), so entry k is a run of its own when
+    ``edges[k] & edges[k + 1]``."""
+    edges = np.ones(len(values) + 1, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=edges[1:-1])
+    return edges
 
 
 def identify_stars(
@@ -181,8 +212,7 @@ def _unique_max(group: np.ndarray, value: np.ndarray) -> np.ndarray:
     largest value is tied has none."""
     order = np.lexsort((-value, group))  # by group, largest value first
     g, v = group[order], value[order]
-    opens = np.ones(len(g) + 1, dtype=bool)  # entry k opens a group; k = len(g) is past the end
-    np.not_equal(g[1:], g[:-1], out=opens[1:-1])
+    opens = _run_edges(g)
     ties_next = np.zeros(len(g), dtype=bool)
     np.equal(v[1:], v[:-1], out=ties_next[:-1])
     return order[opens[:-1] & (opens[1:] | ~ties_next)]

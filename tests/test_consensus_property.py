@@ -13,9 +13,13 @@ against one-matrix references of the 2-D SVD solve and of the
 quaternion route, over collinear
 (degenerate) triples, near-identity (indeterminate) rotations and exact
 half turns (q0 == 0).
+
+The peak memory of consensus_scores per pair of samples is pinned with
+``tracemalloc``: it sizes the ``ransac_samples`` cap of the config.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -30,6 +34,7 @@ from opnav.attitude_solver import (
     wahba_svd,
     wahba_svds,
 )
+from opnav.config import MAX_RANSAC_SAMPLES
 from opnav.geometry import angular_separation, angular_separations, matrix_from_quaternion
 from conftest import stack_axes
 
@@ -120,6 +125,25 @@ def test_array_separation_is_bitwise_scalar(base, entries):
     got = angular_separations(u[:, None, :], u[None, :, :])
     want = np.array([[angular_separation(a, b) for b in u] for a in u])
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_consensus_peak_memory_per_sample_pair():
+    """consensus_scores holds about 160 B per pair of samples at its peak,
+    the figure the ``ransac_samples`` cap of ``PipelineConfig`` is sized
+    by; the cap itself is never run."""
+    k = 256
+    rng = np.random.default_rng(5)
+    axes = rng.normal(size=(k, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    flags = np.zeros(k, dtype=bool)
+    tracemalloc.start()
+    try:
+        consensus_scores(axes, flags, flags, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 128 * k * k < peak <= 161 * k * k
+    assert 161 * MAX_RANSAC_SAMPLES**2 <= 162 * 2**20  # the cap peaks near 160 MiB
 
 
 def reference_axis_angle(m):

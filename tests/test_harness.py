@@ -10,7 +10,7 @@ import pytest
 
 from opnav.attitude_solver import AttitudeSolution
 from opnav.beacon_detection import covariance_ellipse, ProjectionPrediction
-from opnav.config import PipelineConfig, load_config, save_config
+from opnav.config import MAX_RANSAC_SAMPLES, PipelineConfig, load_config, save_config
 from opnav.geometry import (
     ARCSEC_TO_RAD,
     PointingAngles,
@@ -544,6 +544,20 @@ class TestConfig:
             load_config(path)
         assert str(info.value) == f"defocus_sigma_px {reason}"
 
+    @pytest.mark.parametrize("samples, ok", [(1, True), (33, True), (MAX_RANSAC_SAMPLES, True),
+                                             (MAX_RANSAC_SAMPLES + 1, False)])
+    def test_ransac_samples_cap(self, samples, ok):
+        # the extreme values are only validated, never run
+        cfg = PipelineConfig(ransac_samples=samples)
+        if ok:
+            cfg.validate()
+            return
+        with pytest.raises(ValueError) as info:
+            cfg.validate()
+        assert str(info.value) == (
+            f"ransac_samples must be <= {MAX_RANSAC_SAMPLES}: consensus scoring compares every pair of samples"
+        )
+
     @pytest.mark.parametrize("text", ["ture", "", "2", "y"])
     def test_unknown_bool_rejected(self, tmp_path, text):
         path = tmp_path / "pipeline.cfg"
@@ -762,6 +776,11 @@ class TestCli:
             ("render_mag_cutoff=nan", "render_mag_cutoff must be finite"),
             # a bool that is not 1/0, true/false, yes/no or on/off
             ("photon_noise=ture", "{cfg} line 2: photon_noise expects bool, got 'ture'"),
+            # more RANSAC samples than their pairwise agreement matrix may hold
+            (
+                "ransac_samples=1025",
+                "ransac_samples must be <= 1024: consensus scoring compares every pair of samples",
+            ),
             # a 4-sigma PSF box wider than the frame; at 1e17 px the photometry divided by zero
             ("defocus_sigma_px=300", "defocus_sigma_px 300.0 gives a 2401 px PSF box, wider than the 1024 px frame"),
             (
@@ -773,7 +792,7 @@ class TestCli:
             "fov", "exposure", "zero_defocus", "fov_wide", "sigma", "iterations", "cutoff",
             "inf_exposure", "inf_fov", "inf_delta_max", "inf_background_sigma", "inf_sigma_x", "inf_defocus",
             "nan_wrong_beacon", "nan_threshold_t", "inf_anchor_mag", "nan_cutoff", "bool_typo",
-            "wide_defocus", "huge_defocus",
+            "ransac_samples_cap", "wide_defocus", "huge_defocus",
         ],
     )
     def test_montecarlo_rejects_out_of_range_config(self, tmp_path, line, reason):

@@ -18,7 +18,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from opnav.config import NON_NEGATIVE_FIELDS, POSITIVE_FIELDS, PipelineConfig, load_config, save_config
+from opnav.config import (
+    MAX_RANSAC_SAMPLES,
+    NON_NEGATIVE_FIELDS,
+    POSITIVE_FIELDS,
+    PipelineConfig,
+    load_config,
+    save_config,
+)
 from opnav.ephemeris import Planet, load_ephemeris, save_ephemeris
 from opnav.geometry import Attitude, PointingAngles, matrix_from_quaternion, quaternion_from_matrix
 from opnav.renderer import (
@@ -204,7 +211,8 @@ def _valid_values(name, kind):
         return st.booleans()
     if kind is int:
         low = 1 if name in POSITIVE_FIELDS or name == "threshold_max_iterations" else -(2**40)
-        return st.integers(0 if name in NON_NEGATIVE_FIELDS else low, 2**40)
+        high = MAX_RANSAC_SAMPLES if name == "ransac_samples" else 2**40
+        return st.integers(0 if name in NON_NEGATIVE_FIELDS else low, high)
     if name == "fov_deg":
         return st.floats(0.0, 180.0, exclude_min=True, exclude_max=True)
     if name in POSITIVE_FIELDS:
@@ -217,7 +225,8 @@ def _valid_values(name, kind):
 def _invalid_values(name, kind, cfg):
     """Values outside the range of one field, given the rest of ``cfg``."""
     if kind is int:
-        return st.integers(-(2**40), 0 if name in POSITIVE_FIELDS or name == "threshold_max_iterations" else -1)
+        low = st.integers(-(2**40), 0 if name in POSITIVE_FIELDS or name == "threshold_max_iterations" else -1)
+        return (low | st.integers(MAX_RANSAC_SAMPLES + 1, 2**40)) if name == "ransac_samples" else low
     non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
     if name == "render_mag_cutoff":
         return st.floats(max_value=cfg.mag_limit, exclude_max=True) | non_finite
