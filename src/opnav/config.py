@@ -22,6 +22,10 @@ from .renderer import PSF_TRUNCATION_SIGMAS, SceneSpec
 # once, about 160 B per pair at its peak: 1024 samples hold 160 MiB.
 MAX_RANSAC_SAMPLES = 1024
 
+# build_pair_database takes the Gram matrix of every star to mag_limit,
+# 8 * N**2 bytes when all N synthetic stars pass: 0.8 GB at the cap.
+MAX_SKY_STARS = 10_000
+
 
 @dataclass
 class PipelineConfig:
@@ -101,6 +105,12 @@ class PipelineConfig:
             raise ValueError(
                 f"ransac_samples must be <= {MAX_RANSAC_SAMPLES}: consensus scoring compares every pair of samples"
             )
+        if self.sky_star_count > MAX_SKY_STARS:
+            n = self.sky_star_count
+            raise ValueError(
+                f"sky_star_count must be <= {MAX_SKY_STARS}: the pair database may hold "
+                f"an 8 * {n}**2 = {8 * n * n:,} byte Gram matrix"
+            )
         if self.threshold_max_iterations < 1:
             raise ValueError("threshold_max_iterations must be >= 1")
         if not self.render_mag_cutoff >= self.mag_limit:
@@ -164,9 +174,10 @@ class PipelineConfig:
 
 
 # Ranges that PipelineConfig.validate enforces besides fov_deg < 180,
-# ransac_samples <= MAX_RANSAC_SAMPLES, threshold_max_iterations >= 1,
-# render_mag_cutoff >= mag_limit, a 4-sigma PSF box no wider than the
-# smaller frame side and a finite value in every float field.
+# ransac_samples <= MAX_RANSAC_SAMPLES, sky_star_count <= MAX_SKY_STARS,
+# threshold_max_iterations >= 1, render_mag_cutoff >= mag_limit, a
+# 4-sigma PSF box no wider than the smaller frame side and a finite value
+# in every float field.
 POSITIVE_FIELDS = (
     "fov_deg", "image_width", "image_height", "focal_length_mm", "f_number", "exposure_ms",
     "qe_tlens", "defocus_sigma_px", "ransac_samples", "ransac_threshold_arcsec", "max_pair_angle_deg",

@@ -183,10 +183,21 @@ def save_catalog(catalog: StarCatalog, path) -> None:
             fh.write(f"{star_id},{_degrees_text(ra)},{_degrees_text(dec)},{mag!r}\n")
 
 
+# Cells of the Gram matrix compared against the angle limit at a time:
+# a 1 MiB boolean row block, so the scan adds nothing of the sky's size.
+_SQUARE_BLOCK = 1 << 20
+
+
 def build_pair_database(catalog: StarCatalog, mag_limit: float, max_angle_rad: float) -> PairDatabase:
     """Collect every star pair with both magnitudes <= mag_limit and an
     interstar angle <= max_angle_rad (both bounds inclusive), sorted
     ascending in cos(angle) with ties kept in input-pair order.
+
+    The transient is one S x S float64 Gram matrix, 8 * S**2 bytes, where
+    S is the number of stars at or brighter than mag_limit; its upper
+    triangle is scanned in row blocks of ``_SQUARE_BLOCK`` cells, so only
+    the pairs within the angle limit are gathered and clipped to [-1, 1]
+    (clipping moves no cosine across cos(max_angle_rad) > -1).
     """
     if not 0.0 < max_angle_rad < math.pi:
         raise ValueError("max_angle_rad must lie in (0, pi)")
@@ -197,11 +208,20 @@ def build_pair_database(catalog: StarCatalog, mag_limit: float, max_angle_rad: f
     vecs = catalog.unit_vectors[keep]
     cos_max = math.cos(max_angle_rad)
 
-    cos_all = np.clip(vecs @ vecs.T, -1.0, 1.0)
-    iu, ju = np.triu_indices(len(vecs), k=1)
-    cosines = cos_all[iu, ju]
-    sel = cosines >= cos_max
-    cosines, iu, ju = cosines[sel], iu[sel], ju[sel]
+    gram = vecs @ vecs.T
+    n = len(vecs)
+    step = max(1, _SQUARE_BLOCK // n)
+    rows, cols = [], []
+    for r0 in range(0, n - 1, step):
+        # pairs (r0 + i, r0 + 1 + j) with j >= i, row-major as triu_indices
+        i, j = np.nonzero(gram[r0 : r0 + step, r0 + 1 :] >= cos_max)
+        upper = j >= i
+        rows.append(i[upper] + r0)
+        cols.append(j[upper] + (r0 + 1))
+    iu, ju = np.concatenate(rows), np.concatenate(cols)
+    del rows, cols  # each block's indices, freed before the gather
+    cosines = np.clip(gram[iu, ju], -1.0, 1.0)
+    del gram  # the sort and the id gathers run without it
     if len(cosines) < 1:
         raise CatalogError("catalog too sparse: no star pair within the angle limit")
 

@@ -10,7 +10,7 @@ import pytest
 
 from opnav.attitude_solver import AttitudeSolution
 from opnav.beacon_detection import covariance_ellipse, ProjectionPrediction
-from opnav.config import MAX_RANSAC_SAMPLES, PipelineConfig, load_config, save_config
+from opnav.config import MAX_RANSAC_SAMPLES, MAX_SKY_STARS, PipelineConfig, load_config, save_config
 from opnav.geometry import (
     ARCSEC_TO_RAD,
     PointingAngles,
@@ -558,6 +558,21 @@ class TestConfig:
             f"ransac_samples must be <= {MAX_RANSAC_SAMPLES}: consensus scoring compares every pair of samples"
         )
 
+    @pytest.mark.parametrize("stars, ok", [(1, True), (9000, True), (MAX_SKY_STARS, True),
+                                           (MAX_SKY_STARS + 1, False), (10**7, False)])
+    def test_sky_star_count_cap(self, stars, ok):
+        # validated only: no sky of that size is drawn
+        cfg = PipelineConfig(sky_star_count=stars)
+        if ok:
+            cfg.validate()
+            return
+        with pytest.raises(ValueError) as info:
+            cfg.validate()
+        assert str(info.value) == (
+            f"sky_star_count must be <= {MAX_SKY_STARS}: the pair database may hold "
+            f"an 8 * {stars}**2 = {8 * stars * stars:,} byte Gram matrix"
+        )
+
     @pytest.mark.parametrize("text", ["ture", "", "2", "y"])
     def test_unknown_bool_rejected(self, tmp_path, text):
         path = tmp_path / "pipeline.cfg"
@@ -781,6 +796,12 @@ class TestCli:
                 "ransac_samples=1025",
                 "ransac_samples must be <= 1024: consensus scoring compares every pair of samples",
             ),
+            # a sky whose pair database would need an 800 TB Gram matrix; never drawn
+            (
+                "sky_star_count=10000000",
+                "sky_star_count must be <= 10000: the pair database may hold "
+                "an 8 * 10000000**2 = 800,000,000,000,000 byte Gram matrix",
+            ),
             # a 4-sigma PSF box wider than the frame; at 1e17 px the photometry divided by zero
             ("defocus_sigma_px=300", "defocus_sigma_px 300.0 gives a 2401 px PSF box, wider than the 1024 px frame"),
             (
@@ -792,7 +813,7 @@ class TestCli:
             "fov", "exposure", "zero_defocus", "fov_wide", "sigma", "iterations", "cutoff",
             "inf_exposure", "inf_fov", "inf_delta_max", "inf_background_sigma", "inf_sigma_x", "inf_defocus",
             "nan_wrong_beacon", "nan_threshold_t", "inf_anchor_mag", "nan_cutoff", "bool_typo",
-            "ransac_samples_cap", "wide_defocus", "huge_defocus",
+            "ransac_samples_cap", "sky_star_count_cap", "wide_defocus", "huge_defocus",
         ],
     )
     def test_montecarlo_rejects_out_of_range_config(self, tmp_path, line, reason):

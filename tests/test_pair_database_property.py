@@ -1,0 +1,158 @@
+"""Property: ``build_pair_database``, which scans the Gram matrix in row
+blocks, equals the full form (clip the whole matrix, gather its upper
+triangle with ``triu_indices``) byte for byte, whatever the block size;
+and it holds nothing of the sky's size besides that one Gram matrix."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opnav import star_catalog
+from opnav.config import PipelineConfig
+from opnav.skysim import synthetic_catalog
+from opnav.star_catalog import CatalogError, build_pair_database, catalog_from_records
+
+SKIES = {
+    "default": PipelineConfig(),
+    "crowded": PipelineConfig(sky_star_count=9000, sky_mag_faint=7.5),
+}
+
+
+def reference_pair_database(catalog, mag_limit, max_angle_rad):
+    """The full form: four arrays of S x S size at once."""
+    if not 0.0 < max_angle_rad < math.pi:
+        raise ValueError("max_angle_rad must lie in (0, pi)")
+    keep = catalog.magnitudes <= mag_limit
+    if keep.sum() < 2:
+        raise CatalogError("catalog too sparse: fewer than 2 stars pass the magnitude filter")
+    ids = catalog.ids[keep]
+    vecs = catalog.unit_vectors[keep]
+    cos_max = math.cos(max_angle_rad)
+
+    cos_all = np.clip(vecs @ vecs.T, -1.0, 1.0)
+    iu, ju = np.triu_indices(len(vecs), k=1)
+    cosines = cos_all[iu, ju]
+    sel = cosines >= cos_max
+    cosines, iu, ju = cosines[sel], iu[sel], ju[sel]
+    if len(cosines) < 1:
+        raise CatalogError("catalog too sparse: no star pair within the angle limit")
+
+    order = np.argsort(cosines, kind="stable")
+    return cosines[order], ids[iu[order]], ids[ju[order]]
+
+
+def _outcome(build, catalog, mag_limit, max_angle_rad):
+    """The (cos_angles, star_i, star_j) bytes of a build, or its error."""
+    try:
+        result = build(catalog, mag_limit, max_angle_rad)
+    except CatalogError as exc:
+        return "CatalogError", str(exc)
+    if isinstance(result, star_catalog.PairDatabase):
+        result = (result.cos_angles, result.star_i, result.star_j)
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in result)
+
+
+def _angle_on_a_cosine(cosine):
+    """An angle whose ``math.cos`` is ``cosine`` exactly, or None."""
+    if not -1.0 < cosine < 1.0:
+        return None
+    candidates = [math.acos(cosine)]
+    for _ in range(4):  # the nearest few float64 angles on either side
+        candidates = [math.nextafter(candidates[0], 0.0), *candidates, math.nextafter(candidates[-1], math.pi)]
+    return next((a for a in candidates if 0.0 < a < math.pi and math.cos(a) == cosine), None)
+
+
+@st.composite
+def catalogs(draw):
+    """2-600 stars drawn from a pool of directions, so that some share a
+    direction (equal cosines, ties in the sort), with a magnitude limit,
+    an angle limit, and sometimes that limit set exactly on the cosine of
+    one pair."""
+    n = draw(st.integers(2, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = draw(st.integers(1, n))
+    spread = draw(st.sampled_from([0.05, 0.5, math.pi]))
+    ra = rng.uniform(0.0, spread, pool) % (2 * math.pi)
+    dec = rng.uniform(-spread / 2, spread / 2, pool)
+    pick = rng.integers(0, pool, n)
+    mags = rng.uniform(0.0, 7.0, n)
+    catalog = catalog_from_records(zip(range(n), ra[pick], dec[pick], mags))
+    mag_limit = draw(st.floats(0.0, 7.0))
+    max_angle_rad = draw(st.floats(1e-6, math.pi, exclude_max=True))
+    if draw(st.booleans()):
+        bright = catalog.unit_vectors[catalog.magnitudes <= mag_limit]
+        if len(bright) >= 2:
+            gram = bright @ bright.T  # the product the build takes: the same bits
+            a, b = sorted(rng.choice(len(bright), 2, replace=False))
+            on_pair = _angle_on_a_cosine(float(gram[a, b]))
+            if on_pair is not None:
+                max_angle_rad = on_pair
+    return catalog, mag_limit, max_angle_rad
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=catalogs(), block_rows=st.integers(1, 5), tail=st.integers(0, 4))
+def test_row_blocks_equal_the_full_form(case, block_rows, tail):
+    catalog, mag_limit, max_angle_rad = case
+    n = int((catalog.magnitudes <= mag_limit).sum())
+    # a budget of block_rows rows; a budget below one row still scans 1 row
+    budget = max(1, n * block_rows - tail)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(star_catalog, "_SQUARE_BLOCK", budget)
+        got = _outcome(build_pair_database, catalog, mag_limit, max_angle_rad)
+    assert got == _outcome(reference_pair_database, catalog, mag_limit, max_angle_rad)
+
+
+def test_pair_exactly_on_the_bound_is_kept():
+    # two stars on the equator: the limit is set on their cosine itself
+    catalog = catalog_from_records([(1, 0.0, 0.0, 1.0), (2, 0.4, 0.0, 1.0), (3, 2.0, 0.0, 1.0)])
+    vecs = catalog.unit_vectors
+    bound = _angle_on_a_cosine(float((vecs @ vecs.T)[0, 1]))
+    assert bound is not None
+    db = build_pair_database(catalog, 5.5, bound)
+    assert (db.star_i.tolist(), db.star_j.tolist()) == ([1], [2])
+    assert _outcome(build_pair_database, catalog, 5.5, bound) == _outcome(
+        reference_pair_database, catalog, 5.5, bound
+    )
+
+
+@pytest.fixture(scope="module", params=sorted(SKIES))
+def sky_catalog(request):
+    cfg = SKIES[request.param]
+    catalog = synthetic_catalog(
+        cfg.sky_star_count, cfg.sky_seed, cfg.sky_mag_bright, cfg.sky_mag_faint, cfg.sky_mag_slope
+    )
+    return cfg, catalog
+
+
+def test_skies_equal_the_full_form(sky_catalog):
+    cfg, catalog = sky_catalog
+    args = (catalog, cfg.mag_limit, cfg.max_pair_angle_rad)
+    assert _outcome(build_pair_database, *args) == _outcome(reference_pair_database, *args)
+
+
+# What the build may hold besides the Gram matrix: 48 B per kept pair
+# covers its two int64 indices while the row blocks are concatenated
+# (32 B per pair measured on both skies) and the 1 MiB comparison block.
+PEAK_BYTES_PER_PAIR = 48
+
+
+def test_peak_memory_is_one_gram_matrix():
+    """On the default sky (S = 2258 stars to mag 5.5): 46.2 MiB against a
+    38.9 MiB Gram matrix; the full form peaks at 105.0 MiB."""
+    cfg = SKIES["default"]
+    catalog = synthetic_catalog(
+        cfg.sky_star_count, cfg.sky_seed, cfg.sky_mag_bright, cfg.sky_mag_faint, cfg.sky_mag_slope
+    )
+    s = int((catalog.magnitudes <= cfg.mag_limit).sum())
+    tracemalloc.start()
+    try:
+        db = build_pair_database(catalog, cfg.mag_limit, cfg.max_pair_angle_rad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * s * s < peak <= 8 * s * s + PEAK_BYTES_PER_PAIR * len(db)

@@ -20,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from opnav.config import (
     MAX_RANSAC_SAMPLES,
+    MAX_SKY_STARS,
     NON_NEGATIVE_FIELDS,
     POSITIVE_FIELDS,
     PipelineConfig,
@@ -205,13 +206,17 @@ def test_ephemeris_file(workdir, table):
             assert bits(got.magnitude) == bits(want.magnitude)
 
 
+# The int fields that validate caps from above.
+_INT_CAPS = {"ransac_samples": MAX_RANSAC_SAMPLES, "sky_star_count": MAX_SKY_STARS}
+
+
 def _valid_values(name, kind):
     """Every value PipelineConfig.validate accepts for one field."""
     if kind is bool:
         return st.booleans()
     if kind is int:
         low = 1 if name in POSITIVE_FIELDS or name == "threshold_max_iterations" else -(2**40)
-        high = MAX_RANSAC_SAMPLES if name == "ransac_samples" else 2**40
+        high = _INT_CAPS.get(name, 2**40)
         return st.integers(0 if name in NON_NEGATIVE_FIELDS else low, high)
     if name == "fov_deg":
         return st.floats(0.0, 180.0, exclude_min=True, exclude_max=True)
@@ -226,7 +231,7 @@ def _invalid_values(name, kind, cfg):
     """Values outside the range of one field, given the rest of ``cfg``."""
     if kind is int:
         low = st.integers(-(2**40), 0 if name in POSITIVE_FIELDS or name == "threshold_max_iterations" else -1)
-        return (low | st.integers(MAX_RANSAC_SAMPLES + 1, 2**40)) if name == "ransac_samples" else low
+        return (low | st.integers(_INT_CAPS[name] + 1, 2**40)) if name in _INT_CAPS else low
     non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
     if name == "render_mag_cutoff":
         return st.floats(max_value=cfg.mag_limit, exclude_max=True) | non_finite
