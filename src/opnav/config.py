@@ -17,6 +17,7 @@ from .star_id import IdentifyConfig
 from .attitude_solver import RansacConfig
 from .beacon_detection import UncertaintyBudget
 from .renderer import PSF_TRUNCATION_SIGMAS, SceneSpec
+from .star_catalog import MAX_PAIR_STARS
 
 # consensus_scores takes the agreement of every pair of RANSAC samples at
 # once, about 160 B per pair at its peak: 1024 samples hold 160 MiB.
@@ -24,7 +25,11 @@ MAX_RANSAC_SAMPLES = 1024
 
 # build_pair_database takes the Gram matrix of every star to mag_limit,
 # 8 * N**2 bytes when all N synthetic stars pass: 0.8 GB at the cap.
-MAX_SKY_STARS = 10_000
+MAX_SKY_STARS = MAX_PAIR_STARS
+
+# render holds about 2 B per pixel at its peak (2.0 MiB on the default
+# 1024 x 1024 frame, tracemalloc): 2**26 pixels, 8192 x 8192, is 128 MiB.
+MAX_FRAME_PIXELS = 2**26
 
 
 @dataclass
@@ -94,6 +99,12 @@ class PipelineConfig:
                 raise ValueError(f"{f.name} must be finite")
         if not self.fov_deg < 180.0:
             raise ValueError("fov_deg must be < 180")
+        pixels = self.image_width * self.image_height
+        if pixels > MAX_FRAME_PIXELS:
+            raise ValueError(
+                f"image_width * image_height must be <= {MAX_FRAME_PIXELS}: "
+                f"{self.image_width} x {self.image_height} = {pixels:,} pixels"
+            )
         half = PSF_TRUNCATION_SIGMAS * self.defocus_sigma_px  # inf past about 4.5e307
         side = min(self.image_width, self.image_height)
         if half > (side - 1) // 2:  # the box, 2 * ceil(half) + 1 px, is wider than side
@@ -174,6 +185,7 @@ class PipelineConfig:
 
 
 # Ranges that PipelineConfig.validate enforces besides fov_deg < 180,
+# image_width * image_height <= MAX_FRAME_PIXELS,
 # ransac_samples <= MAX_RANSAC_SAMPLES, sky_star_count <= MAX_SKY_STARS,
 # threshold_max_iterations >= 1, render_mag_cutoff >= mag_limit, a
 # 4-sigma PSF box no wider than the smaller frame side and a finite value

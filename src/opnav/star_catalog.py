@@ -187,23 +187,57 @@ def save_catalog(catalog: StarCatalog, path) -> None:
 # a 1 MiB boolean row block, so the scan adds nothing of the sky's size.
 _SQUARE_BLOCK = 1 << 20
 
+# The most stars at or brighter than mag_limit that build_pair_database
+# takes: their Gram matrix is 8 * S**2 bytes, 0.8 GB at the cap.
+MAX_PAIR_STARS = 10_000
+
+
+def _stable_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``order = np.argsort(values, kind="stable")`` and ``values[order]``,
+    from numpy's default sort: each run of equal values is put back in
+    index order by sorting only its positions, keyed by (run, index).
+    Without ties that costs one comparison pass.  Equal means ``==``, so
+    -0.0 and 0.0 share a run, and their bytes are read after the repair."""
+    order = np.argsort(values)
+    ranked = values[order]
+    tie = ranked[1:] == ranked[:-1]
+    if tie.any():
+        tied = np.zeros(len(order), dtype=bool)
+        tied[1:] = tie
+        tied[:-1] |= tie
+        pos = np.flatnonzero(tied)
+        run = np.cumsum(~np.concatenate(([False], tie))[pos])
+        m = len(order)
+        order[pos] = np.sort(run * m + order[pos]) % m
+        ranked[pos] = values[order[pos]]
+    return order, ranked
+
 
 def build_pair_database(catalog: StarCatalog, mag_limit: float, max_angle_rad: float) -> PairDatabase:
     """Collect every star pair with both magnitudes <= mag_limit and an
     interstar angle <= max_angle_rad (both bounds inclusive), sorted
-    ascending in cos(angle) with ties kept in input-pair order.
+    ascending in cos(angle) with ties kept in input-pair order: row-major
+    over the upper triangle, as a stable sort leaves them
+    (``_stable_sort``).
 
     The transient is one S x S float64 Gram matrix, 8 * S**2 bytes, where
     S is the number of stars at or brighter than mag_limit; its upper
     triangle is scanned in row blocks of ``_SQUARE_BLOCK`` cells, so only
     the pairs within the angle limit are gathered and clipped to [-1, 1]
-    (clipping moves no cosine across cos(max_angle_rad) > -1).
+    (clipping moves no cosine across cos(max_angle_rad) > -1).  More than
+    ``MAX_PAIR_STARS`` such stars raise CatalogError before the product.
     """
     if not 0.0 < max_angle_rad < math.pi:
         raise ValueError("max_angle_rad must lie in (0, pi)")
     keep = catalog.magnitudes <= mag_limit
-    if keep.sum() < 2:
+    stars = int(keep.sum())
+    if stars < 2:
         raise CatalogError("catalog too sparse: fewer than 2 stars pass the magnitude filter")
+    if stars > MAX_PAIR_STARS:
+        raise CatalogError(
+            f"{stars} stars are at or brighter than mag_limit {mag_limit}, more than the cap of {MAX_PAIR_STARS}: "
+            f"the pair database would hold an 8 * {stars}**2 = {8 * stars * stars:,} byte Gram matrix"
+        )
     ids = catalog.ids[keep]
     vecs = catalog.unit_vectors[keep]
     cos_max = math.cos(max_angle_rad)
@@ -211,25 +245,25 @@ def build_pair_database(catalog: StarCatalog, mag_limit: float, max_angle_rad: f
     gram = vecs @ vecs.T
     n = len(vecs)
     step = max(1, _SQUARE_BLOCK // n)
-    rows, cols = [], []
+    cells = []
     for r0 in range(0, n - 1, step):
         # pairs (r0 + i, r0 + 1 + j) with j >= i, row-major as triu_indices
-        i, j = np.nonzero(gram[r0 : r0 + step, r0 + 1 :] >= cos_max)
+        i, j = np.divmod(np.flatnonzero(gram[r0 : r0 + step, r0 + 1 :] >= cos_max), n - r0 - 1)
         upper = j >= i
-        rows.append(i[upper] + r0)
-        cols.append(j[upper] + (r0 + 1))
-    iu, ju = np.concatenate(rows), np.concatenate(cols)
-    del rows, cols  # each block's indices, freed before the gather
-    cosines = np.clip(gram[iu, ju], -1.0, 1.0)
+        cells.append((i[upper] + r0) * n + (j[upper] + (r0 + 1)))
+    cell = np.concatenate(cells)  # the flat Gram index of each pair
+    del cells  # each block's indices, freed before the gather
+    cosines = np.clip(np.take(gram, cell), -1.0, 1.0)
     del gram  # the sort and the id gathers run without it
     if len(cosines) < 1:
         raise CatalogError("catalog too sparse: no star pair within the angle limit")
 
-    order = np.argsort(cosines, kind="stable")
+    order, cosines = _stable_sort(cosines)
+    row, col = np.divmod(cell[order], n)
     return PairDatabase(
-        cos_angles=cosines[order],
-        star_i=ids[iu[order]],
-        star_j=ids[ju[order]],
+        cos_angles=cosines,
+        star_i=ids[row],
+        star_j=ids[col],
         mag_limit=mag_limit,
         max_angle_rad=max_angle_rad,
     )
@@ -237,17 +271,35 @@ def build_pair_database(catalog: StarCatalog, mag_limit: float, max_angle_rad: f
 
 def build_kvector(db: PairDatabase) -> KVectorIndex:
     """Fit the endpoint line and count, per integer step k, the cosines
-    strictly below it."""
+    strictly below it: ``searchsorted(s, line, "left")``, taken by binning.
+
+    Each cosine goes to the bin k with ``line[k] <= c < line[k + 1]``,
+    compared against the same line floats, and ``counts[k]`` is the
+    number of cosines in the bins below k.  Raises CatalogError when the
+    cosines leave [-1, 1] or are too close together for a rising line.
+    """
     s = db.cos_angles
     n = len(s)
     if n < 2:
         raise CatalogError("need at least 2 pairs to build a k-vector")
+    if not (-1.0 <= s[0] and s[-1] <= 1.0):
+        raise CatalogError("pair cosines outside [-1, 1]")
     if s[0] >= s[-1]:
         raise CatalogError("degenerate invariant range: all pair cosines equal")
     slope = (s[-1] - s[0]) / (n - 1)
+    if not slope > 0:
+        raise CatalogError("degenerate invariant range: the pair cosines span too little for a rising line")
     intercept = float(s[0])
-    counts = np.searchsorted(s, intercept + slope * np.arange(n), side="left")
-    return KVectorIndex(counts=counts.astype(np.int64), intercept=intercept, slope=float(slope))
+    line = intercept + slope * np.arange(n + 1)
+    line[n] = math.inf
+    # the bin of each cosine c, the k with line[k] <= c < line[k + 1]: the
+    # line's own estimate, and a search for the few it misses by rounding
+    k = np.minimum((s - intercept) / slope, n - 1).astype(np.int64)
+    off = ~((line[k] <= s) & (s < line[k + 1]))
+    k[off] = np.searchsorted(line[:n], s[off], side="right") - 1
+    counts = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.bincount(k, minlength=n)[: n - 1], out=counts[1:])
+    return KVectorIndex(counts=counts, intercept=intercept, slope=float(slope))
 
 
 def kvector_range_query(

@@ -47,6 +47,14 @@ def desk_db(desk_catalog):
     return db, build_kvector(db)
 
 
+# The default sky and the crowded one (9000 stars to mag 7.5), each built
+# at the default mag_limit and pair angle.
+SKIES = {
+    "default": PipelineConfig(),
+    "crowded": PipelineConfig(sky_star_count=9000, sky_mag_faint=7.5),
+}
+
+
 @pytest.fixture(scope="session")
 def sky(cfg):
     """Full-scale synthetic sky with its onboard pair database."""

@@ -10,7 +10,14 @@ import pytest
 
 from opnav.attitude_solver import AttitudeSolution
 from opnav.beacon_detection import covariance_ellipse, ProjectionPrediction
-from opnav.config import MAX_RANSAC_SAMPLES, MAX_SKY_STARS, PipelineConfig, load_config, save_config
+from opnav.config import (
+    MAX_FRAME_PIXELS,
+    MAX_RANSAC_SAMPLES,
+    MAX_SKY_STARS,
+    PipelineConfig,
+    load_config,
+    save_config,
+)
 from opnav.geometry import (
     ARCSEC_TO_RAD,
     PointingAngles,
@@ -573,6 +580,31 @@ class TestConfig:
             f"an 8 * {stars}**2 = {8 * stars * stars:,} byte Gram matrix"
         )
 
+    @pytest.mark.parametrize(
+        "width, height, ok",
+        [
+            (1024, 1024, True),
+            (8192, 8192, True),
+            (2**23, 8, True),
+            (8, 2**23, True),
+            (8193, 8192, False),
+            (2**23 + 1, 8, False),
+            (10**6, 10**6, False),
+        ],
+    )
+    def test_frame_pixel_cap(self, width, height, ok):
+        # validated only: no frame of that size is allocated
+        assert MAX_FRAME_PIXELS == 2**26
+        cfg = PipelineConfig(image_width=width, image_height=height, defocus_sigma_px=0.1)
+        if ok:
+            cfg.validate()
+            return
+        with pytest.raises(ValueError) as info:
+            cfg.validate()
+        assert str(info.value) == (
+            f"image_width * image_height must be <= {MAX_FRAME_PIXELS}: {width} x {height} = {width * height:,} pixels"
+        )
+
     @pytest.mark.parametrize("text", ["ture", "", "2", "y"])
     def test_unknown_bool_rejected(self, tmp_path, text):
         path = tmp_path / "pipeline.cfg"
@@ -802,6 +834,11 @@ class TestCli:
                 "sky_star_count must be <= 10000: the pair database may hold "
                 "an 8 * 10000000**2 = 800,000,000,000,000 byte Gram matrix",
             ),
+            # a 1 TB frame; never rendered
+            (
+                "image_width=1000000\nimage_height=1000000",
+                "image_width * image_height must be <= 67108864: 1000000 x 1000000 = 1,000,000,000,000 pixels",
+            ),
             # a 4-sigma PSF box wider than the frame; at 1e17 px the photometry divided by zero
             ("defocus_sigma_px=300", "defocus_sigma_px 300.0 gives a 2401 px PSF box, wider than the 1024 px frame"),
             (
@@ -813,7 +850,7 @@ class TestCli:
             "fov", "exposure", "zero_defocus", "fov_wide", "sigma", "iterations", "cutoff",
             "inf_exposure", "inf_fov", "inf_delta_max", "inf_background_sigma", "inf_sigma_x", "inf_defocus",
             "nan_wrong_beacon", "nan_threshold_t", "inf_anchor_mag", "nan_cutoff", "bool_typo",
-            "ransac_samples_cap", "sky_star_count_cap", "wide_defocus", "huge_defocus",
+            "ransac_samples_cap", "sky_star_count_cap", "frame_pixel_cap", "wide_defocus", "huge_defocus",
         ],
     )
     def test_montecarlo_rejects_out_of_range_config(self, tmp_path, line, reason):

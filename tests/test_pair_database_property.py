@@ -1,25 +1,22 @@
 """Property: ``build_pair_database``, which scans the Gram matrix in row
-blocks, equals the full form (clip the whole matrix, gather its upper
-triangle with ``triu_indices``) byte for byte, whatever the block size;
-and it holds nothing of the sky's size besides that one Gram matrix."""
+blocks and sorts with numpy's default sort plus a repair of tied runs,
+equals the full form (clip the whole matrix, gather its upper triangle
+with ``triu_indices``, stable argsort) byte for byte, whatever the block
+size; and it holds nothing of the sky's size besides that one Gram
+matrix."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opnav import star_catalog
-from opnav.config import PipelineConfig
 from opnav.skysim import synthetic_catalog
-from opnav.star_catalog import CatalogError, build_pair_database, catalog_from_records
-
-SKIES = {
-    "default": PipelineConfig(),
-    "crowded": PipelineConfig(sky_star_count=9000, sky_mag_faint=7.5),
-}
+from opnav.star_catalog import CatalogError, StarCatalog, build_pair_database, catalog_from_records
+from conftest import SKIES
 
 
 def reference_pair_database(catalog, mag_limit, max_angle_rad):
@@ -94,8 +91,36 @@ def catalogs(draw):
     return catalog, mag_limit, max_angle_rad
 
 
+def _shared_directions():
+    """90 stars on 3 directions 2-3 deg apart: every pair cosine is one
+    of 6 values, so the sort meets runs of up to 1305 equal cosines."""
+    k = np.arange(90)
+    ra, dec = np.array([0.40, 0.45, 0.42])[k % 3], np.array([0.10, 0.10, 0.14])[k % 3]
+    return catalog_from_records(zip(k.tolist(), ra, dec, np.full(90, 3.0))), 5.5, math.radians(35.0)
+
+
+def _axes():
+    """Each of the six axis directions four times, with -0.0 components,
+    and a 100 deg limit: the orthogonal pairs have a cosine of zero, the
+    opposite pairs fall outside the limit."""
+    axes = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -0.0, 0], [0, -1, -0.0], [-0.0, 0, -1]], dtype=float)
+    vecs = np.repeat(axes, 4, axis=0)
+    ra = np.arctan2(vecs[:, 1], vecs[:, 0]) % (2 * math.pi)
+    dec = np.arcsin(vecs[:, 2])
+    catalog = StarCatalog(np.arange(len(vecs)), ra, dec, np.full(len(vecs), 1.0), vecs)
+    return catalog, 5.5, math.radians(100.0)
+
+
+# Catalogs whose builds always reach the repair of tied runs in the sort.
+TIED_CASES = {"shared_directions": _shared_directions(), "axes": _axes()}
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=catalogs(), block_rows=st.integers(1, 5), tail=st.integers(0, 4))
+@example(case=TIED_CASES["shared_directions"], block_rows=1, tail=0)
+@example(case=TIED_CASES["shared_directions"], block_rows=4, tail=3)
+@example(case=TIED_CASES["axes"], block_rows=1, tail=0)
+@example(case=TIED_CASES["axes"], block_rows=5, tail=2)
 def test_row_blocks_equal_the_full_form(case, block_rows, tail):
     catalog, mag_limit, max_angle_rad = case
     n = int((catalog.magnitudes <= mag_limit).sum())
@@ -105,6 +130,34 @@ def test_row_blocks_equal_the_full_form(case, block_rows, tail):
         mp.setattr(star_catalog, "_SQUARE_BLOCK", budget)
         got = _outcome(build_pair_database, catalog, mag_limit, max_angle_rad)
     assert got == _outcome(reference_pair_database, catalog, mag_limit, max_angle_rad)
+
+
+@pytest.mark.parametrize("name", sorted(TIED_CASES))
+def test_tied_cases_hold_ties(name):
+    cos_angles = reference_pair_database(*TIED_CASES[name])[0]
+    assert len(cos_angles) > 16  # past the sizes numpy sorts by insertion
+    assert (cos_angles[1:] == cos_angles[:-1]).sum() > len(cos_angles) // 2
+    if name == "axes":
+        assert (cos_angles == 0.0).sum() == 4 * 4 * 12  # 12 orthogonal direction pairs
+
+
+@st.composite
+def tied_values(draw):
+    """Up to 3000 floats drawn from a small pool holding -0.0 and 0.0,
+    so most of them sit in runs of equal values."""
+    n = draw(st.integers(0, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.concatenate(([-0.0, 0.0], rng.standard_normal(draw(st.integers(0, 40)))))
+    return pool[rng.integers(0, len(pool), n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=tied_values())
+def test_sort_equals_stable_argsort(values):
+    order, ranked = star_catalog._stable_sort(values)
+    want = np.argsort(values, kind="stable")
+    np.testing.assert_array_equal(order, want)
+    assert ranked.tobytes() == values[want].tobytes()  # -0.0 and 0.0 in input order
 
 
 def test_pair_exactly_on_the_bound_is_kept():

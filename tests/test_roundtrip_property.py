@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from opnav.config import (
+    MAX_FRAME_PIXELS,
     MAX_RANSAC_SAMPLES,
     MAX_SKY_STARS,
     NON_NEGATIVE_FIELDS,
@@ -206,8 +207,17 @@ def test_ephemeris_file(workdir, table):
             assert bits(got.magnitude) == bits(want.magnitude)
 
 
-# The int fields that validate caps from above.
-_INT_CAPS = {"ransac_samples": MAX_RANSAC_SAMPLES, "sky_star_count": MAX_SKY_STARS}
+# The int fields that validate caps from above, and the frame sides: at
+# most isqrt(MAX_FRAME_PIXELS) each keeps the pixel count within the cap.
+# A longer side is valid beside a short one, so only the fields capped on
+# their own draw invalid values from above.
+_INT_CAPS = {
+    "ransac_samples": MAX_RANSAC_SAMPLES,
+    "sky_star_count": MAX_SKY_STARS,
+    "image_width": math.isqrt(MAX_FRAME_PIXELS),
+    "image_height": math.isqrt(MAX_FRAME_PIXELS),
+}
+_CAPPED_ALONE = ("ransac_samples", "sky_star_count")
 
 
 def _valid_values(name, kind):
@@ -231,7 +241,7 @@ def _invalid_values(name, kind, cfg):
     """Values outside the range of one field, given the rest of ``cfg``."""
     if kind is int:
         low = st.integers(-(2**40), 0 if name in POSITIVE_FIELDS or name == "threshold_max_iterations" else -1)
-        return (low | st.integers(_INT_CAPS[name] + 1, 2**40)) if name in _INT_CAPS else low
+        return (low | st.integers(_INT_CAPS[name] + 1, 2**40)) if name in _CAPPED_ALONE else low
     non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
     if name == "render_mag_cutoff":
         return st.floats(max_value=cfg.mag_limit, exclude_max=True) | non_finite

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opnav.config import PipelineConfig
+from opnav import cli, star_catalog
+from opnav.config import MAX_SKY_STARS, PipelineConfig
 from opnav.geometry import angular_separation, radec_to_unit
 from opnav.harness import solve_attitude
 from opnav.renderer import SceneSpec, render
@@ -162,6 +163,46 @@ class TestBuildPairDatabase:
             for i, j, c in zip(db2.star_i.tolist(), db2.star_j.tolist(), db2.cos_angles)
         }
         assert triples1 == triples2
+
+    @staticmethod
+    def _row_of_stars(count, faint=0):
+        # 0.01 rad apart on the equator, at magnitude 5.5 but the last ``faint``
+        return catalog_from_records((k, 0.01 * k, 0.0, 5.5 if k < count - faint else 5.6) for k in range(count))
+
+    def test_star_cap(self, monkeypatch):
+        # the cap lowered to 40, so nothing large is built
+        monkeypatch.setattr(star_catalog, "MAX_PAIR_STARS", 40)
+        assert len(build_pair_database(self._row_of_stars(40), 5.5, math.radians(35))) == 40 * 39 // 2
+        with pytest.raises(CatalogError) as info:
+            build_pair_database(self._row_of_stars(41), 5.5, math.radians(35))
+        assert str(info.value) == (
+            "41 stars are at or brighter than mag_limit 5.5, more than the cap of 40: "
+            "the pair database would hold an 8 * 41**2 = 13,448 byte Gram matrix"
+        )
+        # only the stars that pass the magnitude filter count
+        assert len(build_pair_database(self._row_of_stars(45, faint=5), 5.5, math.radians(35))) == 40 * 39 // 2
+
+    def test_star_cap_is_the_sky_cap(self):
+        assert star_catalog.MAX_PAIR_STARS == MAX_SKY_STARS == 10_000
+
+    @pytest.mark.parametrize("command", ["build-catalog", "montecarlo"])
+    def test_cli_rejects_a_catalog_file_over_the_cap(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setattr(star_catalog, "MAX_PAIR_STARS", 40)
+        path = tmp_path / "catalog.csv"
+        save_catalog(self._row_of_stars(41), path)
+        out = tmp_path / "out"
+        if command == "build-catalog":
+            args = ["build-catalog", "--in", str(path), "--out", str(out)]
+        else:
+            args = ["montecarlo", "--n", "2", "--sigma-r", "1e4", "--seed", "1", "--out", str(out), "--catalog", str(path)]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 41 stars are at or brighter than mag_limit 5.5, more than the cap of 40: "
+            "the pair database would hold an 8 * 41**2 = 13,448 byte Gram matrix\n"
+        )
+        assert not out.exists()
 
     def test_interstar_angle_symmetric(self):
         cat = synthetic_catalog(20, 8)
