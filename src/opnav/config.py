@@ -23,8 +23,9 @@ from .star_catalog import MAX_PAIR_STARS
 # once, about 160 B per pair at its peak: 1024 samples hold 160 MiB.
 MAX_RANSAC_SAMPLES = 1024
 
-# build_pair_database takes the Gram matrix of every star to mag_limit,
-# 8 * N**2 bytes when all N synthetic stars pass: 0.8 GB at the cap.
+# build_pair_database holds about 48 B per star pair within max_pair_angle
+# at its peak, and about N**2 * (1 - cos max_pair_angle) / 4 pairs when all
+# N synthetic stars pass: 4.5 million, 0.2 GB, at the cap and 35 deg.
 MAX_SKY_STARS = MAX_PAIR_STARS
 
 # render holds about 2 B per pixel at its peak (2.0 MiB on the default
@@ -119,8 +120,8 @@ class PipelineConfig:
         if self.sky_star_count > MAX_SKY_STARS:
             n = self.sky_star_count
             raise ValueError(
-                f"sky_star_count must be <= {MAX_SKY_STARS}: the pair database may hold "
-                f"an 8 * {n}**2 = {8 * n * n:,} byte Gram matrix"
+                f"sky_star_count must be <= {MAX_SKY_STARS}: the pair table may hold "
+                f"up to {n} * {n - 1} / 2 = {n * (n - 1) // 2:,} pairs"
             )
         if self.threshold_max_iterations < 1:
             raise ValueError("threshold_max_iterations must be >= 1")

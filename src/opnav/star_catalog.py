@@ -183,12 +183,13 @@ def save_catalog(catalog: StarCatalog, path) -> None:
             fh.write(f"{star_id},{_degrees_text(ra)},{_degrees_text(dec)},{mag!r}\n")
 
 
-# Cells of the Gram matrix compared against the angle limit at a time:
-# a 1 MiB boolean row block, so the scan adds nothing of the sky's size.
-_SQUARE_BLOCK = 1 << 20
+# Cells of the cosine block taken and compared against the angle limit at
+# a time: 2^16 float64, 512 KiB, so a block and its temporaries stay in cache.
+_SQUARE_BLOCK = 1 << 16
 
 # The most stars at or brighter than mag_limit that build_pair_database
-# takes: their Gram matrix is 8 * S**2 bytes, 0.8 GB at the cap.
+# takes: it holds about 48 B per pair kept at its peak, and a uniform sky
+# keeps about S**2 * (1 - cos max_angle) / 4 pairs, 4.5 million at 35 deg.
 MAX_PAIR_STARS = 10_000
 
 
@@ -220,53 +221,50 @@ def build_pair_database(catalog: StarCatalog, mag_limit: float, max_angle_rad: f
     over the upper triangle, as a stable sort leaves them
     (``_stable_sort``).
 
-    The transient is one S x S float64 Gram matrix, 8 * S**2 bytes, where
-    S is the number of stars at or brighter than mag_limit; its upper
-    triangle is scanned in row blocks of ``_SQUARE_BLOCK`` cells, so only
-    the pairs within the angle limit are gathered and clipped to [-1, 1]
-    (clipping moves no cosine across cos(max_angle_rad) > -1).  More than
-    ``MAX_PAIR_STARS`` such stars raise CatalogError before the product.
+    The cosine of stars i < j is ``(x_i x_j + y_i y_j) + z_i z_j``, each step
+    one correctly rounded ufunc, so its bits depend on no BLAS or CPU.  Row
+    blocks of about ``_SQUARE_BLOCK`` upper-triangle cells are taken and
+    scanned one at a time: nothing of S x S size is held.  Kept cosines are
+    clipped to [-1, 1], which moves none across cos(max_angle_rad) > -1.
+    More than ``MAX_PAIR_STARS`` stars to mag_limit raise CatalogError.
     """
     if not 0.0 < max_angle_rad < math.pi:
         raise ValueError("max_angle_rad must lie in (0, pi)")
     keep = catalog.magnitudes <= mag_limit
-    stars = int(keep.sum())
-    if stars < 2:
+    n = int(keep.sum())
+    if n < 2:
         raise CatalogError("catalog too sparse: fewer than 2 stars pass the magnitude filter")
-    if stars > MAX_PAIR_STARS:
+    if n > MAX_PAIR_STARS:
         raise CatalogError(
-            f"{stars} stars are at or brighter than mag_limit {mag_limit}, more than the cap of {MAX_PAIR_STARS}: "
-            f"the pair database would hold an 8 * {stars}**2 = {8 * stars * stars:,} byte Gram matrix"
+            f"{n} stars are at or brighter than mag_limit {mag_limit}, more than the cap of {MAX_PAIR_STARS}: "
+            f"the pair table may hold up to {n} * {n - 1} / 2 = {n * (n - 1) // 2:,} pairs"
         )
     ids = catalog.ids[keep]
-    vecs = catalog.unit_vectors[keep]
+    v = catalog.unit_vectors[keep].T.copy()  # the x, y and z rows
     cos_max = math.cos(max_angle_rad)
 
-    gram = vecs @ vecs.T
-    n = len(vecs)
     step = max(1, _SQUARE_BLOCK // n)
-    cells = []
+    cells, kept = [], []
     for r0 in range(0, n - 1, step):
         # pairs (r0 + i, r0 + 1 + j) with j >= i, row-major as triu_indices
-        i, j = np.divmod(np.flatnonzero(gram[r0 : r0 + step, r0 + 1 :] >= cos_max), n - r0 - 1)
+        block = np.multiply.outer(v[0, r0 : r0 + step], v[0, r0 + 1 :])
+        block += np.multiply.outer(v[1, r0 : r0 + step], v[1, r0 + 1 :])
+        block += np.multiply.outer(v[2, r0 : r0 + step], v[2, r0 + 1 :])
+        flat = np.flatnonzero(block >= cos_max)
+        i, j = np.divmod(flat, n - r0 - 1)
         upper = j >= i
         cells.append((i[upper] + r0) * n + (j[upper] + (r0 + 1)))
-    cell = np.concatenate(cells)  # the flat Gram index of each pair
-    del cells  # each block's indices, freed before the gather
-    cosines = np.clip(np.take(gram, cell), -1.0, 1.0)
-    del gram  # the sort and the id gathers run without it
+        kept.append(block.ravel()[flat[upper]])
+    cell, cosines = np.concatenate(cells), np.concatenate(kept)  # the flat S x S index and cosine of each pair
+    del cells, kept
+    np.clip(cosines, -1.0, 1.0, out=cosines)
     if len(cosines) < 1:
         raise CatalogError("catalog too sparse: no star pair within the angle limit")
 
     order, cosines = _stable_sort(cosines)
     row, col = np.divmod(cell[order], n)
-    return PairDatabase(
-        cos_angles=cosines,
-        star_i=ids[row],
-        star_j=ids[col],
-        mag_limit=mag_limit,
-        max_angle_rad=max_angle_rad,
-    )
+    del cell, order
+    return PairDatabase(cosines, ids[row], ids[col], mag_limit, max_angle_rad)
 
 
 def build_kvector(db: PairDatabase) -> KVectorIndex:

@@ -576,8 +576,8 @@ class TestConfig:
         with pytest.raises(ValueError) as info:
             cfg.validate()
         assert str(info.value) == (
-            f"sky_star_count must be <= {MAX_SKY_STARS}: the pair database may hold "
-            f"an 8 * {stars}**2 = {8 * stars * stars:,} byte Gram matrix"
+            f"sky_star_count must be <= {MAX_SKY_STARS}: the pair table may hold "
+            f"up to {stars} * {stars - 1} / 2 = {stars * (stars - 1) // 2:,} pairs"
         )
 
     @pytest.mark.parametrize(
@@ -646,7 +646,7 @@ def _cli(*args):
 README_SCENE_SHA256 = {
     "catalog.csv": "f0bb2c129f9557de2421499ef93bfc987b1b6dcc2910f4854c3a9d400d1c118b",
     "planets.csv": "a278447ce32b00cf4397a7cb31095505ecfb350e1a285ee821b3e61a73f6e592",
-    "onboard.npz": "f104a7f9be855dbfe8092689bf8efb147cf876283e84f5f5db6cfdc455d87a64",
+    "onboard.npz": "05cb69de868cbca5d38a3be1dc4c96b3ee42331d8f63032dfcfb2ab96e84fad3",
     "frame.pgm": "b839a90ee006e84083e3927a53cbcafa5df6b84197bcc9edbe91b0313c0f037a",
     "frame_truth.csv": "1a0f87909a6ff9a375fb1b681025a2ad122405d89b9961379c8e6aca39446bfa",
     "process stdout": "2a652f9c6a8a4c3ede575f66856c3d396e0aecc1596d26672c2ae482c4eea1b0",
@@ -828,11 +828,11 @@ class TestCli:
                 "ransac_samples=1025",
                 "ransac_samples must be <= 1024: consensus scoring compares every pair of samples",
             ),
-            # a sky whose pair database would need an 800 TB Gram matrix; never drawn
+            # a sky whose pair table could hold 5e13 pairs; never drawn
             (
                 "sky_star_count=10000000",
-                "sky_star_count must be <= 10000: the pair database may hold "
-                "an 8 * 10000000**2 = 800,000,000,000,000 byte Gram matrix",
+                "sky_star_count must be <= 10000: the pair table may hold "
+                "up to 10000000 * 9999999 / 2 = 49,999,995,000,000 pairs",
             ),
             # a 1 TB frame; never rendered
             (

@@ -1,9 +1,10 @@
-"""Property: ``build_pair_database``, which scans the Gram matrix in row
+"""Property: ``build_pair_database``, which takes the pair cosines in row
 blocks and sorts with numpy's default sort plus a repair of tied runs,
-equals the full form (clip the whole matrix, gather its upper triangle
-with ``triu_indices``, stable argsort) byte for byte, whatever the block
-size; and it holds nothing of the sky's size besides that one Gram
-matrix."""
+equals the full form (every cosine of the S x S matrix at once, clipped,
+its upper triangle gathered with ``triu_indices``, stable argsort) byte
+for byte, whatever the block size; every stored cosine is
+``(x_i x_j + y_i y_j) + z_i z_j`` in Python floats; and the build holds
+nothing of S x S size."""
 
 import math
 import tracemalloc
@@ -19,6 +20,13 @@ from opnav.star_catalog import CatalogError, StarCatalog, build_pair_database, c
 from conftest import SKIES
 
 
+def pair_cosines(vecs):
+    """The S x S cosines ``(x_i x_j + y_i y_j) + z_i z_j``, from elementwise
+    ufuncs in that order: never ``@`` or ``einsum``, which may call BLAS."""
+    x, y, z = vecs.T
+    return (x[:, None] * x + y[:, None] * y) + z[:, None] * z
+
+
 def reference_pair_database(catalog, mag_limit, max_angle_rad):
     """The full form: four arrays of S x S size at once."""
     if not 0.0 < max_angle_rad < math.pi:
@@ -30,7 +38,7 @@ def reference_pair_database(catalog, mag_limit, max_angle_rad):
     vecs = catalog.unit_vectors[keep]
     cos_max = math.cos(max_angle_rad)
 
-    cos_all = np.clip(vecs @ vecs.T, -1.0, 1.0)
+    cos_all = np.clip(pair_cosines(vecs), -1.0, 1.0)
     iu, ju = np.triu_indices(len(vecs), k=1)
     cosines = cos_all[iu, ju]
     sel = cosines >= cos_max
@@ -83,9 +91,8 @@ def catalogs(draw):
     if draw(st.booleans()):
         bright = catalog.unit_vectors[catalog.magnitudes <= mag_limit]
         if len(bright) >= 2:
-            gram = bright @ bright.T  # the product the build takes: the same bits
             a, b = sorted(rng.choice(len(bright), 2, replace=False))
-            on_pair = _angle_on_a_cosine(float(gram[a, b]))
+            on_pair = _angle_on_a_cosine(float(pair_cosines(bright)[a, b]))
             if on_pair is not None:
                 max_angle_rad = on_pair
     return catalog, mag_limit, max_angle_rad
@@ -164,7 +171,7 @@ def test_pair_exactly_on_the_bound_is_kept():
     # two stars on the equator: the limit is set on their cosine itself
     catalog = catalog_from_records([(1, 0.0, 0.0, 1.0), (2, 0.4, 0.0, 1.0), (3, 2.0, 0.0, 1.0)])
     vecs = catalog.unit_vectors
-    bound = _angle_on_a_cosine(float((vecs @ vecs.T)[0, 1]))
+    bound = _angle_on_a_cosine(float(pair_cosines(vecs)[0, 1]))
     assert bound is not None
     db = build_pair_database(catalog, 5.5, bound)
     assert (db.star_i.tolist(), db.star_j.tolist()) == ([1], [2])
@@ -188,15 +195,33 @@ def test_skies_equal_the_full_form(sky_catalog):
     assert _outcome(build_pair_database, *args) == _outcome(reference_pair_database, *args)
 
 
-# What the build may hold besides the Gram matrix: 48 B per kept pair
-# covers its two int64 indices while the row blocks are concatenated
-# (32 B per pair measured on both skies) and the 1 MiB comparison block.
+@settings(max_examples=100, deadline=None)
+@given(case=catalogs())
+def test_cosines_are_the_fixed_order_sum(case):
+    catalog, mag_limit, max_angle_rad = case
+    try:
+        db = build_pair_database(catalog, mag_limit, max_angle_rad)
+    except CatalogError:
+        return
+    u = catalog.unit_vectors.tolist()
+    rows = zip(catalog.rows_of(db.star_i).tolist(), catalog.rows_of(db.star_j).tolist())
+    want = []
+    for (xi, yi, zi), (xj, yj, zj) in ((u[a], u[b]) for a, b in rows):
+        want.append(min(1.0, max(-1.0, (xi * xj + yi * yj) + zi * zj)))
+    assert [c.hex() for c in db.cos_angles.tolist()] == [c.hex() for c in want]
+
+
+# What the build may hold at its peak: 48 B per kept pair (the sorted
+# cosines, the sort order, the flat cell index, its gather and the row and
+# column split from it), and room for one float64 block and the
+# temporaries of its scan.
 PEAK_BYTES_PER_PAIR = 48
+PEAK_BLOCK_BYTES = 4 * 8 * star_catalog._SQUARE_BLOCK
 
 
-def test_peak_memory_is_one_gram_matrix():
-    """On the default sky (S = 2258 stars to mag 5.5): 46.2 MiB against a
-    38.9 MiB Gram matrix; the full form peaks at 105.0 MiB."""
+def test_peak_memory_is_the_kept_pairs():
+    """On the default sky (S = 2258 stars to mag 5.5, 230,259 pairs): about
+    10.6 MiB, against 38.9 MiB for one S x S float64 matrix."""
     cfg = SKIES["default"]
     catalog = synthetic_catalog(
         cfg.sky_star_count, cfg.sky_seed, cfg.sky_mag_bright, cfg.sky_mag_faint, cfg.sky_mag_slope
@@ -208,4 +233,4 @@ def test_peak_memory_is_one_gram_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 8 * s * s < peak <= 8 * s * s + PEAK_BYTES_PER_PAIR * len(db)
+    assert peak <= PEAK_BYTES_PER_PAIR * len(db) + PEAK_BLOCK_BYTES < 8 * s * s

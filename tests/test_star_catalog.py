@@ -177,7 +177,7 @@ class TestBuildPairDatabase:
             build_pair_database(self._row_of_stars(41), 5.5, math.radians(35))
         assert str(info.value) == (
             "41 stars are at or brighter than mag_limit 5.5, more than the cap of 40: "
-            "the pair database would hold an 8 * 41**2 = 13,448 byte Gram matrix"
+            "the pair table may hold up to 41 * 40 / 2 = 820 pairs"
         )
         # only the stars that pass the magnitude filter count
         assert len(build_pair_database(self._row_of_stars(45, faint=5), 5.5, math.radians(35))) == 40 * 39 // 2
@@ -200,7 +200,7 @@ class TestBuildPairDatabase:
         assert captured.out == ""
         assert captured.err == (
             "error: 41 stars are at or brighter than mag_limit 5.5, more than the cap of 40: "
-            "the pair database would hold an 8 * 41**2 = 13,448 byte Gram matrix\n"
+            "the pair table may hold up to 41 * 40 / 2 = 820 pairs\n"
         )
         assert not out.exists()
 
