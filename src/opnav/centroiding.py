@@ -1,7 +1,7 @@
 """Dynamic thresholding, ROI extraction, and weighted-moment centroids.
 
-The threshold is mean + T * std over the whole frame (population std);
-an 8-bit frame takes both moments as exact integer sums.
+A frame is a 2-D uint8 array.  The threshold is mean + T * std over the
+whole frame (population std), both moments taken as exact integer sums.
 Pixels strictly above the threshold form 8-connected components.  Only
 the few rows and columns that hold such pixels are labelled: they are
 packed into a small array, with one blank row between runs of rows, and
@@ -31,32 +31,30 @@ _SQUARE_BLOCK = 2**16  # pixels compute_threshold squares at a time
 
 
 def compute_threshold(image: np.ndarray, t: float) -> float:
-    """Intensity threshold mean + t * std over all pixels of the frame.
+    """Intensity threshold mean + t * std over all pixels of the 2-D
+    uint8 frame; any other frame raises ValueError.
 
-    An 8-bit frame takes both moments as exact unsigned-integer sums, with
-    no widening of the frame beyond uint16: the mean is the correctly
-    rounded quotient, the variance the correctly rounded
-    (n * sum(v^2) - sum(v)^2) / n^2.  Each row is summed first, in uint32
-    up to ``_UINT32_ROW_WIDTH`` columns (the same integers at about half
-    the cost of uint64).  The squares are taken ``max(1, _SQUARE_BLOCK //
-    width)`` rows at a time into one reused uint16 buffer that stays in
-    cache; a frame that is not 2-D is summed as one row.
+    Both moments are exact unsigned-integer sums, with no widening of the
+    frame beyond uint16: the mean is the correctly rounded quotient, the
+    variance the correctly rounded (n * sum(v^2) - sum(v)^2) / n^2.  Each
+    row is summed first, in uint32 up to ``_UINT32_ROW_WIDTH`` columns (the
+    same integers at about half the cost of uint64).  The squares are taken
+    ``max(1, _SQUARE_BLOCK // width)`` rows at a time into one reused uint16
+    buffer that stays in cache.
     """
+    if image.dtype != np.uint8 or image.ndim != 2:
+        raise ValueError(f"expected a 2-D uint8 frame, got a {image.ndim}-D {image.dtype} array")
     if image.size == 0:
         raise ValueError("empty image")
-    if image.dtype != np.uint8:
-        data = image.astype(np.float64, copy=False)
-        return float(data.mean() + t * data.std())
     n = image.size
-    frame = image if image.ndim == 2 else image.reshape(1, -1)
-    height, width = frame.shape
+    height, width = image.shape
     row_sum = np.uint32 if width <= _UINT32_ROW_WIDTH else np.uint64
     block = max(1, _SQUARE_BLOCK // width)
     squares = np.empty((min(block, height), width), dtype=np.uint16)  # 255**2 fits in uint16
-    s1 = int(np.add.reduce(frame, axis=1, dtype=row_sum).sum(dtype=np.uint64))
+    s1 = int(np.add.reduce(image, axis=1, dtype=row_sum).sum(dtype=np.uint64))
     s2 = 0
     for start in range(0, height, block):
-        rows = frame[start : start + block]
+        rows = image[start : start + block]
         sq = np.square(rows, dtype=np.uint16, out=squares[: len(rows)])
         s2 += int(np.add.reduce(sq, axis=1, dtype=row_sum).sum(dtype=np.uint64))
     mean = s1 / n
@@ -80,7 +78,6 @@ def extract_rois(image: np.ndarray, threshold: float) -> tuple[np.ndarray, np.nd
     frame's.
     """
     height, width = image.shape
-    # fmax: NaN pixels never count
     rows = np.flatnonzero(np.fmax.reduce(image, axis=1) > threshold) if image.size else []
     if len(rows) == 0:
         return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64)

@@ -112,9 +112,7 @@ def _cmd_build_catalog(args) -> int:
 
 def _cmd_synth_sky(args) -> int:
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    catalog = skysim.synthetic_catalog(
-        cfg.sky_star_count, cfg.sky_seed, cfg.sky_mag_bright, cfg.sky_mag_faint, cfg.sky_mag_slope
-    )
+    catalog = cfg.sky()
     save_catalog(catalog, args.catalog_out)
     print(f"wrote {len(catalog)} stars to {args.catalog_out}")
     if args.ephemeris_out:
@@ -195,8 +193,6 @@ def _cmd_process(args) -> int:
     try:
         check_pairs_match(db, catalog)
     except CatalogError as exc:
-        if exc.star_id is not None:
-            raise ValueError(f"{args.db}: star id {exc.star_id} is not in {args.catalog}") from None
         raise ValueError(f"{args.db} does not match {args.catalog}: {exc}") from None
     attitude_out = solve_attitude(
         image.data, camera, catalog, db, index, cfg.identify_config(), cfg.ransac_config()
@@ -234,16 +230,14 @@ def _cmd_process(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    if args.catalog:
-        catalog = load_catalog(args.catalog)
-    else:
-        catalog = skysim.synthetic_catalog(
-            cfg.sky_star_count, cfg.sky_seed, cfg.sky_mag_bright, cfg.sky_mag_faint, cfg.sky_mag_slope
-        )
-    planets = planets_at(args.ephemeris, args.epoch) if args.ephemeris else skysim.solar_system()
-    sigma_r = [float(s) for s in args.sigma_r.split(",") if s]
+    try:
+        sigma_r = [float(s) for s in args.sigma_r.split(",") if s]
+    except ValueError:
+        raise ValueError(f"--sigma-r expects comma-separated numbers in km, got '{args.sigma_r}'") from None
     if not sigma_r:
         raise ValueError("empty --sigma-r list")
+    catalog = load_catalog(args.catalog) if args.catalog else cfg.sky()
+    planets = planets_at(args.ephemeris, args.epoch) if args.ephemeris else skysim.solar_system()
     db = build_pair_database(catalog, cfg.mag_limit, cfg.max_pair_angle_rad)
     index = build_kvector(db)
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from . import skysim
 from .geometry import ARCSEC_TO_RAD, CameraModel
 from .star_id import IdentifyConfig
 from .attitude_solver import RansacConfig
 from .beacon_detection import UncertaintyBudget
 from .renderer import PSF_TRUNCATION_SIGMAS, SceneSpec
-from .star_catalog import MAX_PAIR_STARS
+from .star_catalog import MAX_PAIR_STARS, StarCatalog
 
 # consensus_scores takes the agreement of every pair of RANSAC samples at
 # once, about 160 B per pair at its peak: 1024 samples hold 160 MiB.
@@ -158,6 +159,12 @@ class PipelineConfig:
             seed=seed,
             anchor_mag=self.anchor_mag,
             anchor_peak_dn=self.anchor_peak_dn,
+        )
+
+    def sky(self) -> StarCatalog:
+        """The synthetic star catalog of the ``sky_*`` fields."""
+        return skysim.synthetic_catalog(
+            self.sky_star_count, self.sky_seed, self.sky_mag_bright, self.sky_mag_faint, self.sky_mag_slope
         )
 
     def identify_config(self) -> IdentifyConfig:

@@ -42,6 +42,7 @@ straddling cell.  With ``sigma == 0`` the background is the constant
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,6 +63,9 @@ PSF_TRUNCATION_SIGMAS = 4.0
 BACKGROUND_CELLS = 2**16  # lookup cells of the background sampler
 _BACKGROUND_BLOCK = 2**16  # pixels the background sampler draws at a time, a multiple of 4
 _CONE_SLACK_RAD = 1e-6  # grows the star cone of render_field past rounding
+# P5, then width, height and maxval, each after whitespace or #-to-newline
+# comments, then the one whitespace byte before the pixels.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 @dataclass(frozen=True)
@@ -339,34 +343,27 @@ def write_pgm(image: Image, path) -> None:
 
 
 def read_pgm(path) -> Image:
+    """The 2-D uint8 frame of a binary PGM file.  A header that does not
+    match ``_PGM_HEADER``, a header field too long for ``int``, a zero
+    width or height, a maxval other than 255 or a wrong number of data
+    bytes raises ValueError naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if not blob.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM (P5) file")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if blob[pos : pos + 1] == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError(f"{path}: truncated PGM header")
-        fields.append(int(blob[start:pos]))
-    pos += 1  # single whitespace after maxval
-    width, height, maxval = fields
+    header = _PGM_HEADER.match(blob)
+    if header is None:
+        raise ValueError(f"{path}: malformed or truncated PGM header, expected 'P5 <width> <height> 255'")
+    try:
+        width, height, maxval = map(int, header.groups())
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise ValueError(f"{path}: PGM header field too long") from None
+    if width == 0 or height == 0:
+        raise ValueError(f"{path}: empty {width}x{height} frame")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
-    n_data = max(len(blob) - pos, 0)
+    n_data = len(blob) - header.end()
     if n_data != width * height:
         raise ValueError(f"{path}: expected {width * height} data bytes, got {n_data}")
-    data = np.frombuffer(blob[pos:], dtype=np.uint8).reshape(height, width)
-    return Image(data.copy())
+    return Image(np.frombuffer(blob, dtype=np.uint8, offset=header.end()).reshape(height, width).copy())
 
 
 def write_truth(truth: GroundTruth, path) -> None:

@@ -46,14 +46,9 @@ def seen_from(planet: Planet, observer_km) -> Planet:
     return Planet(planet.name, planet.position_km, planet.magnitude + 5.0 * math.log10(max(d, 1.0) / AU_KM))
 
 
-def synthetic_catalog(
-    n_stars: int,
-    seed: int,
-    mag_bright: float = -1.0,
-    mag_faint: float = 6.5,
-    slope: float = 0.35,
-) -> StarCatalog:
-    """Full-sky star catalog, ids 1..n, deterministic for a given seed."""
+def synthetic_catalog(n_stars: int, seed: int, mag_bright: float, mag_faint: float, slope: float) -> StarCatalog:
+    """Full-sky star catalog, ids 1..n, deterministic for a given seed;
+    ``PipelineConfig.sky`` is the default sky."""
     rng = np.random.default_rng(seed)
     ra = rng.uniform(0.0, 2.0 * math.pi, n_stars)
     dec = np.arcsin(rng.uniform(-1.0, 1.0, n_stars))

@@ -1,15 +1,17 @@
-"""Star catalog ingestion and the search-less pair database.
+"""Star catalog ingestion and the k-vector pair database.
 
 The onboard database stores, for every retained star pair, the cosine of
 the interstar angle in a sorted array together with the two catalog ids
-that produced it.  A k-vector over that sorted array supports range
-queries without searching: entry k of the count vector holds how many
-cosines fall strictly below the straight line fitted through the first
-and last entry of the array.
+that produced it.  A k-vector over that sorted array brackets range
+queries: entry k of the count vector holds how many cosines fall
+strictly below the straight line fitted through the first and last entry
+of the array.
 
-Queries use the k-vector bins to bracket a coarse candidate range and
-then apply exact comparisons against the sorted cosines, so endpoint and
-tie conventions can only add candidates, never lose them.
+Queries use the k-vector bins to bracket a coarse candidate range, take
+one binary search per query (``np.searchsorted`` of the upper cosine) to
+widen it where the upper bin stops short, and then apply exact
+comparisons against the sorted cosines, so endpoint and tie conventions
+can only add candidates, never lose them.
 """
 
 from __future__ import annotations
@@ -23,12 +25,7 @@ from .geometry import TWO_PI, radec_to_unit
 
 
 class CatalogError(ValueError):
-    """Raised for malformed catalog input or degenerate databases;
-    ``star_id`` is the id a failed ``StarCatalog.rows_of`` lookup names."""
-
-    def __init__(self, message: str, star_id: int | None = None):
-        super().__init__(message)
-        self.star_id = star_id
+    """Raised for malformed catalog input or degenerate databases."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +64,7 @@ class StarCatalog:
         found[found] = self.ids[self._id_order[pos[found]]] == ids[found]
         if not found.all():
             missing = int(ids[~found].min())
-            raise CatalogError(f"star id {missing} is not in the catalog", missing)
+            raise CatalogError(f"star id {missing} is not in the catalog")
         return self._id_order[pos]
 
 

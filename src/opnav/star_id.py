@@ -1,7 +1,11 @@
-"""Search-less star identification with reference-star confirmation.
+"""Star identification by k-vector range queries with reference-star
+confirmation.
 
 For every pair of observed centroids the measured interstar angle is
-turned into a range query against the onboard pair database.  A
+turned into a range query against the onboard pair database.  The
+k-vector brackets each query, and ``kvector_range_queries`` takes one
+binary search per angle (``np.searchsorted`` of its upper cosine) to
+widen the bracket where the upper bin falls short.  A
 candidate assignment (centroid i -> star A, centroid j -> star B) is
 confirmed by a third centroid r when the candidate partner sets of the
 two legs (i, r) and (j, r) share exactly one catalog star; an ambiguous

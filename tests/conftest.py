@@ -5,7 +5,6 @@ import pytest
 
 from opnav.config import PipelineConfig
 from opnav.geometry import CameraModel, PointingAngles
-from opnav.skysim import synthetic_catalog
 from opnav.star_catalog import build_kvector, build_pair_database, catalog_from_records
 
 
@@ -58,9 +57,7 @@ SKIES = {
 @pytest.fixture(scope="session")
 def sky(cfg):
     """Full-scale synthetic sky with its onboard pair database."""
-    catalog = synthetic_catalog(
-        cfg.sky_star_count, cfg.sky_seed, cfg.sky_mag_bright, cfg.sky_mag_faint, cfg.sky_mag_slope
-    )
+    catalog = cfg.sky()
     db = build_pair_database(catalog, cfg.mag_limit, cfg.max_pair_angle_rad)
     return catalog, db, build_kvector(db)
 

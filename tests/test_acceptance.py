@@ -26,7 +26,7 @@ from opnav.config import PipelineConfig
 from opnav.geometry import Attitude, CameraModel, PointingAngles, matrix_from_quaternion, project_point
 from opnav.harness import run_campaign
 from opnav.renderer import SceneSpec, render
-from opnav.skysim import AU_KM, solar_system, synthetic_catalog
+from opnav.skysim import AU_KM, solar_system
 from opnav.star_catalog import PairDatabase, build_kvector, build_pair_database, kvector_range_query
 from conftest import random_rotation
 

@@ -14,26 +14,39 @@ def _spot(image, x, y, peak, sigma=0.9):
 
 class TestThreshold:
     def test_constant_image(self):
-        img = np.full((32, 32), 17.0)
+        img = np.full((32, 32), 17, dtype=np.uint8)
         thr = compute_threshold(img, 20.0)
         assert thr == 17.0
         assert not (img > thr).any()
 
     def test_single_bright_pixel_t_zero(self):
-        img = np.zeros((16, 16))
-        img[3, 4] = 255.0
+        img = np.zeros((16, 16), dtype=np.uint8)
+        img[3, 4] = 255
         thr = compute_threshold(img, 0.0)
         assert thr == pytest.approx(img.mean())
         assert np.count_nonzero(img > thr) == 1
 
     def test_population_std_used(self):
-        img = np.array([[0.0, 2.0]])
+        img = np.array([[0, 2]], dtype=np.uint8)
         # population std of {0, 2} is 1, not sqrt(2)
-        assert compute_threshold(img, 1.0) == pytest.approx(2.0)
+        assert compute_threshold(img, 1.0) == 2.0
 
     def test_empty_image_rejected(self):
-        with pytest.raises(ValueError):
-            compute_threshold(np.zeros((0, 0)), 1.0)
+        with pytest.raises(ValueError, match="^empty image$"):
+            compute_threshold(np.zeros((0, 0), dtype=np.uint8), 1.0)
+
+    @pytest.mark.parametrize(
+        "image, kind",
+        [
+            (np.zeros((16, 16)), "2-D float64"),
+            (np.zeros(256, dtype=np.uint8), "1-D uint8"),
+            (np.zeros((2, 16, 16), dtype=np.uint8), "3-D uint8"),
+        ],
+        ids=["float64", "1-D", "3-D"],
+    )
+    def test_non_frame_rejected(self, image, kind):
+        with pytest.raises(ValueError, match=f"^expected a 2-D uint8 frame, got a {kind} array$"):
+            compute_threshold(image, 1.0)
 
 
 class TestExtractRois:

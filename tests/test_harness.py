@@ -36,7 +36,7 @@ from opnav.harness import (
     write_scenarios_csv,
 )
 from opnav.renderer import GroundTruth, Image, TruthObject, read_truth, write_pgm
-from opnav.skysim import AU_KM, seen_from, solar_system, synthetic_catalog
+from opnav.skysim import AU_KM, seen_from, solar_system
 from opnav.star_catalog import (
     build_kvector,
     build_pair_database,
@@ -899,6 +899,21 @@ class TestCli:
         assert r.stdout == ""
         assert r.stderr == f"error: {pgm}: image is 640x480 px, the camera config expects 1024x1024\n"
 
+    def test_process_rejects_malformed_pgm(self, tmp_path):
+        cfgfile = tmp_path / "camera.cfg"
+        save_config(PipelineConfig(), cfgfile)
+        pgm = tmp_path / "bad.pgm"
+        pgm.write_bytes(b"P5\nab 3\n255\n" + bytes(6))
+        # the image is read before the catalog and the database, which do not exist
+        r = _cli(
+            "process", "--image", str(pgm), "--db", str(tmp_path / "onboard.npz"), "--config", str(cfgfile),
+            "--catalog", str(tmp_path / "catalog.csv"),
+        )
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith(f"error: {pgm}: malformed or truncated PGM header")
+        assert r.stderr.count("\n") == 1
+
     def test_process_rejects_db_from_another_catalog(self, tmp_path, desk_catalog, desk_db):
         cfgfile = tmp_path / "camera.cfg"
         save_config(PipelineConfig(), cfgfile)
@@ -918,7 +933,7 @@ class TestCli:
         )
         assert r.returncode == 1
         assert r.stdout == ""
-        assert r.stderr == f"error: {db}: star id 2 is not in {catalog}\n"
+        assert r.stderr == f"error: {db} does not match {catalog}: star id 2 is not in the catalog\n"
 
     def test_process_rejects_db_with_a_moved_star(self, tmp_path, desk_db):
         cfgfile = tmp_path / "camera.cfg"
@@ -958,6 +973,13 @@ class TestCli:
         )
         assert r.returncode == 1
         assert r.stderr == f"error: sigma_r_km must be finite and >= 0, got {sigma_r.split(',')[0]}\n"
+        assert not (tmp_path / "mc").exists()
+
+    def test_montecarlo_names_sigma_r_that_does_not_parse(self, tmp_path):
+        r = _cli("montecarlo", "--n", "2", "--sigma-r", "1e4,abc", "--seed", "1", "--out", str(tmp_path / "mc"))
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: --sigma-r expects comma-separated numbers in km, got '1e4,abc'\n"
         assert not (tmp_path / "mc").exists()
 
     def test_montecarlo_rejects_repeated_sigma_r(self, tmp_path):

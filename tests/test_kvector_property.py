@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opnav.skysim import synthetic_catalog
 from opnav.star_catalog import (
     CatalogError,
     PairDatabase,
@@ -167,9 +166,7 @@ COUNTS_SHA256 = {
 @pytest.mark.parametrize("name", sorted(SKIES))
 def test_sky_counts_frozen_and_equal_searchsorted(name):
     cfg = SKIES[name]
-    catalog = synthetic_catalog(
-        cfg.sky_star_count, cfg.sky_seed, cfg.sky_mag_bright, cfg.sky_mag_faint, cfg.sky_mag_slope
-    )
+    catalog = cfg.sky()
     db = build_pair_database(catalog, cfg.mag_limit, cfg.max_pair_angle_rad)
     counts = build_kvector(db).counts
     np.testing.assert_array_equal(counts, searchsorted_counts(db.cos_angles))

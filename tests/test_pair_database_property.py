@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opnav import star_catalog
-from opnav.skysim import synthetic_catalog
 from opnav.star_catalog import CatalogError, StarCatalog, build_pair_database, catalog_from_records
 from conftest import SKIES
 
@@ -183,10 +182,7 @@ def test_pair_exactly_on_the_bound_is_kept():
 @pytest.fixture(scope="module", params=sorted(SKIES))
 def sky_catalog(request):
     cfg = SKIES[request.param]
-    catalog = synthetic_catalog(
-        cfg.sky_star_count, cfg.sky_seed, cfg.sky_mag_bright, cfg.sky_mag_faint, cfg.sky_mag_slope
-    )
-    return cfg, catalog
+    return cfg, cfg.sky()
 
 
 def test_skies_equal_the_full_form(sky_catalog):
@@ -223,9 +219,7 @@ def test_peak_memory_is_the_kept_pairs():
     """On the default sky (S = 2258 stars to mag 5.5, 230,259 pairs): about
     10.6 MiB, against 38.9 MiB for one S x S float64 matrix."""
     cfg = SKIES["default"]
-    catalog = synthetic_catalog(
-        cfg.sky_star_count, cfg.sky_seed, cfg.sky_mag_bright, cfg.sky_mag_faint, cfg.sky_mag_slope
-    )
+    catalog = cfg.sky()
     s = int((catalog.magnitudes <= cfg.mag_limit).sum())
     tracemalloc.start()
     try:

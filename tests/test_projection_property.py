@@ -38,13 +38,10 @@ from opnav.geometry import (
     skew,
 )
 from opnav.renderer import SceneSpec, render_field
-from opnav.skysim import AU_KM, synthetic_catalog
+from opnav.skysim import AU_KM
 
 CAMERA = CameraModel()
-_CFG = PipelineConfig()
-DEFAULT_SKY = synthetic_catalog(
-    _CFG.sky_star_count, _CFG.sky_seed, _CFG.sky_mag_bright, _CFG.sky_mag_faint, _CFG.sky_mag_slope
-)
+DEFAULT_SKY = PipelineConfig().sky()
 
 # camera-frame direction of a beacon: near the boresight, off to the side,
 # or behind the camera

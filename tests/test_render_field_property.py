@@ -32,7 +32,6 @@ from opnav.renderer import (
     render,
     render_field,
 )
-from opnav.skysim import synthetic_catalog
 from opnav.star_catalog import catalog_from_records
 
 WIDTH, HEIGHT = 40, 30
@@ -40,10 +39,7 @@ CAMERA = CameraModel(width=WIDTH, height=HEIGHT)
 SIGMAS = (0.5, 0.9, 1.0, 1.25, 12.0)  # 0.9 is the default
 POSE = PointingAngles(0.3, -0.2, 1.1)
 ATTITUDE = attitude_from_axis_azimuth(POSE)
-_CFG = PipelineConfig()
-DEFAULT_SKY = synthetic_catalog(
-    _CFG.sky_star_count, _CFG.sky_seed, _CFG.sky_mag_bright, _CFG.sky_mag_faint, _CFG.sky_mag_slope
-)
+DEFAULT_SKY = PipelineConfig().sky()
 
 
 def psf_box(shape, x, y, sigma):

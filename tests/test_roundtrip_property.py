@@ -163,7 +163,7 @@ def test_catalog_text_written_back_unchanged(workdir, stars):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_stars=st.integers(30, 150))
 def test_pair_database_file(workdir, seed, n_stars):
-    catalog = synthetic_catalog(n_stars, seed, mag_bright=0.0, mag_faint=5.0)
+    catalog = synthetic_catalog(n_stars, seed, mag_bright=0.0, mag_faint=5.0, slope=0.35)
     db = build_pair_database(catalog, mag_limit=5.5, max_angle_rad=math.radians(35.0))
     assume(len(db) >= 2 and db.cos_angles[0] < db.cos_angles[-1])
     index = build_kvector(db)

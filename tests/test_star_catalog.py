@@ -99,7 +99,7 @@ class TestLoadCatalog:
             load_catalog(_write(tmp_path, "1,0,91,1.0\n"))
 
     def test_save_load_roundtrip(self, tmp_path):
-        cat = synthetic_catalog(50, 9)
+        cat = synthetic_catalog(50, 9, -1.0, 6.5, 0.35)
         path = tmp_path / "round.csv"
         save_catalog(cat, path)
         back = load_catalog(path)
@@ -131,7 +131,7 @@ class TestBuildPairDatabase:
             build_pair_database(_tiny_catalog(0.1, mags=(5.5, 5.51)), 5.5, 0.5)
 
     def test_matches_brute_force(self):
-        cat = synthetic_catalog(40, 21, mag_bright=1.0, mag_faint=6.0)
+        cat = synthetic_catalog(40, 21, mag_bright=1.0, mag_faint=6.0, slope=0.35)
         m_lim, g_max = 5.5, math.radians(35)
         db = build_pair_database(cat, m_lim, g_max)
         expected = set()
@@ -147,7 +147,7 @@ class TestBuildPairDatabase:
         assert np.all(np.diff(db.cos_angles) >= 0)
 
     def test_independent_of_input_order(self):
-        cat = synthetic_catalog(30, 5, mag_bright=1.0, mag_faint=5.0)
+        cat = synthetic_catalog(30, 5, mag_bright=1.0, mag_faint=5.0, slope=0.35)
         perm = np.random.default_rng(1).permutation(len(cat))
         shuffled = catalog_from_records(
             zip(cat.ids[perm], cat.right_ascension[perm], cat.declination[perm], cat.magnitudes[perm])
@@ -205,7 +205,7 @@ class TestBuildPairDatabase:
         assert not out.exists()
 
     def test_interstar_angle_symmetric(self):
-        cat = synthetic_catalog(20, 8)
+        cat = synthetic_catalog(20, 8, -1.0, 6.5, 0.35)
         v = cat.unit_vectors
         for a in range(len(v)):
             for b in range(len(v)):
@@ -431,9 +431,8 @@ class TestColumns:
         if not missing:
             assert len(cat.rows_of(ids + extra)) == len(ids + extra)
             return
-        with pytest.raises(CatalogError, match=f"star id {min(missing)} is not in the catalog") as info:
+        with pytest.raises(CatalogError, match=f"^star id {min(missing)} is not in the catalog$"):
             cat.rows_of(ids + extra)
-        assert info.value.star_id == min(missing)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(star_ids, min_size=1, max_size=20), st.data())

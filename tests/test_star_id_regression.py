@@ -56,9 +56,7 @@ SKIES = {
 @pytest.fixture(scope="module", params=sorted(SKIES))
 def workload(request):
     cfg = SKIES[request.param]
-    catalog = synthetic_catalog(
-        cfg.sky_star_count, cfg.sky_seed, cfg.sky_mag_bright, cfg.sky_mag_faint, cfg.sky_mag_slope
-    )
+    catalog = cfg.sky()
     db = build_pair_database(catalog, cfg.mag_limit, cfg.max_pair_angle_rad)
     return request.param, cfg, catalog, db, build_kvector(db)
 
