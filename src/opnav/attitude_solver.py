@@ -18,10 +18,10 @@ import numpy as np
 from .geometry import (
     ARCSEC_TO_RAD,
     Attitude,
-    angular_separations,
     branch_quaternions,
     canonical_quaternions,
     quaternion_from_matrix,
+    separations_within,
 )
 
 _DEGENERATE_AXIS_ANGLE = 1e-9  # rad; below this the rotation axis is noise
@@ -121,34 +121,38 @@ def principal_axes(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return axis, angle, indeterminate
 
 
-def _agreement(axes, indeterminate, degenerate, threshold_rad: float, row: int | None = None) -> np.ndarray:
-    """agree[k, j]: sample axes k and j agree; only row ``row`` if given.
+def _agreement(axes, indeterminate, degenerate, threshold_rad: float) -> np.ndarray:
+    """agree[k, j]: sample axes k and j agree.
 
     The test is angular_separation(a, b) <= threshold, taken bit for bit
-    as the scalar form takes it.  Degenerate samples agree with nothing.
-    Indeterminate axes carry no direction: they only agree with each
-    other.  Axis sign is meaningful and *not* collapsed.
+    as the scalar form takes it (``separations_within``).  Degenerate
+    samples agree with nothing.  Indeterminate axes carry no direction:
+    they only agree with each other.  Axis sign is meaningful and *not*
+    collapsed.
     """
     vec = np.asarray(axes, dtype=float).reshape(-1, 3)
     ind = np.asarray(indeterminate, dtype=bool)
     valid = ~np.asarray(degenerate, dtype=bool)
-    rows = slice(None) if row is None else slice(row, row + 1)
-    within = angular_separations(vec[rows, None, :], vec[None, :, :]) <= threshold_rad
-    either = ind[rows, None] | ind[None, :]
-    agree = np.where(either, ind[rows, None] & ind[None, :], within)
-    agree &= valid[rows, None] & valid[None, :]
-    return agree if row is None else agree[0]
+    within = separations_within(vec[:, None, :], vec[None, :, :], threshold_rad)
+    either = ind[:, None] | ind[None, :]
+    agree = np.where(either, ind[:, None] & ind[None, :], within)
+    agree &= valid[:, None] & valid[None, :]
+    return agree
 
 
-def consensus_scores(axes, indeterminate, degenerate, threshold_rad: float) -> np.ndarray:
+def consensus_scores(axes, indeterminate, degenerate, threshold_rad: float, agreement=None) -> np.ndarray:
     """Score of each sample axis: how many *other* axes agree with it.
 
     ``axes`` is the (k, 3) stack of sample axes with their (k,)
     ``indeterminate`` flags; ``degenerate`` marks samples whose Wahba
-    solve was degenerate (scored -1, never in any consensus set).
+    solve was degenerate (scored -1, never in any consensus set).  A (k, k)
+    bool ``agreement`` array, when given, receives the agreement matrix
+    with its diagonal cleared.
     """
     agree = _agreement(axes, indeterminate, degenerate, threshold_rad)
     np.fill_diagonal(agree, False)
+    if agreement is not None:
+        agreement[...] = agree
     return np.where(degenerate, -1, agree.sum(axis=1))
 
 
@@ -173,14 +177,15 @@ def ransac_attitude(matches, config: RansacConfig) -> AttitudeSolution | None:
     # the consensus ignores it.
     axes, _, indeterminate = principal_axes(rotations)
 
-    scores = consensus_scores(axes, indeterminate, degenerate, threshold_rad)
+    agreement = np.empty((config.n_samples, config.n_samples), dtype=bool)
+    scores = consensus_scores(axes, indeterminate, degenerate, threshold_rad, agreement)
     if scores.max() < 0:
         return None
     best = int(np.argmax(scores))  # ties: lowest sample index wins
 
-    # Row ``best`` of the agreement matrix again (n angles): consensus_scores
-    # returns the scores alone.  ``best`` agrees with itself.
-    consensus = _agreement(axes, indeterminate, degenerate, threshold_rad, best)
+    # The consensus set: the samples that agree with ``best``, and ``best``.
+    consensus = agreement[best]
+    consensus[best] = True
     inlier = np.zeros(m, dtype=bool)
     inlier[subsets[consensus]] = True
 
@@ -193,7 +198,7 @@ def ransac_attitude(matches, config: RansacConfig) -> AttitudeSolution | None:
     # kept when they agree with the consensus attitude, so thin sampling
     # cannot demote a perfectly consistent star.
     predicted = (attitude @ n_all[:, :, None])[:, :, 0]
-    residual_ok = ~inlier & (angular_separations(c_all, predicted) <= threshold_rad)
+    residual_ok = ~inlier & separations_within(c_all, predicted, threshold_rad)
     if residual_ok.any():
         inlier |= residual_ok
         try:

@@ -78,6 +78,9 @@ def extract_rois(image: np.ndarray, threshold: float) -> tuple[np.ndarray, np.nd
     frame's.
     """
     height, width = image.shape
+    if image.dtype == np.uint8 and 0 <= threshold < 255:
+        # an integer pixel is above t exactly when it is above floor(t): no float cast
+        threshold = np.uint8(math.floor(threshold))
     rows = np.flatnonzero(np.fmax.reduce(image, axis=1) > threshold) if image.size else []
     if len(rows) == 0:
         return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64)

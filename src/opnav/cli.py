@@ -62,8 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-catalog", help="build the onboard pair database")
     p.add_argument("--in", dest="raw", required=True, help="raw catalog (id,ra_deg,dec_deg,vmag)")
     p.add_argument("--out", required=True, help="output .npz artifact")
-    p.add_argument("--mlim", type=float, default=5.5)
-    p.add_argument("--gamma-max-deg", type=float, default=35.0)
+    p.add_argument("--mlim", default="5.5")
+    p.add_argument("--gamma-max-deg", default="35.0")
     p.set_defaults(func=_cmd_build_catalog)
 
     p = sub.add_parser("synth-sky", help="write a synthetic catalog and ephemeris")
@@ -86,13 +86,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ephemeris", help="beacon table; omit to skip beacon detection")
     p.add_argument("--epoch", help="epoch tag to select (default: first in file)")
     p.add_argument("--sc-pos", help="estimated spacecraft position 'x,y,z' in km")
-    p.add_argument("--sigma-r", type=float, default=1e5, help="position uncertainty, km")
+    p.add_argument("--sigma-r", default="1e5", help="position uncertainty, km")
     p.set_defaults(func=_cmd_process)
 
     p = sub.add_parser("montecarlo", help="Monte Carlo campaign with a sigma_r sweep")
-    p.add_argument("--n", type=int, required=True, help="scenarios per sigma_r")
+    p.add_argument("--n", required=True, help="scenarios per sigma_r")
     p.add_argument("--sigma-r", required=True, help="comma-separated sigma_r list in km")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config")
     p.add_argument("--catalog", help="raw catalog; omit for the synthetic sky")
@@ -102,9 +102,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number(flag: str, text: str, kind: type):
+    """The value of a numeric flag; one that does not parse names the flag."""
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"{flag} expects {expected}, got '{text}'") from None
+
+
 def _cmd_build_catalog(args) -> int:
+    mlim = _number("--mlim", args.mlim, float)
+    gamma_max_rad = math.radians(_number("--gamma-max-deg", args.gamma_max_deg, float))
     catalog = load_catalog(args.raw)
-    db = build_pair_database(catalog, args.mlim, math.radians(args.gamma_max_deg))
+    db = build_pair_database(catalog, mlim, gamma_max_rad)
     save_pair_database(db, args.out)
     print(f"{len(catalog)} stars -> {len(db)} pairs -> {args.out}")
     return 0
@@ -174,8 +185,9 @@ def _sc_position(text: str) -> np.ndarray:
 
 
 def _cmd_process(args) -> int:
+    sigma_r = _number("--sigma-r", args.sigma_r, float)
     cfg = load_config(args.config)
-    budget = cfg.budget(args.sigma_r)
+    budget = cfg.budget(sigma_r)
     est = None if args.sc_pos is None else _sc_position(args.sc_pos)
     if args.ephemeris and est is None:
         raise ValueError("--sc-pos is required for beacon detection")
@@ -229,6 +241,7 @@ def _cmd_process(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
+    n, seed = _number("--n", args.n, int), _number("--seed", args.seed, int)
     cfg = load_config(args.config) if args.config else PipelineConfig()
     try:
         sigma_r = [float(s) for s in args.sigma_r.split(",") if s]
@@ -241,7 +254,7 @@ def _cmd_montecarlo(args) -> int:
     db = build_pair_database(catalog, cfg.mag_limit, cfg.max_pair_angle_rad)
     index = build_kvector(db)
 
-    report = run_campaign(args.n, sigma_r, args.seed, cfg, catalog, db, index, planets)
+    report = run_campaign(n, sigma_r, seed, cfg, catalog, db, index, planets)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_scenarios_csv(report.records, out / "scenarios.csv")

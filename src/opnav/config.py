@@ -21,12 +21,13 @@ from .renderer import PSF_TRUNCATION_SIGMAS, SceneSpec
 from .star_catalog import MAX_PAIR_STARS, StarCatalog
 
 # consensus_scores takes the agreement of every pair of RANSAC samples at
-# once, about 160 B per pair at its peak: 1024 samples hold 160 MiB.
+# once, about 27 B per pair at its peak (160 B from a 45 deg threshold on,
+# where every pair takes math.atan2): 1024 samples hold 27 MiB (160 MiB).
 MAX_RANSAC_SAMPLES = 1024
 
-# build_pair_database holds about 48 B per star pair within max_pair_angle
+# build_pair_database holds about 33 B per star pair within max_pair_angle
 # at its peak, and about N**2 * (1 - cos max_pair_angle) / 4 pairs when all
-# N synthetic stars pass: 4.5 million, 0.2 GB, at the cap and 35 deg.
+# N synthetic stars pass: 4.5 million, 0.15 GB, at the cap and 35 deg.
 MAX_SKY_STARS = MAX_PAIR_STARS
 
 # render holds about 2 B per pixel at its peak (2.0 MiB on the default

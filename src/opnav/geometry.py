@@ -248,6 +248,52 @@ def angular_separations(u, v) -> np.ndarray:
     return np.fromiter(angles, dtype=float, count=sin.size).reshape(sin.shape)
 
 
+# The relative margin of the tangent test in ``separations_within``: far
+# above the few ulps by which its sine, cosine and tangent, and math.atan2,
+# can err, and far below any difference of two real angles.
+_TAN_MARGIN = 2.0**-30
+# Below this threshold the tangent test could meet subnormal products.
+_TAN_TEST_MIN = 2.0**-400
+
+
+def separations_within(u, v, threshold_rad: float) -> np.ndarray:
+    """``angular_separations(u, v) <= threshold_rad`` over broadcast (..., 3)
+    arrays, bit for bit, with ``math.atan2`` taken only near the threshold.
+
+    With ``sin`` the norm of the cross product and ``cos`` the dot product,
+    a separation is within a threshold t in [2^-400, pi/4) when
+    ``sin <= tan(t) (1 - m) cos`` and beyond it when ``sin >= tan(t) (1 + m)
+    cos``, for vectors whose squared norms lie in [1/4, 4].  The margin m =
+    2^-30 is far above the rounding of these few operations and of
+    ``math.atan2``, so it can only leave a pair undecided, never decide it
+    wrongly.  The undecided pairs, the pairs of any other vector (NaN
+    included) and every pair at any other threshold go through
+    ``angular_separations``.
+    """
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if not _TAN_TEST_MIN <= threshold_rad < math.pi / 4:
+        return angular_separations(u, v) <= threshold_rad
+    ux, uy, uz = u[..., 0], u[..., 1], u[..., 2]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    sin = np.square(uy * vz - uz * vy)
+    sin += np.square(uz * vx - ux * vz)
+    sin += np.square(ux * vy - uy * vx)
+    np.sqrt(sin, out=sin)
+    cos = ux * vx
+    cos += uy * vy
+    cos += uz * vz
+    tan = math.tan(threshold_rad)
+    within = sin <= cos * (tan * (1.0 - _TAN_MARGIN))
+    unsure = ~within & (sin < cos * (tan * (1.0 + _TAN_MARGIN)))
+    for w in (u, v):
+        norm2 = np.einsum("...k,...k->...", w, w)
+        unsure |= ~((0.25 <= norm2) & (norm2 <= 4.0))
+    if unsure.any():
+        u, v = np.broadcast_arrays(u, v)
+        within[unsure] = angular_separations(u[unsure], v[unsure]) <= threshold_rad
+    return within
+
+
 def project_point(
     camera: CameraModel,
     attitude_matrix: np.ndarray,

@@ -70,17 +70,44 @@ class StarCatalog:
 
 @dataclass(frozen=True)
 class PairDatabase:
-    """Sorted pair invariants: cos_angles ascending, ids aligned by row."""
+    """Sorted pair invariants: ``cos_angles`` ascending, and each pair's two
+    stars as int32 indices ``first`` and ``second`` into ``stars``, the
+    int64 catalog ids of the stars the table numbers.
+
+    The numbering is the table's own: ``build_pair_database`` numbers every
+    star that passes the magnitude filter, in catalog order, and
+    ``from_ids`` (so ``load_pair_database``) numbers the stars the pairs
+    hold, by ascending id.  ``star_i`` and ``star_j`` are the ids of each
+    pair, taken from ``stars`` on each access.
+    """
 
     cos_angles: np.ndarray
-    star_i: np.ndarray
-    star_j: np.ndarray
+    stars: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
     mag_limit: float
     max_angle_rad: float
 
     def __post_init__(self):
-        for a in (self.cos_angles, self.star_i, self.star_j):
+        for a in (self.cos_angles, self.stars, self.first, self.second):
             a.setflags(write=False)
+
+    @classmethod
+    def from_ids(cls, cos_angles, star_i, star_j, mag_limit: float, max_angle_rad: float) -> "PairDatabase":
+        """The table of the pairs (``star_i[k]``, ``star_j[k]``) of catalog
+        ids, its stars numbered by ascending id."""
+        star_i, star_j = np.asarray(star_i, dtype=np.int64), np.asarray(star_j, dtype=np.int64)
+        stars, index = np.unique(np.concatenate((star_i, star_j)), return_inverse=True)
+        index = index.astype(np.int32)
+        return cls(np.asarray(cos_angles), stars, index[: len(star_i)], index[len(star_i) :], mag_limit, max_angle_rad)
+
+    @property
+    def star_i(self) -> np.ndarray:
+        return self.stars[self.first]
+
+    @property
+    def star_j(self) -> np.ndarray:
+        return self.stars[self.second]
 
     def __len__(self) -> int:
         return len(self.cos_angles)
@@ -185,7 +212,7 @@ def save_catalog(catalog: StarCatalog, path) -> None:
 _SQUARE_BLOCK = 1 << 16
 
 # The most stars at or brighter than mag_limit that build_pair_database
-# takes: it holds about 48 B per pair kept at its peak, and a uniform sky
+# takes: it holds about 33 B per pair kept at its peak, and a uniform sky
 # keeps about S**2 * (1 - cos max_angle) / 4 pairs, 4.5 million at 35 deg.
 MAX_PAIR_STARS = 10_000
 
@@ -224,6 +251,10 @@ def build_pair_database(catalog: StarCatalog, mag_limit: float, max_angle_rad: f
     scanned one at a time: nothing of S x S size is held.  Kept cosines are
     clipped to [-1, 1], which moves none across cos(max_angle_rad) > -1.
     More than ``MAX_PAIR_STARS`` stars to mag_limit raise CatalogError.
+
+    The table numbers the stars that pass the magnitude cut in catalog
+    order: a pair's ``first`` and ``second`` are the row and column of its
+    upper-triangle cell, so the ids are never gathered per pair.
     """
     if not 0.0 < max_angle_rad < math.pi:
         raise ValueError("max_angle_rad must lie in (0, pi)")
@@ -259,9 +290,11 @@ def build_pair_database(catalog: StarCatalog, mag_limit: float, max_angle_rad: f
         raise CatalogError("catalog too sparse: no star pair within the angle limit")
 
     order, cosines = _stable_sort(cosines)
-    row, col = np.divmod(cell[order], n)
-    del cell, order
-    return PairDatabase(cosines, ids[row], ids[col], mag_limit, max_angle_rad)
+    cell = cell[order]
+    del order
+    row, col = np.divmod(cell, n)
+    del cell
+    return PairDatabase(cosines, ids, row.astype(np.int32), col.astype(np.int32), mag_limit, max_angle_rad)
 
 
 def build_kvector(db: PairDatabase) -> KVectorIndex:
@@ -364,17 +397,13 @@ def load_pair_database(path) -> tuple[PairDatabase, KVectorIndex]:
         missing = [key for key in _ARTIFACT_KEYS if key not in z.files]
         if missing:
             raise CatalogError(f"{path}: missing {', '.join(missing)}")
-        db = PairDatabase(
-            cos_angles=z["cos_angles"],
-            star_i=z["star_i"],
-            star_j=z["star_j"],
-            mag_limit=float(z["mag_limit"]),
-            max_angle_rad=float(z["max_angle_rad"]),
-        )
-    if len({a.shape for a in (db.cos_angles, db.star_i, db.star_j)}) != 1 or db.cos_angles.ndim != 1:
+        cos_angles, star_i, star_j = z["cos_angles"], z["star_i"], z["star_j"]
+        mag_limit, max_angle_rad = float(z["mag_limit"]), float(z["max_angle_rad"])
+    if len({a.shape for a in (cos_angles, star_i, star_j)}) != 1 or cos_angles.ndim != 1:
         raise CatalogError(f"{path}: cos_angles, star_i and star_j are not 1-D arrays of one length")
-    if not (np.diff(db.cos_angles) >= 0).all():
+    if not (np.diff(cos_angles) >= 0).all():
         raise CatalogError(f"{path}: cos_angles are not sorted ascending")
+    db = PairDatabase.from_ids(cos_angles, star_i, star_j, mag_limit, max_angle_rad)
     try:
         return db, build_kvector(db)
     except CatalogError as exc:

@@ -69,7 +69,7 @@ def test_criterion_1_wahba_exactness():
 def test_criterion_2_kvector_oracle_equivalence():
     rng = np.random.default_rng(1002)
     cosines = np.sort(rng.uniform(math.cos(math.radians(40.0)), 1.0, 500))
-    db = PairDatabase(
+    db = PairDatabase.from_ids(
         cos_angles=cosines,
         star_i=np.arange(500),
         star_j=np.arange(500) + 1000,

@@ -14,6 +14,12 @@ quaternion route, over collinear
 (degenerate) triples, near-identity (indeterminate) rotations and exact
 half turns (q0 == 0).
 
+The agreement test decides most pairs by comparing the sine against
+tan(threshold) times the cosine, and must equal
+``angular_separations(a, b) <= threshold`` bit for bit: it is checked on
+pairs within 1e-12 relative of the threshold, antiparallel pairs,
+indeterminate and degenerate samples, vectors that are not unit, and NaN.
+
 The peak memory of consensus_scores per pair of samples is pinned with
 ``tracemalloc``: it sizes the ``ransac_samples`` cap of the config.
 """
@@ -22,12 +28,14 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opnav.attitude_solver import (
     AxisAngle,
     DegenerateGeometryError,
+    _agreement,
     consensus_scores,
     principal_axes,
     principal_axis_angle,
@@ -35,7 +43,7 @@ from opnav.attitude_solver import (
     wahba_svds,
 )
 from opnav.config import MAX_RANSAC_SAMPLES
-from opnav.geometry import angular_separation, angular_separations, matrix_from_quaternion
+from opnav.geometry import angular_separation, angular_separations, matrix_from_quaternion, separations_within
 from conftest import stack_axes
 
 
@@ -127,10 +135,9 @@ def test_array_separation_is_bitwise_scalar(base, entries):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_consensus_peak_memory_per_sample_pair():
-    """consensus_scores holds about 160 B per pair of samples at its peak,
-    the figure the ``ransac_samples`` cap of ``PipelineConfig`` is sized
-    by; the cap itself is never run."""
+def consensus_peak_per_pair(threshold):
+    """The ``tracemalloc`` peak of consensus_scores over 256 random unit
+    axes, in bytes per pair of samples."""
     k = 256
     rng = np.random.default_rng(5)
     axes = rng.normal(size=(k, 3))
@@ -138,12 +145,97 @@ def test_consensus_peak_memory_per_sample_pair():
     flags = np.zeros(k, dtype=bool)
     tracemalloc.start()
     try:
-        consensus_scores(axes, flags, flags, 1e-4)
-        peak = tracemalloc.get_traced_memory()[1]
+        consensus_scores(axes, flags, flags, threshold)
+        return tracemalloc.get_traced_memory()[1] / (k * k)
     finally:
         tracemalloc.stop()
-    assert 128 * k * k < peak <= 161 * k * k
+
+
+def test_consensus_peak_memory_per_sample_pair():
+    """consensus_scores holds about 27 B per pair of samples at its peak
+    below a 45 deg threshold, and about 160 B at 45 deg or more, where every
+    pair goes through ``math.atan2``: the figures the ``ransac_samples`` cap
+    of ``PipelineConfig`` is sized by; the cap itself is never run."""
+    assert 24 < consensus_peak_per_pair(1e-4) <= 28
+    assert 128 < consensus_peak_per_pair(math.pi / 4) <= 161
     assert 161 * MAX_RANSAC_SAMPLES**2 <= 162 * 2**20  # the cap peaks near 160 MiB
+
+
+def reference_agreement(vec, indeterminate, degenerate, threshold):
+    within = angular_separations(vec[:, None, :], vec[None, :, :]) <= threshold
+    either = indeterminate[:, None] | indeterminate[None, :]
+    agree = np.where(either, indeterminate[:, None] & indeterminate[None, :], within)
+    return agree & ~degenerate[:, None] & ~degenerate[None, :]
+
+
+unit = direction.map(_unit)
+# a vector: a unit axis, a scaled one (the tangent test takes squared
+# norms in [1/4, 4] only), a zero vector, or one with a NaN
+vector = st.one_of(
+    unit,
+    st.tuples(unit, st.sampled_from([0.49, 0.5, 2.0, 2.01, 1e-200, 1e200])).map(lambda p: p[0] * p[1]),
+    st.just(np.zeros(3)),
+    st.tuples(unit, st.integers(0, 2)).map(lambda p: np.where(np.arange(3) == p[1], np.nan, p[0])),
+)
+
+
+def near(base, angle, rng):
+    """A unit vector ``angle`` rad from ``base``, about a random normal."""
+    normal = _unit(np.cross(base, rng.normal(size=3)))
+    return math.cos(angle) * base + math.sin(angle) * normal
+
+
+def near_thresholds(separation, relative):
+    """The separation itself, a few ulps either side, and the separation
+    scaled by 1 +- ``relative``."""
+    out = [separation, separation * (1.0 + relative), separation * (1.0 - relative)]
+    for toward in (math.inf, -math.inf):
+        t = separation
+        for _ in range(3):
+            t = math.nextafter(t, toward)
+            out.append(t)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and overflow, in the reference too
+@settings(max_examples=150, deadline=None)
+@given(
+    base=unit,
+    angles=st.lists(st.sampled_from([0.0, 1e-9, 7e-5, 7.3e-5, 1e-3, 0.5, 0.785, 1.0, math.pi / 2, 3.0, math.pi]),
+                    min_size=1, max_size=10),
+    extra=st.lists(vector, max_size=4),
+    pick=st.tuples(st.integers(0, 15), st.integers(0, 15)),
+    relative=st.sampled_from([1e-12, 3e-13]) | st.floats(1e-16, 1e-12),
+    flags=st.lists(st.sampled_from(["", "", "indeterminate", "degenerate"]), min_size=16, max_size=16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_agreement_equals_atan2_rule(base, angles, extra, pick, relative, flags, seed):
+    """Axes at set angles from a base (antiparallel at pi), and thresholds
+    at, a few ulps from and within 1e-12 relative of the separation of one
+    drawn pair, so the tangent test meets its margin."""
+    rng = np.random.default_rng(seed)
+    vec = np.array([near(base, a, rng) for a in angles] + [-base] + list(extra), dtype=float)
+    a, b = vec[pick[0] % len(vec)], vec[pick[1] % len(vec)]
+    ind = np.array([f == "indeterminate" for f in flags[: len(vec)]])
+    deg = np.array([f == "degenerate" for f in flags[: len(vec)]])
+    for threshold in near_thresholds(float(angular_separations(a, b)), relative):
+        got = _agreement(vec, ind, deg, threshold)
+        np.testing.assert_array_equal(got, reference_agreement(vec, ind, deg, threshold))
+        within = angular_separations(vec[:, None, :], vec[None, :, :]) <= threshold
+        np.testing.assert_array_equal(separations_within(vec[:, None, :], vec[None, :, :], threshold), within)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and overflow, in the reference too
+@settings(max_examples=200, deadline=None)
+@given(
+    u=st.lists(vector, min_size=1, max_size=8),
+    v=st.lists(vector, min_size=1, max_size=8),
+    threshold=st.sampled_from([0.0, 2.0**-401, 2.0**-400, 1e-300, 7.27e-5, math.pi / 4, np.nextafter(math.pi / 4, 0),
+                               1.0, math.pi, np.inf, np.nan, -1.0]) | st.floats(0.0, 4.0),
+)
+def test_separations_within_equals_atan2_rule(u, v, threshold):
+    u, v = np.array(u)[:, None, :], np.array(v)[None, :, :]
+    np.testing.assert_array_equal(separations_within(u, v, threshold), angular_separations(u, v) <= threshold)
 
 
 def reference_axis_angle(m):

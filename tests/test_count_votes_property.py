@@ -38,9 +38,12 @@ def reference_votes(entries, n):
 
 
 def keys_of(entries, n, n_stars):
-    dims = (n, n_stars, n, n_stars)
-    quads = np.array(sorted(entries), dtype=np.intp).reshape(-1, 4)
-    return np.ravel_multi_index(tuple(quads.T), dims), dims
+    """The sorted keys of ``_candidate_table`` for the entries, with its
+    ``node_bits`` and ``star_bits``."""
+    star_bits = (n_stars - 1).bit_length()
+    node_bits = star_bits + (n - 1).bit_length()
+    keys = sorted((x << star_bits | s) << node_bits | y << star_bits | t for x, s, y, t in entries)
+    return np.array(keys, dtype=np.int64), node_bits, star_bits
 
 
 @st.composite
@@ -80,9 +83,9 @@ def mirrored(*entries):
 )
 def test_run_join_equals_set_intersections(table):
     n, n_stars, entries = table
-    keys, dims = keys_of(entries, n, n_stars)
-    voted, counts = _count_votes(keys, dims)
+    keys, node_bits, star_bits = keys_of(entries, n, n_stars)
+    voted, counts = _count_votes(keys, node_bits, star_bits)
     assert np.all(np.diff(voted) > 0)
-    voter, star = np.divmod(voted, n_stars)
+    voter, star = voted >> star_bits, voted & ((1 << star_bits) - 1)
     got = {(int(v), int(s)): int(c) for v, s, c in zip(voter, star, counts)}
     assert got == reference_votes(entries, n)

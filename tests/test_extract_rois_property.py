@@ -71,6 +71,28 @@ def test_uint8_frames(image, threshold):
     check(image, threshold)
 
 
+# A uint8 frame is compared against the integer floor of a threshold in
+# [0, 255): at and beside whole numbers, below 0 and at or above 255 the
+# mask must stay the float comparison's, bit for bit.
+EDGE_THRESHOLDS = [
+    0.0, 1.0, 99.0, 100.0, 254.0, 254.5, np.nextafter(255.0, 0.0), np.nextafter(100.0, 0.0),
+    np.nextafter(100.0, 200.0), 0.5, np.nextafter(0.0, 1.0), -0.0, -0.5, -1.0, -1e300, -np.inf,
+    255.0, 255.5, 256.0, 1e300, np.inf, np.nan,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    image=shapes.flatmap(lambda s: arrays(np.uint8, s, elements=st.sampled_from([0, 1, 99, 100, 101, 254, 255]))),
+    threshold=st.sampled_from(EDGE_THRESHOLDS) | st.integers(-3, 258).map(float),
+)
+@example(image=np.array([[0, 100, 101], [255, 254, 0]], dtype=np.uint8), threshold=100.0)
+@example(image=np.array([[0, 100, 101], [255, 254, 0]], dtype=np.uint8), threshold=-1.0)
+@example(image=np.array([[0, 100, 101], [255, 254, 0]], dtype=np.uint8), threshold=255.0)
+def test_uint8_frames_at_edge_thresholds(image, threshold):
+    check(image, threshold)
+
+
 @settings(max_examples=300, deadline=None)
 @given(image=sparse_rows(), threshold=st.sampled_from([0, 100, 199.5, 200]))
 @example(  # components on the frame border: all four corners and a full edge row

@@ -1016,6 +1016,32 @@ class TestCli:
         assert r.stdout == ""
         assert r.stderr == f"error: {reason.format(tmp=tmp_path)}\n"
 
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            (["process", "--sigma-r", "abc"], "--sigma-r expects a number, got 'abc'"),
+            (["montecarlo", "--n", "abc", "--seed", "1", "--sigma-r", "1e4"], "--n expects an integer, got 'abc'"),
+            (["montecarlo", "--n", "2", "--seed", "1.5", "--sigma-r", "1e4"], "--seed expects an integer, got '1.5'"),
+            (["build-catalog", "--mlim", "5.5x"], "--mlim expects a number, got '5.5x'"),
+            (["build-catalog", "--gamma-max-deg", ""], "--gamma-max-deg expects a number, got ''"),
+        ],
+        ids=["process_sigma_r", "montecarlo_n", "montecarlo_seed", "build_catalog_mlim", "build_catalog_gamma_max_deg"],
+    )
+    def test_numeric_flag_that_does_not_parse_is_one_line(self, tmp_path, args, reason):
+        """A numeric flag is checked before any file is read: none of these
+        inputs exist."""
+        files = {
+            "process": ["--image", "frame.pgm", "--db", "onboard.npz", "--config", "pipeline.cfg", "--catalog", "catalog.csv"],
+            "montecarlo": ["--out", "mc"],
+            "build-catalog": ["--in", "catalog.csv", "--out", "onboard.npz"],
+        }[args[0]]
+        paths = [str(tmp_path / a) if k % 2 else a for k, a in enumerate(files)]
+        r = _cli(*args, *paths)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == f"error: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_error_exit_nonzero(self, tmp_path):
         r = _cli("build-catalog", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x.npz"))
         assert r.returncode != 0

@@ -124,7 +124,7 @@ def searchsorted_counts(s):
 
 def _pair_table(s):
     s = np.asarray(s, dtype=float)
-    return PairDatabase(s, np.arange(len(s)), np.arange(len(s)) + 1, 5.5, 1.0)
+    return PairDatabase.from_ids(s, np.arange(len(s)), np.arange(len(s)) + 1, 5.5, 1.0)
 
 
 @st.composite

@@ -207,17 +207,17 @@ def test_cosines_are_the_fixed_order_sum(case):
     assert [c.hex() for c in db.cos_angles.tolist()] == [c.hex() for c in want]
 
 
-# What the build may hold at its peak: 48 B per kept pair (the sorted
-# cosines, the sort order, the flat cell index, its gather and the row and
-# column split from it), and room for one float64 block and the
-# temporaries of its scan.
-PEAK_BYTES_PER_PAIR = 48
+# What the build may hold at its peak: 32 B per kept pair (the sorted
+# cosines, the sort order, the flat cell index and its gather; the row and
+# column split from it come after the order is dropped), and room for one
+# float64 block and the temporaries of its scan.
+PEAK_BYTES_PER_PAIR = 32
 PEAK_BLOCK_BYTES = 4 * 8 * star_catalog._SQUARE_BLOCK
 
 
 def test_peak_memory_is_the_kept_pairs():
     """On the default sky (S = 2258 stars to mag 5.5, 230,259 pairs): about
-    10.6 MiB, against 38.9 MiB for one S x S float64 matrix."""
+    7.3 MiB, against 38.9 MiB for one S x S float64 matrix."""
     cfg = SKIES["default"]
     catalog = cfg.sky()
     s = int((catalog.magnitudes <= cfg.mag_limit).sum())

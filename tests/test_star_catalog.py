@@ -214,7 +214,7 @@ class TestBuildPairDatabase:
 
 def _db_from_cosines(s):
     s = np.asarray(s, dtype=float)
-    return PairDatabase(
+    return PairDatabase.from_ids(
         cos_angles=s,
         star_i=np.arange(len(s)),
         star_j=np.arange(len(s)) + 1000,

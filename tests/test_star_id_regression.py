@@ -17,6 +17,10 @@ pair angles match no k-vector row at all.
 The nested loops settle the votes with the dict rules in
 ``reference_resolve``; a property test checks the array resolution of
 ``star_id`` against the same rules on random vote tables.
+
+Star identification works on the pair table's own star numbering, which
+differs between a table as built (catalog order) and the same table
+saved and loaded (ascending id); both must identify alike.
 """
 
 import json
@@ -38,8 +42,18 @@ from opnav.geometry import (
     los_from_pixel,
     project_star,
 )
-from opnav.skysim import synthetic_catalog
-from opnav.star_catalog import build_kvector, build_pair_database, kvector_range_query
+from opnav.centroiding import find_centroids
+from opnav.harness import sample_scenarios
+from opnav.renderer import render
+from opnav.skysim import solar_system, synthetic_catalog
+from opnav.star_catalog import (
+    build_kvector,
+    build_pair_database,
+    catalog_from_records,
+    kvector_range_query,
+    load_pair_database,
+    save_pair_database,
+)
 from opnav.star_id import _assign, identify_stars
 from conftest import unmatched
 
@@ -72,6 +86,37 @@ def test_matches_and_spikes_frozen(workload):
         got = [[m.centroid_index, m.star_id] for m in result.matches]
         assert got == case["matches"], case["frame"]
         assert list(unmatched(result, len(centroids))) == case["spikes"], case["frame"]
+
+
+def test_identical_under_another_star_numbering(workload, tmp_path):
+    """The sky's stars in reverse catalog order, built (numbered in that
+    order) and saved and loaded (numbered by ascending id): both tables give
+    the frozen matches on the frozen frames, and agree on rendered frames."""
+    name, cfg, catalog, _, _ = workload
+    columns = (catalog.ids, catalog.right_ascension, catalog.declination, catalog.magnitudes)
+    reversed_sky = catalog_from_records(zip(*(column[::-1].tolist() for column in columns)))
+    built = build_pair_database(reversed_sky, cfg.mag_limit, cfg.max_pair_angle_rad)
+    save_pair_database(built, tmp_path / "onboard.npz")
+    loaded, loaded_index = load_pair_database(tmp_path / "onboard.npz")
+    assert not np.array_equal(built.stars, loaded.stars)
+    assert np.array_equal(built.star_i, loaded.star_i) and np.array_equal(built.star_j, loaded.star_j)
+    tables = ((built, build_kvector(built)), (loaded, loaded_index))
+    camera, eps = cfg.camera(), cfg.identify_config().epsilon_rad
+
+    def identified(centroids, db, index):
+        result = identify_stars(centroids, camera, reversed_sky, db, index, eps)
+        return None if result is None else [[m.centroid_index, m.star_id] for m in result.matches]
+
+    for case in FRAMES[name]:
+        centroids = np.array(case["centroids"], dtype=float).reshape(-1, 2)
+        for db, index in tables:
+            assert identified(centroids, db, index) == case["matches"], case["frame"]
+    specs = sample_scenarios(3, 5, cfg, camera, solar_system())
+    for spec in specs:
+        image, _ = render(cfg.scene(spec.pointing, spec.sc_position_km, catalog, spec.planets, spec.index))
+        centroids, _, _ = find_centroids(image.data, cfg.identify_config().threshold_t)
+        got = [identified(centroids, db, index) for db, index in tables]
+        assert got[0] is not None and got[0] == got[1], spec.index
 
 
 def reference_resolve(votes, n_centroids):
@@ -210,7 +255,8 @@ def vote_tables(draw):
 @example(table=(3, 1, {(0, 0): 4, (1, 0): 2, (2, 0): 4}))  # tie at the top, lower claimant loses too
 def test_array_resolution_equals_dict_rules(table):
     n, n_stars, votes = table
-    voted = np.array([i * n_stars + star for i, star in votes], dtype=np.int64)
+    star_bits = (n_stars - 1).bit_length()
+    voted = np.array([i << star_bits | star for i, star in votes], dtype=np.int64)
     counts = np.array(list(votes.values()), dtype=np.int64)
-    centroids, stars = _assign(voted, counts, n_stars)
+    centroids, stars = _assign(voted, counts, star_bits)
     assert list(zip(centroids.tolist(), stars.tolist())) == sorted(reference_resolve(votes, n).items())
