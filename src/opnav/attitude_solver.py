@@ -20,6 +20,7 @@ from .geometry import (
     Attitude,
     branch_quaternions,
     canonical_quaternions,
+    proper_rotation,
     quaternion_from_matrix,
     separations_within,
 )
@@ -97,15 +98,16 @@ def wahba_svds(c_vectors: np.ndarray, n_vectors: np.ndarray) -> tuple[np.ndarray
 def principal_axis_angle(rotation: np.ndarray) -> AxisAngle:
     """Euler axis and angle of a rotation matrix, angle in [0, pi].
 
-    The one-matrix call of ``principal_axes``.
+    The one-matrix call of ``principal_axes``; raises ValueError when
+    ``rotation`` is not a proper rotation.
     """
-    axis, angle, indeterminate = principal_axes(np.asarray(rotation, dtype=float)[None])
+    axis, angle, indeterminate = principal_axes(proper_rotation(rotation)[None])
     return AxisAngle(axis=axis[0], angle=float(angle[0]), indeterminate=bool(indeterminate[0]))
 
 
 def principal_axes(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euler axes (k, 3), angles (k,) in [0, pi] and indeterminate flags
-    (k,) of a stack of rotation matrices.
+    (k,) of a stack of proper rotation matrices, which are not checked.
 
     Extraction goes through the quaternion, which is stable at both ends
     of the angle range.  Near zero rotation the axis is meaningless: it
@@ -140,33 +142,29 @@ def _agreement(axes, indeterminate, degenerate, threshold_rad: float) -> np.ndar
     return agree
 
 
-def consensus_scores(axes, indeterminate, degenerate, threshold_rad: float, agreement=None) -> np.ndarray:
+def consensus_scores(axes, indeterminate, degenerate, threshold_rad: float) -> tuple[np.ndarray, np.ndarray]:
     """Score of each sample axis: how many *other* axes agree with it.
 
     ``axes`` is the (k, 3) stack of sample axes with their (k,)
     ``indeterminate`` flags; ``degenerate`` marks samples whose Wahba
-    solve was degenerate (scored -1, never in any consensus set).  A (k, k)
-    bool ``agreement`` array, when given, receives the agreement matrix
-    with its diagonal cleared.
+    solve was degenerate (scored -1, never in any consensus set).  Returns
+    the (k,) scores and the (k, k) agreement matrix, its diagonal cleared.
     """
     agree = _agreement(axes, indeterminate, degenerate, threshold_rad)
     np.fill_diagonal(agree, False)
-    if agreement is not None:
-        agreement[...] = agree
-    return np.where(degenerate, -1, agree.sum(axis=1))
+    return np.where(degenerate, -1, agree.sum(axis=1)), agree
 
 
 def ransac_attitude(matches, config: RansacConfig) -> AttitudeSolution | None:
     """Consensus attitude over identified stars; None when unsolvable.
 
-    ``matches`` is the match sequence of a MatchResult; the solution
-    names the centroid index of every inlier match.
+    ``matches`` is the record array of a MatchResult; the solution names
+    the centroid index of every inlier match.
     """
     m = len(matches)
     if m < 3:
         return None
-    c_all = np.array([s.los_camera for s in matches])
-    n_all = np.array([s.los_inertial for s in matches])
+    c_all, n_all = matches.los_camera, matches.los_inertial
     rng = np.random.default_rng(config.seed)
     threshold_rad = config.threshold_arcsec * ARCSEC_TO_RAD
 
@@ -177,8 +175,7 @@ def ransac_attitude(matches, config: RansacConfig) -> AttitudeSolution | None:
     # the consensus ignores it.
     axes, _, indeterminate = principal_axes(rotations)
 
-    agreement = np.empty((config.n_samples, config.n_samples), dtype=bool)
-    scores = consensus_scores(axes, indeterminate, degenerate, threshold_rad, agreement)
+    scores, agreement = consensus_scores(axes, indeterminate, degenerate, threshold_rad)
     if scores.max() < 0:
         return None
     best = int(np.argmax(scores))  # ties: lowest sample index wins
@@ -209,6 +206,6 @@ def ransac_attitude(matches, config: RansacConfig) -> AttitudeSolution | None:
     return AttitudeSolution(
         matrix=attitude,
         quaternion=quaternion_from_matrix(attitude),
-        inlier_centroids=tuple(matches[k].centroid_index for k in np.flatnonzero(inlier)),
+        inlier_centroids=tuple(matches.centroid_index[inlier].tolist()),
         consensus_score=int(scores[best]),
     )

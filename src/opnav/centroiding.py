@@ -128,9 +128,7 @@ def compute_centroid(box, image: np.ndarray) -> tuple[float, float]:
         raise ValueError("ROI box holds no signal")
     w = pixels / peak
     iw = pixels * w
-    m00 = iw.sum()
-    if m00 <= 0:
-        raise ValueError("zero total weighted intensity")
+    m00 = iw.sum()  # >= peak > 0
     m10 = (np.arange(x0, x1 + 1) * iw).sum()
     m01 = (np.arange(y0, y1 + 1)[:, None] * iw).sum()
     return float(m10 / m00), float(m01 / m00)

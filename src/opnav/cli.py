@@ -46,17 +46,24 @@ from .star_catalog import (
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:  # one-line reason, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, for ``main`` to print as one line, in place of
+    printing the usage block and exiting 2.  Subparsers take this class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="opnav", description=__doc__)
+    parser = _Parser(prog="opnav", description=__doc__)
     sub = parser.add_subparsers(required=True)
 
     p = sub.add_parser("build-catalog", help="build the onboard pair database")

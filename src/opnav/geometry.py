@@ -166,10 +166,18 @@ def quaternion_from_matrix(m: np.ndarray) -> Attitude:
 
     Raises ValueError for a non-orthonormal input.
     """
+    return Attitude(branch_quaternions(proper_rotation(m)[None])[0])
+
+
+def proper_rotation(m) -> np.ndarray:
+    """``m`` as a float64 3x3 array; raises ValueError unless it is a proper
+    rotation (orthonormal to 1e-8, determinant 1 to 1e-8)."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError("attitude matrix must be 3x3")
-    return Attitude(branch_quaternions(m[None])[0])
+    if np.abs(m @ m.T - np.eye(3)).max() > 1e-8 or abs(np.linalg.det(m) - 1.0) > 1e-8:
+        raise ValueError("matrix is not a proper rotation")
+    return m
 
 
 # Flat indices into the 18 entries of (m - m^T, m + m^T) of one matrix:
@@ -179,19 +187,15 @@ _BRANCH_NUMERATORS = np.array([[0, 5, 6, 1], [5, 0, 10, 11], [6, 10, 0, 14], [1,
 
 
 def branch_quaternions(m: np.ndarray) -> np.ndarray:
-    """Unnormalised quaternions of a stack of (n, 3, 3) rotation matrices.
+    """Unnormalised quaternions of a stack of (n, 3, 3) proper rotation
+    matrices, which are not checked (``proper_rotation`` checks one).
 
     Row k uses the largest of (trace, m00, m11, m22) of matrix k to pick
     the division branch, so no catastrophic cancellation occurs near 0
-    or pi.  Raises ValueError when any matrix is not a proper rotation.
+    or pi.
     """
     m = np.asarray(m, dtype=float)
     mt = np.swapaxes(m, 1, 2)
-    if (
-        np.abs(m @ mt - np.eye(3)).max(initial=0.0) > 1e-8
-        or np.abs(np.linalg.det(m) - 1.0).max(initial=0.0) > 1e-8
-    ):
-        raise ValueError("matrix is not a proper rotation")
     rows = np.arange(len(m))
     diag = np.diagonal(m, axis1=1, axis2=2)
     tr = diag[:, 0] + diag[:, 1] + diag[:, 2]

@@ -48,17 +48,14 @@ from .star_catalog import KVectorIndex, PairDatabase, StarCatalog, kvector_range
 MIN_ASTERISM = 3
 
 
-@dataclass(frozen=True)
-class StarMatch:
-    centroid_index: int
-    star_id: int
-    los_camera: np.ndarray  # unit vector in C from the measured centroid
-    los_inertial: np.ndarray  # catalog unit vector in N
+# A match: centroid index, catalog star id, the unit vector in C from the
+# measured centroid and the catalog unit vector in N.
+MATCH_DTYPE = np.dtype([("centroid_index", "i8"), ("star_id", "i8"), ("los_camera", "f8", 3), ("los_inertial", "f8", 3)])
 
 
 @dataclass(frozen=True)
 class MatchResult:
-    matches: tuple[StarMatch, ...]  # by centroid index; unmatched centroids have none
+    matches: np.recarray  # of MATCH_DTYPE, by centroid index; unmatched centroids have none
 
 
 @dataclass(frozen=True)
@@ -204,11 +201,7 @@ def identify_stars(
     inertial = catalog.unit_vectors[catalog.rows_of(ids)]
     if len(matched) < MIN_ASTERISM:
         return None
-    matches = tuple(
-        StarMatch(centroid_index=i, star_id=star, los_camera=los[i], los_inertial=u)
-        for i, star, u in zip(matched.tolist(), ids.tolist(), inertial)
-    )
-    return MatchResult(matches=matches)
+    return MatchResult(np.rec.fromarrays((matched, ids, los[matched], inertial), dtype=MATCH_DTYPE))
 
 
 def _assign(voted: np.ndarray, counts: np.ndarray, star_bits: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from opnav.attitude_solver import (
     wahba_svd,
 )
 from opnav.geometry import ARCSEC_TO_RAD, RAD_TO_ARCSEC, Attitude, matrix_from_quaternion, rot3
-from opnav.star_id import StarMatch
+from opnav.star_id import MATCH_DTYPE
 from conftest import random_rotation, stack_axes
 
 
@@ -112,6 +112,13 @@ class TestPrincipalAxisAngle:
             rebuilt = _axis_angle_matrix(out.axis, out.angle)
             np.testing.assert_allclose(rebuilt, r, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "matrix", [2.0 * rot3(0.3), np.diag([1.0, 1.0, -1.0])], ids=["scaled", "det_minus_one"]
+    )
+    def test_non_rotation_rejected(self, matrix):
+        with pytest.raises(ValueError, match="not a proper rotation"):
+            principal_axis_angle(matrix)
+
     def test_angle_in_closed_range(self):
         rng = np.random.default_rng(26)
         for _ in range(100):
@@ -128,24 +135,24 @@ class TestConsensusScores:
         e2 = AxisAngle(axis=_rotate_about_z(e1.axis, small), angle=1.0)
         e3 = AxisAngle(axis=_rotate_about_z(e1.axis, 2 * small), angle=1.0)
         e4 = AxisAngle(axis=np.array([0.0, 1.0, 0]), angle=1.0)
-        scores = consensus_scores(*stack_axes([e1, e2, e3, e4]), t)
+        scores = consensus_scores(*stack_axes([e1, e2, e3, e4]), t)[0]
         np.testing.assert_array_equal(scores, [1, 2, 1, 0])
         assert int(np.argmax(scores)) == 1
 
     def test_degenerate_sample_scored_negative(self):
         e1 = AxisAngle(axis=np.array([1.0, 0, 0]), angle=1.0)
-        scores = consensus_scores(*stack_axes([e1, None, e1]), 1e-3)
+        scores = consensus_scores(*stack_axes([e1, None, e1]), 1e-3)[0]
         np.testing.assert_array_equal(scores, [1, -1, 1])
 
     def test_axis_sign_not_collapsed(self):
         e1 = AxisAngle(axis=np.array([1.0, 0, 0]), angle=1.0)
         e2 = AxisAngle(axis=np.array([-1.0, 0, 0]), angle=1.0)
-        np.testing.assert_array_equal(consensus_scores(*stack_axes([e1, e2]), 1e-3), [0, 0])
+        np.testing.assert_array_equal(consensus_scores(*stack_axes([e1, e2]), 1e-3)[0], [0, 0])
 
     def test_indeterminate_axes_agree_only_with_each_other(self):
         ind = AxisAngle(axis=np.array([0.0, 0, 1.0]), angle=0.0, indeterminate=True)
         det = AxisAngle(axis=np.array([0.0, 0, 1.0]), angle=1.0)
-        np.testing.assert_array_equal(consensus_scores(*stack_axes([ind, ind, det]), 1e-3), [1, 1, 0])
+        np.testing.assert_array_equal(consensus_scores(*stack_axes([ind, ind, det]), 1e-3)[0], [1, 1, 0])
 
 
 def _rotate_about_z(v, angle):
@@ -157,15 +164,10 @@ def _make_matches(rng, n, r_true, corrupt=()):
     # keep the asterism spread out so three-star subsets are well posed
     n_vecs = n_vecs * 0.25 + np.array([0.0, 0.0, 1.0])
     n_vecs /= np.linalg.norm(n_vecs, axis=1, keepdims=True)
-    matches = []
-    for i in range(n):
-        c = r_true @ n_vecs[i]
-        if i in corrupt:
-            c = _axis_angle_matrix(rng.standard_normal(3), math.radians(1.0)) @ c
-        matches.append(
-            StarMatch(centroid_index=i, star_id=100 + i, los_camera=c, los_inertial=n_vecs[i])
-        )
-    return matches
+    c_vecs = n_vecs @ r_true.T
+    for i in corrupt:
+        c_vecs[i] = _axis_angle_matrix(rng.standard_normal(3), math.radians(1.0)) @ c_vecs[i]
+    return np.rec.fromarrays((np.arange(n), 100 + np.arange(n), c_vecs, n_vecs), dtype=MATCH_DTYPE)
 
 
 class TestRansac:

@@ -99,7 +99,7 @@ def build_axes(base, entries):
 )
 def test_matches_scalar_rule(base, entries, threshold):
     axes = build_axes(_unit(base), entries)
-    scores = consensus_scores(*stack_axes(axes), threshold)
+    scores = consensus_scores(*stack_axes(axes), threshold)[0]
     assert scores.tolist() == reference_scores(axes, threshold)
 
 
@@ -119,7 +119,7 @@ def test_threshold_within_ulps_of_a_separation(base, entries, pair, ulps):
     threshold = angular_separation(a.axis, b.axis)
     for _ in range(abs(ulps)):
         threshold = math.nextafter(threshold, math.inf if ulps > 0 else -math.inf)
-    scores = consensus_scores(*stack_axes(axes), threshold)
+    scores = consensus_scores(*stack_axes(axes), threshold)[0]
     assert scores.tolist() == reference_scores(axes, threshold)
 
 

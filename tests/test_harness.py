@@ -44,7 +44,7 @@ from opnav.star_catalog import (
     save_catalog,
     save_pair_database,
 )
-from opnav.star_id import MatchResult, RetryResult
+from opnav.star_id import MATCH_DTYPE, MatchResult, RetryResult
 from conftest import DESK_POINTING, DESK_STARS
 
 
@@ -74,7 +74,7 @@ def _attitude_output(pointing_err_arcsec=0.0, centroids=NO_CENTROIDS, spikes=(),
         consensus_score=5,
     )
     retry = RetryResult(
-        result=MatchResult(matches=()),
+        result=MatchResult(matches=np.recarray(0, MATCH_DTYPE)),
         threshold=45.0,
         iterations=1,
         centroids=xy,
@@ -1041,6 +1041,26 @@ class TestCli:
         assert r.stdout == ""
         assert r.stderr == f"error: {reason}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            (["process", "--image", "x.pgm"], "opnav process: the following arguments are required: --db, --config, --catalog"),
+            (["synth-sky", "--catalog-out", "c.csv", "--bogus"], "opnav: unrecognized arguments: --bogus"),
+            (["bogus"], "opnav: argument {build-catalog,synth-sky,render,process,montecarlo}: invalid choice: 'bogus'"),
+        ],
+        ids=["missing_required_flag", "unknown_flag", "unknown_subcommand"],
+    )
+    def test_usage_error_is_one_line(self, args, reason):
+        r = _cli(*args)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith(f"error: {reason}") and r.stderr.count("\n") == 1
+
+    def test_help_exits_zero(self):
+        r = _cli("process", "--help")
+        assert r.returncode == 0 and r.stderr == ""
+        assert r.stdout.startswith("usage: opnav process")
 
     def test_error_exit_nonzero(self, tmp_path):
         r = _cli("build-catalog", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x.npz"))

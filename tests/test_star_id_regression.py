@@ -40,6 +40,7 @@ from opnav.geometry import (
     angular_separation,
     attitude_from_axis_azimuth,
     los_from_pixel,
+    los_from_pixels,
     project_star,
 )
 from opnav.centroiding import find_centroids
@@ -86,6 +87,22 @@ def test_matches_and_spikes_frozen(workload):
         got = [[m.centroid_index, m.star_id] for m in result.matches]
         assert got == case["matches"], case["frame"]
         assert list(unmatched(result, len(centroids))) == case["spikes"], case["frame"]
+
+
+def test_matches_are_one_record_array(workload):
+    """int64 index and id columns, (m, 3) direction columns, and records
+    that format as the plain ints of their columns, as the benchmark's
+    frame digest formats them."""
+    name, cfg, catalog, db, index = workload
+    centroids = np.array(FRAMES[name][0]["centroids"], dtype=float).reshape(-1, 2)
+    camera = cfg.camera()
+    matches = identify_stars(centroids, camera, catalog, db, index, cfg.identify_config().epsilon_rad).matches
+    assert matches.centroid_index.dtype == matches.star_id.dtype == np.int64
+    assert matches.los_camera.shape == matches.los_inertial.shape == (len(matches), 3)
+    np.testing.assert_array_equal(matches.los_camera, los_from_pixels(camera, centroids)[matches.centroid_index])
+    np.testing.assert_array_equal(matches.los_inertial, catalog.unit_vectors[catalog.rows_of(matches.star_id)])
+    columns = zip(matches.centroid_index.tolist(), matches.star_id.tolist())
+    assert "".join(f"{m.centroid_index}:{m.star_id};" for m in matches) == "".join(f"{i}:{s};" for i, s in columns)
 
 
 def test_identical_under_another_star_numbering(workload, tmp_path):
