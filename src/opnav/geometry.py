@@ -171,11 +171,11 @@ def quaternion_from_matrix(m: np.ndarray) -> Attitude:
 
 def proper_rotation(m) -> np.ndarray:
     """``m`` as a float64 3x3 array; raises ValueError unless it is a proper
-    rotation (orthonormal to 1e-8, determinant 1 to 1e-8)."""
+    rotation (orthonormal to 1e-8, determinant 1 to 1e-8), so also for NaN."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError("attitude matrix must be 3x3")
-    if np.abs(m @ m.T - np.eye(3)).max() > 1e-8 or abs(np.linalg.det(m) - 1.0) > 1e-8:
+    if not (np.abs(m @ m.T - np.eye(3)).max() <= 1e-8) or not (abs(np.linalg.det(m) - 1.0) <= 1e-8):
         raise ValueError("matrix is not a proper rotation")
     return m
 

@@ -17,7 +17,8 @@ import math
 import numpy as np
 
 from .ephemeris import Planet
-from .star_catalog import StarCatalog, catalog_from_records
+from .geometry import radec_to_unit
+from .star_catalog import StarCatalog
 
 AU_KM = 1.495978707e8
 
@@ -56,7 +57,7 @@ def synthetic_catalog(n_stars: int, seed: int, mag_bright: float, mag_faint: flo
     lo = 10.0 ** (slope * mag_bright)
     hi = 10.0 ** (slope * mag_faint)
     mags = np.log10(lo + u * (hi - lo)) / slope
-    return catalog_from_records(zip(range(1, n_stars + 1), ra.tolist(), dec.tolist(), mags.tolist()))
+    return StarCatalog(np.arange(1, n_stars + 1, dtype=np.int64), ra, dec, mags, radec_to_unit(ra, dec))
 
 
 def solar_system() -> tuple[Planet, ...]:

@@ -32,7 +32,7 @@ class CatalogError(ValueError):
 class StarCatalog:
     """Read-only star columns, one row per star: catalog id, right
     ascension in [0, 2pi) and declination in rad, magnitude, and the
-    (n, 3) inertial unit vector.  Built by ``catalog_from_records``."""
+    (n, 3) inertial unit vector."""
 
     ids: np.ndarray  # int64, unique
     right_ascension: np.ndarray
@@ -212,17 +212,17 @@ def save_catalog(catalog: StarCatalog, path) -> None:
 _SQUARE_BLOCK = 1 << 16
 
 # The most stars at or brighter than mag_limit that build_pair_database
-# takes: it holds about 33 B per pair kept at its peak, and a uniform sky
+# takes: it holds about 34 B per pair kept at its peak, and a uniform sky
 # keeps about S**2 * (1 - cos max_angle) / 4 pairs, 4.5 million at 35 deg.
 MAX_PAIR_STARS = 10_000
 
 
-def _stable_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``order = np.argsort(values, kind="stable")`` and ``values[order]``,
-    from numpy's default sort: each run of equal values is put back in
-    index order by sorting only its positions, keyed by (run, index).
-    Without ties that costs one comparison pass.  Equal means ``==``, so
-    -0.0 and 0.0 share a run, and their bytes are read after the repair."""
+def _stable_sort(values: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``order = np.lexsort((key, values))`` and ``values[order]``, from
+    numpy's default sort: each run of equal values is put in key order,
+    then index order, by sorting only its positions.  Without ties that
+    costs one comparison pass.  Equal means ``==``, so -0.0 and 0.0 share a
+    run, and their bytes are read after the repair."""
     order = np.argsort(values)
     ranked = values[order]
     tie = ranked[1:] == ranked[:-1]
@@ -232,8 +232,8 @@ def _stable_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tied[:-1] |= tie
         pos = np.flatnonzero(tied)
         run = np.cumsum(~np.concatenate(([False], tie))[pos])
-        m = len(order)
-        order[pos] = np.sort(run * m + order[pos]) % m
+        at = order[pos]
+        order[pos] = at[np.lexsort((at, key[at], run))]
         ranked[pos] = values[order[pos]]
     return order, ranked
 
@@ -241,14 +241,19 @@ def _stable_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_pair_database(catalog: StarCatalog, mag_limit: float, max_angle_rad: float) -> PairDatabase:
     """Collect every star pair with both magnitudes <= mag_limit and an
     interstar angle <= max_angle_rad (both bounds inclusive), sorted
-    ascending in cos(angle) with ties kept in input-pair order: row-major
-    over the upper triangle, as a stable sort leaves them
-    (``_stable_sort``).
+    ascending in cos(angle) with ties in row-major order over the upper
+    triangle of the stars in catalog order (``_stable_sort`` keyed by the
+    pair's cell).
 
-    The cosine of stars i < j is ``(x_i x_j + y_i y_j) + z_i z_j``, each step
-    one correctly rounded ufunc, so its bits depend on no BLAS or CPU.  Row
-    blocks of about ``_SQUARE_BLOCK`` upper-triangle cells are taken and
-    scanned one at a time: nothing of S x S size is held.  Kept cosines are
+    The cosine of two stars is ``(x_i x_j + y_i y_j) + z_i z_j``, each step
+    one correctly rounded ufunc whose operands commute exactly, so its bits
+    depend on no BLAS, CPU or scan order.  The stars are scanned sorted by
+    z, in blocks of ``max(1, _SQUARE_BLOCK // S)`` rows: a block's rows meet
+    only the later stars whose z is within the chord of the angle limit of
+    the block's last z, since two unit vectors at angle <= max_angle_rad
+    differ in z by at most ``sqrt(2 - 2 cos(max_angle_rad))``.  Nothing of
+    S x S size is held.  The bound takes the unit vectors to be unit to
+    within a few 1e-16, as ``radec_to_unit`` gives them.  Kept cosines are
     clipped to [-1, 1], which moves none across cos(max_angle_rad) > -1.
     More than ``MAX_PAIR_STARS`` stars to mag_limit raise CatalogError.
 
@@ -268,20 +273,28 @@ def build_pair_database(catalog: StarCatalog, mag_limit: float, max_angle_rad: f
             f"the pair table may hold up to {n} * {n - 1} / 2 = {n * (n - 1) // 2:,} pairs"
         )
     ids = catalog.ids[keep]
-    v = catalog.unit_vectors[keep].T.copy()  # the x, y and z rows
+    vecs = catalog.unit_vectors[keep]
+    by_z = np.argsort(vecs[:, 2])  # the table index of each scanned star
+    v = vecs[by_z].T.copy()  # the x, y and z rows, ascending in z
     cos_max = math.cos(max_angle_rad)
+    # the chord bound; 1e-12 in the root covers the rounding of the cosine
+    # and of |u|^2, each a few 1e-16, so the band never misses a kept pair
+    chord = math.sqrt(2.0 - 2.0 * cos_max + 1e-12)
 
     step = max(1, _SQUARE_BLOCK // n)
+    starts = np.arange(0, n - 1, step)
+    stops = np.searchsorted(v[2], v[2, np.minimum(starts + step, n) - 1] + chord, side="right")
     cells, kept = [], []
-    for r0 in range(0, n - 1, step):
-        # pairs (r0 + i, r0 + 1 + j) with j >= i, row-major as triu_indices
-        block = np.multiply.outer(v[0, r0 : r0 + step], v[0, r0 + 1 :])
-        block += np.multiply.outer(v[1, r0 : r0 + step], v[1, r0 + 1 :])
-        block += np.multiply.outer(v[2, r0 : r0 + step], v[2, r0 + 1 :])
+    for r0, stop in zip(starts.tolist(), stops.tolist()):
+        # pairs (r0 + i, r0 + 1 + j) with j >= i in the z order
+        block = np.multiply.outer(v[0, r0 : r0 + step], v[0, r0 + 1 : stop])
+        block += np.multiply.outer(v[1, r0 : r0 + step], v[1, r0 + 1 : stop])
+        block += np.multiply.outer(v[2, r0 : r0 + step], v[2, r0 + 1 : stop])
         flat = np.flatnonzero(block >= cos_max)
-        i, j = np.divmod(flat, n - r0 - 1)
+        i, j = np.divmod(flat, stop - r0 - 1)
         upper = j >= i
-        cells.append((i[upper] + r0) * n + (j[upper] + (r0 + 1)))
+        a, b = by_z[i[upper] + r0], by_z[j[upper] + (r0 + 1)]
+        cells.append(np.minimum(a, b) * n + np.maximum(a, b))
         kept.append(block.ravel()[flat[upper]])
     cell, cosines = np.concatenate(cells), np.concatenate(kept)  # the flat S x S index and cosine of each pair
     del cells, kept
@@ -289,7 +302,7 @@ def build_pair_database(catalog: StarCatalog, mag_limit: float, max_angle_rad: f
     if len(cosines) < 1:
         raise CatalogError("catalog too sparse: no star pair within the angle limit")
 
-    order, cosines = _stable_sort(cosines)
+    order, cosines = _stable_sort(cosines, cell)
     cell = cell[order]
     del order
     row, col = np.divmod(cell, n)

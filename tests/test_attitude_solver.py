@@ -113,7 +113,9 @@ class TestPrincipalAxisAngle:
             np.testing.assert_allclose(rebuilt, r, atol=1e-10)
 
     @pytest.mark.parametrize(
-        "matrix", [2.0 * rot3(0.3), np.diag([1.0, 1.0, -1.0])], ids=["scaled", "det_minus_one"]
+        "matrix",
+        [2.0 * rot3(0.3), np.diag([1.0, 1.0, -1.0]), np.full((3, 3), np.nan)],
+        ids=["scaled", "det_minus_one", "nan"],
     )
     def test_non_rotation_rejected(self, matrix):
         with pytest.raises(ValueError, match="not a proper rotation"):

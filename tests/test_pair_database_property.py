@@ -1,8 +1,9 @@
-"""Property: ``build_pair_database``, which takes the pair cosines in row
-blocks and sorts with numpy's default sort plus a repair of tied runs,
-equals the full form (every cosine of the S x S matrix at once, clipped,
-its upper triangle gathered with ``triu_indices``, stable argsort) byte
-for byte, whatever the block size; every stored cosine is
+"""Property: ``build_pair_database``, which scans the stars sorted by z in
+row blocks, each against the band of later stars within the chord of the
+angle limit, and sorts with numpy's default sort plus a repair of tied
+runs, equals the full form (every cosine of the S x S matrix at once,
+clipped, its upper triangle gathered with ``triu_indices``, stable
+argsort) byte for byte, whatever the block size; every stored cosine is
 ``(x_i x_j + y_i y_j) + z_i z_j`` in Python floats; and the build holds
 nothing of S x S size."""
 
@@ -121,12 +122,78 @@ def _axes():
 TIED_CASES = {"shared_directions": _shared_directions(), "axes": _axes()}
 
 
+def _stars(ra, dec):
+    """Magnitude 3 stars at the given angles, ids 0, 1, ..."""
+    return catalog_from_records(zip(range(len(ra)), ra, dec, np.full(len(ra), 3.0)))
+
+
+def _poles():
+    """30 stars within 1 deg of each pole, one of them on it, and a 1.5 deg
+    limit: the first and last rows of the z order, where the bands end."""
+    rng = np.random.default_rng(26)
+    dec = math.pi / 2 - rng.uniform(0.0, math.radians(1.0), 60)
+    dec[:2] = math.pi / 2
+    dec[::2] *= -1.0
+    return _stars(rng.uniform(0.0, 2 * math.pi, 60), dec), 5.5, math.radians(1.5)
+
+
+def _duplicates_tiny_limit():
+    """60 stars on 12 directions, 3 per base direction at 0, 5e-7 and 2e-6
+    rad apart in declination (one base 3e-6 rad from the pole), and a limit
+    of 1e-6 rad: a band about 1e-6 wide in z."""
+    base_ra, base_dec = np.array([0.3, 2.0, 4.0, 5.5]), np.array([0.2, -0.9, 1.1, math.pi / 2 - 3e-6])
+    dec = (base_dec[:, None] + np.array([0.0, 5e-7, 2e-6])).ravel()
+    k = np.arange(60) % 12
+    return _stars(np.repeat(base_ra, 3)[k], dec[k]), 5.5, 1e-6
+
+
+def _wide_limit(max_angle_rad):
+    """150 stars over the whole sky, both poles among them, and a limit
+    wide enough that the bands of most rows reach both poles."""
+    rng = np.random.default_rng(27)
+    dec = np.arcsin(rng.uniform(-1.0, 1.0, 150))
+    dec[:2] = (math.pi / 2, -math.pi / 2)
+    return _stars(rng.uniform(0.0, 2 * math.pi, 150), dec), 5.5, max_angle_rad
+
+
+def _mirrored_pairs():
+    """Pairs on one meridian mirrored across the equator, whose z differ by
+    their full chord, and the limit set exactly on one pair's cosine: the
+    band's bound is met with equality."""
+    dec = np.array([0.05, 0.058529112991541794, 0.058529112991541794 + 1e-9, 0.61, 1.2])
+    ra = np.full(10, 4.816125402671297)
+    catalog = _stars(ra, np.concatenate((dec, -dec)))
+    x, y, z = catalog.unit_vectors[1]
+    on_pair = _angle_on_a_cosine((x * x + y * y) + z * -z)
+    assert on_pair is not None
+    return catalog, 5.5, on_pair
+
+
+# Catalogs at the edges of the z bands.
+BAND_CASES = {
+    "poles": _poles(),
+    "duplicates_tiny_limit": _duplicates_tiny_limit(),
+    "wide_limit_100deg": _wide_limit(math.radians(100.0)),
+    "wide_limit_near_pi": _wide_limit(math.pi - 1e-6),
+    "mirrored_pairs": _mirrored_pairs(),
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=catalogs(), block_rows=st.integers(1, 5), tail=st.integers(0, 4))
 @example(case=TIED_CASES["shared_directions"], block_rows=1, tail=0)
 @example(case=TIED_CASES["shared_directions"], block_rows=4, tail=3)
 @example(case=TIED_CASES["axes"], block_rows=1, tail=0)
 @example(case=TIED_CASES["axes"], block_rows=5, tail=2)
+@example(case=BAND_CASES["poles"], block_rows=1, tail=0)
+@example(case=BAND_CASES["poles"], block_rows=4, tail=1)
+@example(case=BAND_CASES["duplicates_tiny_limit"], block_rows=1, tail=0)
+@example(case=BAND_CASES["duplicates_tiny_limit"], block_rows=3, tail=4)
+@example(case=BAND_CASES["wide_limit_100deg"], block_rows=1, tail=0)
+@example(case=BAND_CASES["wide_limit_100deg"], block_rows=5, tail=0)
+@example(case=BAND_CASES["wide_limit_near_pi"], block_rows=2, tail=3)
+@example(case=BAND_CASES["mirrored_pairs"], block_rows=1, tail=0)
+@example(case=BAND_CASES["mirrored_pairs"], block_rows=2, tail=1)
 def test_row_blocks_equal_the_full_form(case, block_rows, tail):
     catalog, mag_limit, max_angle_rad = case
     n = int((catalog.magnitudes <= mag_limit).sum())
@@ -160,10 +227,22 @@ def tied_values(draw):
 @settings(max_examples=200, deadline=None)
 @given(values=tied_values())
 def test_sort_equals_stable_argsort(values):
-    order, ranked = star_catalog._stable_sort(values)
+    order, ranked = star_catalog._stable_sort(values, np.arange(len(values)))
     want = np.argsort(values, kind="stable")
     np.testing.assert_array_equal(order, want)
     assert ranked.tobytes() == values[want].tobytes()  # -0.0 and 0.0 in input order
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=tied_values(), seed=st.integers(0, 2**32 - 1), distinct=st.integers(1, 5000))
+def test_sort_breaks_ties_by_key(values, seed, distinct):
+    """Ties go to the smaller key, then (equal keys too) to the smaller
+    index, as ``np.lexsort`` orders them."""
+    key = np.random.default_rng(seed).integers(0, distinct, len(values))
+    order, ranked = star_catalog._stable_sort(values, key)
+    want = np.lexsort((key, values))
+    np.testing.assert_array_equal(order, want)
+    assert ranked.tobytes() == values[want].tobytes()
 
 
 def test_pair_exactly_on_the_bound_is_kept():
@@ -177,6 +256,27 @@ def test_pair_exactly_on_the_bound_is_kept():
     assert _outcome(build_pair_database, catalog, 5.5, bound) == _outcome(
         reference_pair_database, catalog, 5.5, bound
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(dec=st.floats(-8.0, 0.17).map(lambda e: 10.0**e), ra=st.floats(0.0, 6.28))
+@example(dec=0.058529112991541794, ra=4.816125402671297)
+@example(dec=1.6800639958667013e-08, ra=5.360356629993344)
+def test_pair_across_the_equator_on_the_bound_is_kept(dec, ra):
+    """Two stars mirrored across the equator differ in z by their whole
+    chord; with the limit on their cosine, the band of the lower star's
+    one-row block must still reach the upper star, although 2 - 2 cos
+    rounds below the squared z difference for about half of such pairs
+    (the two examples among them)."""
+    catalog = _stars([ra, ra], [dec, -dec])
+    x, y, z = catalog.unit_vectors[0]
+    bound = _angle_on_a_cosine((x * x + y * y) + z * -z)
+    if bound is None:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(star_catalog, "_SQUARE_BLOCK", 1)
+        db = build_pair_database(catalog, 5.5, bound)
+    assert (db.first.tolist(), db.second.tolist()) == ([0], [1])
 
 
 @pytest.fixture(scope="module", params=sorted(SKIES))
