@@ -1,21 +1,21 @@
 """Dynamic thresholding, ROI extraction, and weighted-moment centroids.
 
-A frame is a 2-D uint8 array.  The threshold is mean + T * std over the
-whole frame (population std), both moments taken as exact integer sums.
-Pixels strictly above the threshold form 8-connected components.  Only
-the few rows and columns that hold such pixels are labelled: they are
-packed into a small array, with one blank row between runs of rows, and
-one blank column between runs of columns, that are not adjacent in the
-frame, so that connectivity and raster order are the frame's own, and
-the labels are mapped back to frame rows and columns.  Each component
-is boxed with a one-pixel margin and the sub-pixel centroid is computed
-from intensity-weighted moments over every pixel inside the box, with
-weights w = I / I_max normalized by the brightest pixel of the box.
+A frame is a 2-D uint8 array (``compute_threshold`` rejects any other).
+The threshold is mean + T * std over the frame (population std), from
+exact integer sums.  Pixels strictly above it form 8-connected
+components, labelled on the lit rows and columns only (packed with one
+blank row or column between runs that are not adjacent in the frame, so
+connectivity and raster order are the frame's).  Each component is boxed
+with a one-pixel margin; its centroid is the first moment over every
+pixel I of the box with weights w = I / I_max, where the peak cancels:
+x = sum(x I^2) / sum(I^2), and likewise y, each one correctly rounded
+quotient of exact integer sums.
 
 A frame's detections are arrays, one row per component in row-major
 order of its seed pixel: the (n, 4) int64 margin boxes ``x0, y0, x1, y1``
 (inclusive), the (n,) int64 spans (the larger of the member pixels' x and
-y extents) and the (n, 2) float64 centroids ``x, y``.
+y extents), the (n, 2) float64 centroids ``x, y`` and the (n,) int64 peak
+DN (the brightest pixel of the box).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from scipy import ndimage
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 _UINT32_ROW_WIDTH = (2**32 - 1) // 255**2  # widest row whose sum of squares fits in uint32
-_SQUARE_BLOCK = 2**16  # pixels compute_threshold squares at a time
+_SQUARE_BLOCK = 2**16  # pixels squared at a time, by compute_threshold and per block of compute_centroid
 
 
 def compute_threshold(image: np.ndarray, t: float) -> float:
@@ -78,30 +78,24 @@ def extract_rois(image: np.ndarray, threshold: float) -> tuple[np.ndarray, np.nd
     frame's.
     """
     height, width = image.shape
-    if image.dtype == np.uint8 and 0 <= threshold < 255:
-        # an integer pixel is above t exactly when it is above floor(t): no float cast
-        threshold = np.uint8(math.floor(threshold))
-    rows = np.flatnonzero(np.fmax.reduce(image, axis=1) > threshold) if image.size else []
+    # an integer pixel is above t exactly when it is above floor(t); above NaN, none is
+    level = 255 if not threshold < 255 else -1 if threshold < 0 else math.floor(threshold)
+    rows = np.flatnonzero(image.max(axis=1) > level) if image.size else []
     if len(rows) == 0:
         return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64)
-    lit = image[rows] > threshold
+    lit = image[rows] > level
     cols = np.flatnonzero(lit.any(axis=0))
     packed_rows, packed_cols = _pack(rows), _pack(cols)
     packed = np.zeros((packed_rows[-1] + 1, packed_cols[-1] + 1), dtype=bool)
     packed[np.ix_(packed_rows, packed_cols)] = lit[:, cols]
     labels, _ = ndimage.label(packed, structure=_EIGHT_CONNECTED)
-    frame_row = np.zeros(len(packed), dtype=np.int64)
-    frame_row[packed_rows] = rows
-    frame_col = np.zeros(packed.shape[1], dtype=np.int64)
-    frame_col[packed_cols] = cols
-
-    # The lowest and highest (x, y) of each component's member pixels,
-    # mapped from packed to frame columns and rows.
+    # The lowest and highest (x, y) of each component's member pixels: lit
+    # packed columns and rows, mapped to the frame's.
     slices = ndimage.find_objects(labels)
-    lo = np.array([(c.start, r.start) for r, c in slices], dtype=np.int64)
-    hi = np.array([(c.stop, r.stop) for r, c in slices], dtype=np.int64) - 1
-    lo[:, 0], hi[:, 0] = frame_col[lo[:, 0]], frame_col[hi[:, 0]]
-    lo[:, 1], hi[:, 1] = frame_row[lo[:, 1]], frame_row[hi[:, 1]]
+    ends = np.array([(c.start, r.start, c.stop - 1, r.stop - 1) for r, c in slices], dtype=np.int64)
+    ends[:, 0::2] = cols[np.searchsorted(packed_cols, ends[:, 0::2])]
+    ends[:, 1::2] = rows[np.searchsorted(packed_rows, ends[:, 1::2])]
+    lo, hi = ends[:, :2], ends[:, 2:]
     boxes = np.hstack((np.maximum(lo - 1, 0), np.minimum(hi + 1, (width - 1, height - 1))))
     return boxes, (hi - lo).max(axis=1)
 
@@ -112,35 +106,40 @@ def _pack(index: np.ndarray) -> np.ndarray:
     return np.arange(len(index)) + np.concatenate(([0], np.cumsum(np.diff(index) > 1)))
 
 
-def compute_centroid(box, image: np.ndarray) -> tuple[float, float]:
-    """Sub-pixel centroid ``(x, y)`` from weighted image moments over the
-    inclusive box ``x0, y0, x1, y1``.
-
-    Moments sum over the full box including the margin ring, so faint
-    PSF tails below the threshold still pull the estimate.  The first
-    moments weight the box by broadcast rows and columns of pixel
-    coordinates.
-    """
-    x0, y0, x1, y1 = box
-    pixels = image[y0 : y1 + 1, x0 : x1 + 1].astype(np.float64)
-    peak = pixels.max()
-    if peak <= 0:
+def compute_centroid(boxes: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sub-pixel centroids ``(x, y)`` and peak DN of the (n, 4) inclusive
+    boxes ``x0, y0, x1, y1`` in one array pass; a box of zeros raises
+    ValueError.  The moments take the whole box, margin ring included, so
+    faint PSF tails below the threshold still pull the estimate.  All boxes'
+    cells, row by row, are gathered ``_SQUARE_BLOCK`` at a time; a block's
+    int64 sums per box are exact, and are added and divided as Python ints."""
+    x0, y0, x1, y1 = boxes.T
+    height, width = y1 - y0 + 1, x1 - x0 + 1
+    ends = np.cumsum(height * width)
+    starts = ends - height * width
+    total = int(ends[-1]) if len(boxes) else 0
+    sums = np.zeros((len(boxes), 3), dtype=object)  # sum(I^2), sum(x I^2), sum(y I^2)
+    peak = np.zeros(len(boxes), dtype=np.int64)
+    for first in range(0, total, _SQUARE_BLOCK):
+        cell = np.arange(first, min(first + _SQUARE_BLOCK, total))
+        box = np.searchsorted(ends, cell, side="right")
+        dy, dx = np.divmod(cell - starts[box], width[box])
+        rows, cols = y0[box] + dy, x0[box] + dx
+        pixels = image[rows, cols]
+        here = np.arange(box[0], box[-1] + 1)  # every box holds a cell
+        runs = np.maximum(starts[here] - first, 0)  # each box's first cell in the block
+        sq = np.square(pixels, dtype=np.int64)
+        sums[here] += np.stack([np.add.reduceat(m, runs) for m in (sq, sq * cols, sq * rows)], axis=1).astype(object)
+        peak[here] = np.maximum(peak[here], np.maximum.reduceat(pixels, runs))
+    if not sums[:, 0].all():
         raise ValueError("ROI box holds no signal")
-    w = pixels / peak
-    iw = pixels * w
-    m00 = iw.sum()  # >= peak > 0
-    m10 = (np.arange(x0, x1 + 1) * iw).sum()
-    m01 = (np.arange(y0, y1 + 1)[:, None] * iw).sum()
-    return float(m10 / m00), float(m01 / m00)
+    return (sums[:, 1:] / sums[:, :1]).astype(np.float64), peak
 
 
-def find_centroids(image: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Threshold, extract ROIs, and centroid each one.
-
-    Returns ``(xy, span, threshold)``: the (n, 2) centroids and the spans
-    of their components, in ROI order, and the threshold used.
-    """
+def find_centroids(image: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``(xy, span, peak, threshold)``: the centroids, spans and peak DN of
+    the frame's ROIs, in ROI order, and the threshold used."""
     threshold = compute_threshold(image, t)
     boxes, span = extract_rois(image, threshold)
-    xy = np.array([compute_centroid(box, image) for box in boxes.tolist()], dtype=np.float64).reshape(-1, 2)
-    return xy, span, threshold
+    xy, peak = compute_centroid(boxes, image)
+    return xy, span, peak, threshold

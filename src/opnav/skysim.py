@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .ephemeris import Planet
-from .geometry import radec_to_unit
+from .geometry import TWO_PI, radec_to_unit
 from .star_catalog import StarCatalog
 
 AU_KM = 1.495978707e8
@@ -49,15 +49,30 @@ def seen_from(planet: Planet, observer_km) -> Planet:
 
 def synthetic_catalog(n_stars: int, seed: int, mag_bright: float, mag_faint: float, slope: float) -> StarCatalog:
     """Full-sky star catalog, ids 1..n, deterministic for a given seed;
-    ``PipelineConfig.sky`` is the default sky."""
+    ``PipelineConfig.sky`` is the default sky.  Its angles are the ones
+    ``load_catalog`` reads back from ``save_catalog``'s text, so the sky and
+    its own file are one sky."""
     rng = np.random.default_rng(seed)
-    ra = rng.uniform(0.0, 2.0 * math.pi, n_stars)
-    dec = np.arcsin(rng.uniform(-1.0, 1.0, n_stars))
+    ra = _as_saved(rng.uniform(0.0, 2.0 * math.pi, n_stars)) % TWO_PI % TWO_PI
+    dec = _as_saved(np.arcsin(rng.uniform(-1.0, 1.0, n_stars)))
     u = rng.uniform(0.0, 1.0, n_stars)
     lo = 10.0 ** (slope * mag_bright)
     hi = 10.0 ** (slope * mag_faint)
     mags = np.log10(lo + u * (hi - lo)) / slope
     return StarCatalog(np.arange(1, n_stars + 1, dtype=np.int64), ra, dec, mags, radec_to_unit(ra, dec))
+
+
+def _as_saved(angles: np.ndarray) -> np.ndarray:
+    """The radians that ``load_catalog`` reads back from the degrees that
+    ``save_catalog`` writes: an angle that ``radians`` maps one of
+    ``degrees(angle)`` and its two float64 neighbours to stays (the search
+    of ``star_catalog._degrees_text``); any other becomes
+    ``radians(degrees(angle))``."""
+    degrees = np.degrees(angles)
+    kept = np.zeros(len(angles), dtype=bool)
+    for candidate in (degrees, np.nextafter(degrees, -np.inf), np.nextafter(degrees, np.inf)):
+        kept |= np.radians(candidate) == angles
+    return np.where(kept, angles, np.radians(degrees))
 
 
 def solar_system() -> tuple[Planet, ...]:

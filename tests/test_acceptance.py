@@ -189,7 +189,7 @@ def test_criterion_5_centroiding_accuracy(camera):
             extra_sources=((x, y, 1200.0),),
         )
         image, _ = render(scene)
-        cents, _, _ = find_centroids(image.data, 5.0)
+        cents, _, _, _ = find_centroids(image.data, 5.0)
         assert len(cents) == 1
         se += (cents[0, 0] - x) ** 2 + (cents[0, 1] - y) ** 2
     elapsed = time.perf_counter() - t0

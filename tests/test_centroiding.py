@@ -7,9 +7,11 @@ from opnav.geometry import PointingAngles
 from opnav.star_catalog import catalog_from_records
 
 
-def _spot(image, x, y, peak, sigma=0.9):
-    ys, xs = np.mgrid[0 : image.shape[0], 0 : image.shape[1]]
-    image += peak * np.exp(-((xs - x) ** 2 + (ys - y) ** 2) / (2 * sigma**2))
+def _spots(shape, spots, sigma=0.9):
+    """A uint8 frame of Gaussian spots ``(x, y, peak)``, rounded."""
+    ys, xs = np.mgrid[0 : shape[0], 0 : shape[1]]
+    image = sum(peak * np.exp(-((xs - x) ** 2 + (ys - y) ** 2) / (2 * sigma**2)) for x, y, peak in spots)
+    return np.rint(np.clip(image, 0, 255)).astype(np.uint8)
 
 
 class TestThreshold:
@@ -47,44 +49,42 @@ class TestThreshold:
     def test_non_frame_rejected(self, image, kind):
         with pytest.raises(ValueError, match=f"^expected a 2-D uint8 frame, got a {kind} array$"):
             compute_threshold(image, 1.0)
+        with pytest.raises(ValueError, match=f"^expected a 2-D uint8 frame, got a {kind} array$"):
+            find_centroids(image, 1.0)
 
 
 class TestExtractRois:
     def test_two_separated_sources(self):
-        img = np.zeros((64, 64))
-        _spot(img, 15.0, 20.0, 200.0)
-        _spot(img, 25.0, 20.0, 200.0)
+        img = _spots((64, 64), [(15.0, 20.0, 200.0), (25.0, 20.0, 200.0)])
         boxes, span = extract_rois(img, 10.0)
         assert boxes.shape == (2, 4) and span.shape == (2,)
 
     def test_overlapping_sources_merge(self):
-        img = np.zeros((64, 64))
-        _spot(img, 20.0, 20.0, 200.0)
-        _spot(img, 22.5, 20.0, 200.0)
+        img = _spots((64, 64), [(20.0, 20.0, 200.0), (22.5, 20.0, 200.0)])
         boxes, _ = extract_rois(img, 10.0)
         assert len(boxes) == 1
 
     def test_diagonal_adjacency_is_connected(self):
-        img = np.zeros((8, 8))
-        img[2, 2] = 100.0
-        img[3, 3] = 100.0
+        img = np.zeros((8, 8), dtype=np.uint8)
+        img[2, 2] = 100
+        img[3, 3] = 100
         assert len(extract_rois(img, 50.0)[0]) == 1
 
     def test_margin_grown_and_clipped(self):
-        img = np.zeros((8, 8))
-        img[0, 0] = 100.0
+        img = np.zeros((8, 8), dtype=np.uint8)
+        img[0, 0] = 100
         boxes, span = extract_rois(img, 50.0)
         assert boxes.tolist() == [[0, 0, 1, 1]] and span.tolist() == [0]
 
     def test_row_major_ordering(self):
-        img = np.zeros((32, 32))
+        img = np.zeros((32, 32), dtype=np.uint8)
         for x, y in [(25, 3), (4, 10), (15, 20)]:
-            img[y, x] = 100.0
+            img[y, x] = 100
         boxes, _ = extract_rois(img, 50.0)
         assert (boxes[:, [1, 0]] + 1).tolist() == [[3, 25], [10, 4], [20, 15]]
 
     def test_no_component_gives_empty_arrays(self):
-        for img in (np.zeros((8, 8)), np.zeros((0, 8))):
+        for img in (np.zeros((8, 8), dtype=np.uint8), np.zeros((0, 8), dtype=np.uint8)):
             boxes, span = extract_rois(img, 50.0)
             assert boxes.shape == (0, 4) and span.shape == (0,)
             assert boxes.dtype == span.dtype == np.int64
@@ -92,16 +92,22 @@ class TestExtractRois:
 
 class TestComputeCentroid:
     def test_single_pixel(self):
-        img = np.zeros((40, 40))
-        img[20, 10] = 150.0
+        img = np.zeros((40, 40), dtype=np.uint8)
+        img[20, 10] = 150
         boxes, span = extract_rois(img, 50.0)
-        assert compute_centroid(boxes[0], img) == (10.0, 20.0)
+        xy, peak = compute_centroid(boxes, img)
+        assert xy.tolist() == [[10.0, 20.0]] and peak.tolist() == [150]
         assert span[0] == 0
+        assert xy.dtype == np.float64 and peak.dtype == np.int64
 
     def test_symmetric_plateau(self):
-        img = np.zeros((40, 40))
-        img[9:12, 19:22] = 80.0
-        assert compute_centroid(extract_rois(img, 50.0)[0][0], img) == pytest.approx((20.0, 10.0))
+        img = np.zeros((40, 40), dtype=np.uint8)
+        img[9:12, 19:22] = 80
+        assert compute_centroid(extract_rois(img, 50.0)[0], img)[0].tolist() == [[20.0, 10.0]]
+
+    def test_no_boxes(self):
+        xy, peak = compute_centroid(np.empty((0, 4), dtype=np.int64), np.zeros((8, 8), dtype=np.uint8))
+        assert xy.shape == (0, 2) and peak.shape == (0,)
 
     def test_rendered_spot_subpixel(self, camera):
         cat = catalog_from_records([])
@@ -116,34 +122,39 @@ class TestComputeCentroid:
             extra_sources=((100.3, 200.7, 1200.0),),
         )
         image, _ = render(scene)
-        cents, span, _ = find_centroids(image.data, 5.0)
+        cents, span, peak, _ = find_centroids(image.data, 5.0)
         assert cents.shape == (1, 2) and span.shape == (1,)
         assert cents[0, 0] == pytest.approx(100.3, abs=0.02)
         assert cents[0, 1] == pytest.approx(200.7, abs=0.02)
+        assert peak.tolist() == [image.data.max()]
 
     def test_translation_equivariance(self):
-        img = np.zeros((64, 64))
         rng = np.random.default_rng(7)
-        block = rng.uniform(60, 200, (3, 4))
+        block = rng.integers(60, 200, (3, 4), dtype=np.uint8)
+        img = np.zeros((64, 64), dtype=np.uint8)
         img[10:13, 20:24] = block
-        x1, y1 = compute_centroid(extract_rois(img, 50.0)[0][0], img)
-        img2 = np.zeros((64, 64))
+        (x1, y1), = compute_centroid(extract_rois(img, 50.0)[0], img)[0]
+        img2 = np.zeros((64, 64), dtype=np.uint8)
         img2[23:26, 31:35] = block
-        x2, y2 = compute_centroid(extract_rois(img2, 50.0)[0][0], img2)
+        (x2, y2), = compute_centroid(extract_rois(img2, 50.0)[0], img2)[0]
         assert x2 - x1 == pytest.approx(11.0, abs=1e-12)
         assert y2 - y1 == pytest.approx(13.0, abs=1e-12)
 
     def test_intensity_scaling_invariance(self):
-        img = np.zeros((64, 64))
+        # an integer gain scales every moment alike: the same exact quotients
+        img = np.zeros((64, 64), dtype=np.uint8)
         rng = np.random.default_rng(8)
-        img[30:34, 40:43] = rng.uniform(60, 200, (4, 3))
-        box = extract_rois(img, 50.0)[0][0]
-        assert compute_centroid(box, img * 2.5) == pytest.approx(compute_centroid(box, img), abs=1e-12)
+        img[30:34, 40:43] = rng.integers(60, 128, (4, 3), dtype=np.uint8)
+        boxes = extract_rois(img, 50.0)[0]
+        xy, peak = compute_centroid(boxes, img * np.uint8(2))
+        assert xy.tolist() == compute_centroid(boxes, img)[0].tolist()
+        assert peak.tolist() == [2 * img.max()]
 
     def test_blank_box_rejected(self):
-        img = np.zeros((8, 8))
+        img = np.zeros((8, 8), dtype=np.uint8)
+        img[0, 0] = 9
         with pytest.raises(ValueError, match="no signal"):
-            compute_centroid([1, 1, 3, 3], img)
+            compute_centroid(np.array([[0, 0, 1, 1], [1, 1, 3, 3]]), img)
 
 
 def test_roi_count_monotone_in_t(camera, sky):

@@ -1,5 +1,5 @@
 """Property: row- and column-packed extract_rois equals full-frame
-labelling, and compute_centroid equals its ``np.mgrid`` moments.
+labelling, and compute_centroid equals each box's exact quotients.
 
 The reference labels the whole frame with ``ndimage.label`` and boxes
 each component, one ``(x0, y0, x1, y1, span)`` tuple per component, the
@@ -7,18 +7,24 @@ way extract_rois always has: row-major order of the
 seed pixel, a one-pixel margin clipped to the frame, and the span, the
 larger of the member pixels' x and y extents.
 
-The centroid reference takes the first moments with the coordinate grids
-of ``np.mgrid``, as compute_centroid once did; the two must agree bit
-for bit.
+The centroid reference sums I^2, x I^2 and y I^2 of each box as Python
+ints and rounds ``Fraction(sum(x I^2), sum(I^2))`` (and y) once; the
+array pass must agree bit for bit, and its peak must be the box maximum,
+at the default cell budget and at budgets that split every box.
 """
 
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
-from opnav.centroiding import compute_centroid, extract_rois
+from opnav import centroiding
+from opnav.centroiding import compute_centroid, extract_rois, find_centroids
 
 
 def reference_rois(image, threshold):
@@ -118,23 +124,23 @@ def test_sparse_uint8_frames(image, threshold):
     image=shapes.flatmap(
         lambda s: arrays(np.float64, s, elements=st.floats(-5.0, 300.0, allow_nan=False))
     ),
-    threshold=st.floats(-10.0, 310.0, allow_nan=False),
+    t=st.floats(-10.0, 310.0, allow_nan=False),
 )
-def test_float_frames(image, threshold):
-    check(image, threshold)
+def test_float_frames(image, t):
+    # frames are uint8: find_centroids rejects a float frame before any labelling
+    with pytest.raises(ValueError, match="^expected a 2-D uint8 frame, got a 2-D float64 array$"):
+        find_centroids(image, t)
 
 
 @st.composite
 def sparse_frames(draw):
-    """Frames where most rows and most columns are blank, so runs of lit
-    columns, like runs of lit rows, are often split by one blank column."""
+    """uint8 frames where most rows and most columns are blank, so runs of
+    lit columns, like runs of lit rows, are often split by one blank column."""
     height, width = draw(shapes)
-    dtype = draw(st.sampled_from([np.uint8, np.float64]))
-    image = np.zeros((height, width), dtype=dtype)
+    image = np.zeros((height, width), dtype=np.uint8)
     rows = draw(arrays(bool, height))
     cols = draw(arrays(bool, width))
-    values = [0, 0, 0, 200, np.nan] if dtype == np.float64 else [0, 0, 0, 200]
-    lit = draw(arrays(dtype, (int(rows.sum()), int(cols.sum())), elements=st.sampled_from(values)))
+    lit = draw(arrays(np.uint8, (int(rows.sum()), int(cols.sum())), elements=st.sampled_from([0, 0, 0, 200])))
     image[np.ix_(rows, cols)] = lit
     return image
 
@@ -155,45 +161,73 @@ def sparse_frames(draw):
     image=np.array([[200, 0, 200, 0, 200], [0, 0, 0, 0, 0], [0, 200, 0, 200, 0]], dtype=np.uint8),
     threshold=100,
 )
-@example(  # NaN pixels never count, in lit rows and columns or alone in their own
-    image=np.array(
-        [[np.nan, 200, np.nan, 0, 200], [np.nan, np.nan, 0, 0, np.nan], [0, 0, 200, np.nan, np.nan]]
-    ),
-    threshold=100,
-)
 def test_sparse_columns(image, threshold):
     check(image, threshold)
 
 
-def reference_centroid(box, image):
+def exact_centroid(box, image):
+    """``(x, y, peak)`` of one box: the exact quotients, rounded once."""
     x0, y0, x1, y1 = box
-    pixels = image[y0 : y1 + 1, x0 : x1 + 1].astype(np.float64)
-    iw = pixels * (pixels / pixels.max())
-    ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
-    return float((xs * iw).sum() / iw.sum()), float((ys * iw).sum() / iw.sum())
+    sq = image[y0 : y1 + 1, x0 : x1 + 1].astype(object) ** 2
+    s0 = sq.sum()
+    sx = (sq.sum(axis=0) * np.arange(x0, x1 + 1)).sum()
+    sy = (sq.sum(axis=1) * np.arange(y0, y1 + 1)).sum()
+    return float(Fraction(sx, s0)), float(Fraction(sy, s0)), int(image[y0 : y1 + 1, x0 : x1 + 1].max())
+
+
+def check_centroids(boxes, image):
+    xy, peak = compute_centroid(np.array(boxes, dtype=np.int64).reshape(-1, 4), image)
+    assert xy.dtype == np.float64 and peak.dtype == np.int64
+    assert [(x, y, p) for (x, y), p in zip(xy.tolist(), peak.tolist())] == [exact_centroid(b, image) for b in boxes]
 
 
 @st.composite
 def boxed_frames(draw):
-    """A frame with some signal and an inclusive box inside it, often
-    touching the frame edges."""
+    """A uint8 frame and up to eight inclusive boxes inside it, often
+    overlapping, touching the frame edges or one pixel wide, each holding
+    some signal."""
     height, width = draw(shapes)
-    dtype = draw(st.sampled_from([np.uint8, np.float64]))
-    elements = st.integers(0, 255) if dtype == np.uint8 else st.floats(0.0, 1e4, allow_subnormal=False)
-    image = draw(arrays(dtype, (height, width), elements=elements))
+    values = st.sampled_from([0, 0, 1, 7, 200, 255]) | st.integers(0, 255)
+    image = draw(arrays(np.uint8, (height, width), elements=values))
+
     def ends(size):
         end = st.sampled_from([0, size - 1]) | st.integers(0, size - 1)
         return sorted((draw(end), draw(end)))
 
-    (x0, x1), (y0, y1) = ends(width), ends(height)
-    image[draw(st.integers(y0, y1)), draw(st.integers(x0, x1))] = draw(st.sampled_from([1, 7, 200, 255]))
-    return (x0, y0, x1, y1), image
+    boxes = []
+    for _ in range(draw(st.integers(1, 8))):
+        (x0, x1), (y0, y1) = ends(width), ends(height)
+        image[draw(st.integers(y0, y1)), draw(st.integers(x0, x1))] |= draw(st.sampled_from([1, 7, 200, 255]))
+        boxes.append((x0, y0, x1, y1))
+    return boxes, image
 
 
-@settings(max_examples=300, deadline=None)
+@pytest.mark.parametrize("budget", [centroiding._SQUARE_BLOCK, 1, 64], ids=["budget_2^16", "budget_1", "budget_64"])
+@settings(max_examples=200, deadline=None)
 @given(case=boxed_frames())
-@example(case=((0, 0, 3, 2), np.arange(12, dtype=np.uint8).reshape(3, 4)))  # the whole frame
-@example(case=((4, 0, 4, 2), np.full((3, 5), 9, dtype=np.uint8)))  # the last column
-def test_centroid_equals_mgrid_moments(case):
-    box, image = case
-    assert compute_centroid(box, image) == reference_centroid(box, image)
+@example(case=([(0, 0, 3, 2)], np.arange(12, dtype=np.uint8).reshape(3, 4)))  # the whole frame
+@example(case=([(4, 0, 4, 2), (2, 1, 2, 1)], np.full((3, 5), 9, dtype=np.uint8)))  # the last column, one pixel
+@example(case=([(0, 0, 9, 9), (2, 3, 8, 9), (9, 9, 9, 9)], np.full((10, 10), 255, dtype=np.uint8)))  # saturated
+def test_centroids_equal_exact_quotients(budget, case):
+    boxes, image = case
+    with mock.patch.object(centroiding, "_SQUARE_BLOCK", budget):
+        check_centroids(boxes, image)
+
+
+def test_box_above_the_budget():
+    # a 300 x 300 box spans two blocks of 2^16 cells; the boxes after it share the second
+    image = np.random.default_rng(27).integers(0, 256, (300, 300), dtype=np.uint8)
+    check_centroids([(0, 0, 299, 299), (3, 4, 5, 4), (290, 0, 299, 299), (0, 299, 299, 299)], image)
+
+
+def test_sums_past_float64_integers():
+    # the last 65,536 pixels of a row of 3,000,000: sum(x I^2) passes 2**53, where
+    # float64 no longer holds every integer, and dividing the float64 sums would
+    # round the quotient the other way
+    image = np.zeros((1, 3_000_000), dtype=np.uint8)
+    image[0, -(2**16) :] = np.random.default_rng(1).integers(200, 256, 2**16)
+    box = (3_000_000 - 2**16, 0, 3_000_000 - 1, 0)
+    sq = image[0, box[0] :].astype(np.int64) ** 2
+    sx, s0 = int((sq * np.arange(box[0], box[2] + 1)).sum()), int(sq.sum())
+    assert sx > 2**53 and float(Fraction(sx, s0)) != np.float64(sx) / np.float64(s0)
+    check_centroids([box, (3_000_000 - 3, 0, 3_000_000 - 1, 0)], image)

@@ -79,6 +79,7 @@ def _attitude_output(pointing_err_arcsec=0.0, centroids=NO_CENTROIDS, spikes=(),
         iterations=1,
         centroids=xy,
         span=span,
+        peak=np.zeros(len(span), dtype=np.int64),
     )
     return AttitudeOutput(retry, solution, tuple(spikes))
 
@@ -772,6 +773,19 @@ class TestCli:
             assert (out / name).exists()
         lines = (out / "scenarios.csv").read_text().splitlines()
         assert len(lines) == 1 + 6 * 2
+
+    def test_montecarlo_catalog_file_is_the_in_memory_sky(self, tmp_path):
+        # the sky montecarlo builds from the config is the sky synth-sky writes
+        catalog = tmp_path / "catalog.csv"
+        r = _cli("synth-sky", "--catalog-out", str(catalog))
+        assert r.returncode == 0, r.stderr
+        common = ("montecarlo", "--n", "40", "--sigma-r", "1e4,1e7", "--seed", "7")
+        r = _cli(*common, "--out", str(tmp_path / "memory"))
+        assert r.returncode == 0, r.stderr
+        r = _cli(*common, "--out", str(tmp_path / "file"), "--catalog", str(catalog))
+        assert r.returncode == 0, r.stderr
+        for name in ("scenarios.csv", "pdf_errors.csv"):
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "memory" / name).read_bytes()
 
     def test_ephemeris_file_matches_builtin_snapshot(self, tmp_path):
         # synth-sky writes 1 AU magnitudes; montecarlo rescales them per

@@ -180,7 +180,7 @@ class TestRender:
             x = rng.uniform(100, 900)
             y = rng.uniform(100, 900)
             image, _ = render(_empty_scene(camera, extra_sources=((x, y, 1200.0),)))
-            cents, _, _ = find_centroids(image.data, 5.0)
+            cents, _, _, _ = find_centroids(image.data, 5.0)
             assert len(cents) == 1
             worst = max(worst, abs(cents[0, 0] - x), abs(cents[0, 1] - y))
         assert worst < 0.02

@@ -6,7 +6,9 @@ each angle is written as the shortest degree string whose
 ``math.radians`` is the stored angle, so it reads back bit for bit
 whenever such a float64 degree value exists.  ``math.radians`` skips
 about 9 % of arbitrary angles; those come back within one ulp, and the
-catalog read back is then a fixed point of the round trip.
+catalog read back is then a fixed point of the round trip.  The
+synthetic sky holds only angles read back from its own file, so it and
+that file are the same sky.
 """
 
 import dataclasses
@@ -17,6 +19,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+
+from conftest import SKIES
 
 from opnav.config import (
     MAX_FRAME_PIXELS,
@@ -158,6 +162,22 @@ def test_catalog_text_written_back_unchanged(workdir, stars):
     path.write_text(text)
     save_catalog(load_catalog(path), path)
     assert path.read_text() == text
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_stars=st.integers(0, 400))
+def test_synthetic_catalog_is_its_own_file(workdir, seed, n_stars):
+    catalog = synthetic_catalog(n_stars, seed, mag_bright=0.0, mag_faint=5.0, slope=0.35)
+    path = workdir / "synthetic.csv"
+    save_catalog(catalog, path)
+    assert catalog_columns(load_catalog(path)) == catalog_columns(catalog)
+
+
+@pytest.mark.parametrize("name", sorted(SKIES))
+def test_config_sky_is_its_own_file(tmp_path, name):
+    catalog = SKIES[name].sky()
+    save_catalog(catalog, tmp_path / "sky.csv")
+    assert catalog_columns(load_catalog(tmp_path / "sky.csv")) == catalog_columns(catalog)
 
 
 @settings(max_examples=15, deadline=None)

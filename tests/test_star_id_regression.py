@@ -131,7 +131,7 @@ def test_identical_under_another_star_numbering(workload, tmp_path):
     specs = sample_scenarios(3, 5, cfg, camera, solar_system())
     for spec in specs:
         image, _ = render(cfg.scene(spec.pointing, spec.sc_position_km, catalog, spec.planets, spec.index))
-        centroids, _, _ = find_centroids(image.data, cfg.identify_config().threshold_t)
+        centroids, _, _, _ = find_centroids(image.data, cfg.identify_config().threshold_t)
         got = [identified(centroids, db, index) for db, index in tables]
         assert got[0] is not None and got[0] == got[1], spec.index
 
