@@ -3,11 +3,10 @@
 A frame is a 2-D uint8 array (``compute_threshold`` rejects any other).
 The threshold is mean + T * std over the frame (population std), from
 exact integer sums.  Pixels strictly above it form 8-connected
-components, labelled on the lit rows and columns only (packed with one
-blank row or column between runs that are not adjacent in the frame, so
-connectivity and raster order are the frame's).  Each component is boxed
-with a one-pixel margin; its centroid is the first moment over every
-pixel I of the box with weights w = I / I_max, where the peak cancels:
+components: the runs of such pixels along each row, joined by union-find
+to the runs they touch in the row above.  Each component is boxed with a
+one-pixel margin; its centroid is the first moment over every pixel I of
+the box with weights w = I / I_max, where the peak cancels:
 x = sum(x I^2) / sum(I^2), and likewise y, each one correctly rounded
 quotient of exact integer sums.
 
@@ -23,9 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import ndimage
 
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 _UINT32_ROW_WIDTH = (2**32 - 1) // 255**2  # widest row whose sum of squares fits in uint32
 _SQUARE_BLOCK = 2**16  # pixels squared at a time, by compute_threshold and per block of compute_centroid
 
@@ -66,16 +63,9 @@ def extract_rois(image: np.ndarray, threshold: float) -> tuple[np.ndarray, np.nd
     """8-connected components of pixels strictly above the threshold.
 
     Returns ``(boxes, span)``: each component's box, grown by a one-pixel
-    margin and clipped to the frame, and its span, in row-major order of
-    the component's first (seed) pixel, the order in which
-    ``ndimage.label`` numbers them.
-
-    Only the rows and columns holding a pixel above the threshold are
-    labelled.  They are packed into a small array in frame order, with one
-    blank row (column) between runs of rows (columns) that are not
-    adjacent in the frame, so two pixels touch in the packed array exactly
-    when they touch in the frame, and the packed raster order is the
-    frame's.
+    margin and clipped to the frame, and its span, one row per component
+    in row-major order of its seed pixel (the component's first pixel in
+    row-major order).
     """
     height, width = image.shape
     # an integer pixel is above t exactly when it is above floor(t); above NaN, none is
@@ -83,27 +73,86 @@ def extract_rois(image: np.ndarray, threshold: float) -> tuple[np.ndarray, np.nd
     rows = np.flatnonzero(image.max(axis=1) > level) if image.size else []
     if len(rows) == 0:
         return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64)
-    lit = image[rows] > level
-    cols = np.flatnonzero(lit.any(axis=0))
-    packed_rows, packed_cols = _pack(rows), _pack(cols)
-    packed = np.zeros((packed_rows[-1] + 1, packed_cols[-1] + 1), dtype=bool)
-    packed[np.ix_(packed_rows, packed_cols)] = lit[:, cols]
-    labels, _ = ndimage.label(packed, structure=_EIGHT_CONNECTED)
-    # The lowest and highest (x, y) of each component's member pixels: lit
-    # packed columns and rows, mapped to the frame's.
-    slices = ndimage.find_objects(labels)
-    ends = np.array([(c.start, r.start, c.stop - 1, r.stop - 1) for r, c in slices], dtype=np.int64)
-    ends[:, 0::2] = cols[np.searchsorted(packed_cols, ends[:, 0::2])]
-    ends[:, 1::2] = rows[np.searchsorted(packed_rows, ends[:, 1::2])]
+    ends = _component_ends(*_runs(image[rows] > level, rows), width)
     lo, hi = ends[:, :2], ends[:, 2:]
-    boxes = np.hstack((np.maximum(lo - 1, 0), np.minimum(hi + 1, (width - 1, height - 1))))
+    boxes = np.concatenate((np.maximum(lo - 1, 0), np.minimum(hi + 1, (width - 1, height - 1))), axis=1)
     return boxes, (hi - lo).max(axis=1)
 
 
-def _pack(index: np.ndarray) -> np.ndarray:
-    """Packed positions of the ascending frame rows (or columns) ``index``:
-    consecutive, with one blank between runs that are not adjacent."""
-    return np.arange(len(index)) + np.concatenate(([0], np.cumsum(np.diff(index) > 1)))
+def _runs(lit: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of pixels set in ``lit``, whose row k is frame row
+    ``rows[k]``: ``(y, x0, x1)``, each run's row and first and last column,
+    in row-major order."""
+    height, width = lit.shape
+    padded = np.zeros((height, width + 1), dtype=bool)  # a blank column past the last ends each run in its row
+    padded[:, :width] = lit
+    pixel = np.flatnonzero(padded)
+    step = pixel[1:] != pixel[:-1] + 1  # a run ends before each step
+    first, last = pixel[np.concatenate(([True], step))], pixel[np.concatenate((step, [True]))]
+    row, x0 = np.divmod(first, width + 1)
+    return rows[row], x0, x0 + (last - first)
+
+
+def _component_ends(y: np.ndarray, x0: np.ndarray, x1: np.ndarray, width: int) -> np.ndarray:
+    """The lowest and highest x and y of each 8-connected component of the
+    runs ``x0..x1`` of row ``y`` (row-major order, ``x1 < width``): an
+    (n, 4) int64 array ``x0, y0, x1, y1``, one row per component in
+    row-major order of its first pixel.
+
+    The runs of the row above that touch a run start at most one column
+    past its end and end at most one column before its start, so they
+    follow one another from the first run of that row that ends at or
+    past one column before its start (one ``searchsorted``).  Each run
+    hangs from the first run above that it touches; the roots of the runs
+    it touches past that one are joined by union-find on their own
+    compact numbering, the larger root hooked under the smaller, with
+    pointer jumping.  So a component's root is its first run, which holds
+    its first pixel, and the roots in order number the components.
+    """
+    stride = width + 1  # keys y * stride + x, with a blank column between rows
+    start, end = y * stride + x0, y * stride + x1
+    reach = end - (stride - 1)  # a run above touches when it starts at or before this key
+    lo = np.searchsorted(end, start - (stride + 1))
+    runs = np.arange(len(start))
+    touch = start[lo] <= reach
+    parent = _roots(np.where(touch, lo, runs))
+    # a run that touches the first run of its range may touch the next ones too
+    below, above, contacts = runs[touch], lo[touch] + 1, []
+    while (hit := start[above] <= reach[below]).any():
+        below, above = below[hit], above[hit]
+        contacts.append(np.stack((above, below)))
+        above = above + 1
+    if contacts:  # join their roots, renumbered from 0
+        nodes, pairs = np.unique(parent[np.hstack(contacts)], return_inverse=True)
+        pairs = pairs.reshape(2, -1)
+        label = np.arange(len(nodes))
+        while True:
+            a, b = label[pairs]
+            apart = a != b
+            if not apart.any():
+                break
+            np.minimum.at(label, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+            label = _roots(label)
+        parent[nodes] = nodes[label]
+        parent = parent[parent]
+    root = parent == runs
+    component = (np.cumsum(root) - 1)[parent]
+    ends = np.zeros((int(root.sum()), 4), dtype=np.int64)
+    ends[:, 0], ends[:, 1] = width, y[root]
+    np.minimum.at(ends[:, 0], component, x0)
+    np.maximum.at(ends[:, 2], component, x1)
+    np.maximum.at(ends[:, 3], component, y)
+    return ends
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """``parent``, each entry of which points at or below itself, with
+    every entry pointing straight at its root."""
+    while True:
+        up = parent[parent]
+        if (up == parent).all():
+            return parent
+        parent = up
 
 
 def compute_centroid(boxes: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

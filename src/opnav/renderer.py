@@ -37,6 +37,17 @@ float64.  The random stream is read in that order: Poisson (lit), normal
 (lit), one cell per pixel of the frame (lit ones included), one float per
 straddling cell.  With ``sigma == 0`` the background is the constant
 ``clip(rint(mean))``.
+
+The normal CDF (PSF pixel fractions, the background pmf) is ``_ndtr``, a
+port of the Cephes ``ndtr`` of S. L. Moshier (*Methods and Programs for
+Mathematical Functions*, 1989) equal to the compiled double-precision
+routine bit for bit: with x = a / sqrt(2), ``0.5 + 0.5 erf(x)`` where
+|x| < sqrt(1/2), else ``0.5 erfc(|x|)``, reflected for x > 0; erf on
+[0, 1] from the rational T / U, erfc from P / Q below 8 and R / S from 8
+on, each polynomial by Horner in Cephes' order.  Its ``exp(-x^2)`` is
+libm's, through ``math.exp`` one value at a time: numpy's SIMD ``np.exp``
+rounds about 5 % of random arguments differently on an AVX-512 host, and
+the frames are frozen bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +58,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from .ephemeris import Planet
 from .geometry import CameraModel, PointingAngles, attitude_from_axis_azimuth, project_points
@@ -66,6 +76,40 @@ _CONE_SLACK_RAD = 1e-6  # grows the star cone of render_field past rounding
 # P5, then width, height and maxval, each after whitespace or #-to-newline
 # comments, then the one whitespace byte before the pixels.
 _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
+# Cephes ndtr (see the module docstring): erf(z) = z T(z^2) / U(z^2) below
+# 1, and erfc(z) = exp(-z^2) P(z) / Q(z) below 8, exp(-z^2) R(z) / S(z) from
+# 8 on.  Each polynomial is written highest power first, with the leading 1
+# of U, Q and S spelled out and zeros in front up to degree 8, so that one
+# Horner pass evaluates any of the three: _NDTR_RATIONALS[k, 0 or 1, i] is
+# coefficient k of the numerator or denominator of rational i.
+_NDTR_RATIONALS = np.array(
+    [
+        [  # T / U
+            [0.0, 0.0, 0.0, 0.0, 9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+             7.00332514112805075473e3, 5.55923013010394962768e4],
+            [0.0, 0.0, 0.0, 1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+             2.26290000613890934246e4, 4.92673942608635921086e4],
+        ],
+        [  # P / Q
+            [2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+             4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+             9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2],
+            [1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+             9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+             1.65666309194161350182e3, 5.57535340817727675546e2],
+        ],
+        [  # R / S
+            [0.0, 0.0, 0.0, 5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+             6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0],
+            [0.0, 0.0, 1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+             1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0],
+        ],
+    ]
+).transpose(2, 1, 0).copy()
+_NDTR_EDGES = np.array([1.0, 8.0])  # the z from which erfc takes P / Q, then R / S
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): erfc is 0 where z^2 passes it
 
 
 @dataclass(frozen=True)
@@ -123,11 +167,37 @@ class GroundTruth:
         return tuple(o for o in self.objects if o.kind == "planet")
 
 
+@lru_cache(maxsize=8)
 def central_pixel_fraction(sigma_px: float) -> float:
     """Fraction of a source's flux landing in the central pixel when the
     source sits exactly on a pixel center."""
     half = 0.5 / sigma_px
-    return float((ndtr(half) - ndtr(-half)) ** 2)
+    upper, lower = _ndtr([half, -half])
+    return float((upper - lower) ** 2)
+
+
+def _ndtr(a) -> np.ndarray:
+    """The standard normal CDF of each entry of ``a``, bit for bit the
+    Cephes ``ndtr`` (see the module docstring): NaN stays NaN, -inf is 0
+    and inf is 1."""
+    a = np.asarray(a, dtype=float)
+    x = a.ravel() * _SQRT1_2
+    z = np.minimum(np.abs(x), 64.0)  # erfc is 0 from 26.7 on; a finite z keeps z^2 finite
+    zz = z * z
+    rational = np.searchsorted(_NDTR_EDGES, z, side="right")  # 0: T / U, 1: P / Q, 2: R / S
+    tail = rational > 0
+    scale = np.where(tail, 0.0, z)  # z for erf; exp(-z^2) for erfc, by libm, up to MAXLOG
+    live = np.flatnonzero(tail & (zz <= _MAXLOG))
+    scale[live] = np.fromiter(map(math.exp, (-zz[live]).tolist()), float, len(live))
+    acc, *coefficients = _NDTR_RATIONALS.take(rational, axis=2)
+    v = np.where(tail, z, zz)
+    for c in coefficients:
+        acc *= v
+        acc += c
+    r = scale * acc[0] / acc[1]  # erf(z) below 1, erfc(z) from 1 on
+    half_erfc = 0.5 * np.where(tail, r, 1.0 - r)
+    y = np.where(x > 0, 1.0 - half_erfc, half_erfc)
+    return np.where(z < _SQRT1_2, 0.5 + 0.5 * np.copysign(r, x), y).reshape(a.shape)
 
 
 def magnitude_to_flux(
@@ -176,10 +246,16 @@ def _windows(shape, x: np.ndarray, y: np.ndarray, sigma: float):
     return on, xs, ys, inside
 
 
-def _pixel_fractions(pixels: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
-    """Share of a unit Gaussian line spread at ``centers`` that falls on
-    each pixel (one value per entry)."""
-    return ndtr((pixels + 0.5 - centers) / sigma) - ndtr((pixels - 0.5 - centers) / sigma)
+def _pixel_fractions(xs: np.ndarray, ys: np.ndarray, x: np.ndarray, y: np.ndarray, sigma: float):
+    """``(fx, fy)``: the share of a unit Gaussian line spread at each
+    source's ``x`` (``y``) that falls on each pixel of its window ``xs``
+    (``ys``), ``ndtr((p + 0.5 - c) / sigma) - ndtr((p - 0.5 - c) / sigma)``.
+    A window's pixels are consecutive, so the upper edge of one is the
+    lower edge of the next, bit for bit, and one ``_ndtr`` call takes
+    every edge of both axes once."""
+    edges = [(np.concatenate((p[:, :1] - 0.5, p + 0.5), axis=1) - c[:, None]) / sigma for p, c in ((xs, x), (ys, y))]
+    steps = np.diff(_ndtr(np.concatenate(edges, axis=1)))  # the column between the axes is not a pixel
+    return steps[:, : xs.shape[1]], steps[:, xs.shape[1] + 1 :]
 
 
 def render_field(scene: SceneSpec) -> tuple[np.ndarray, np.ndarray, list[TruthObject]]:
@@ -226,8 +302,7 @@ def render_field(scene: SceneSpec) -> tuple[np.ndarray, np.ndarray, list[TruthOb
     x, y, total = np.array([s[2:] for s in sources], dtype=float).reshape(-1, 3).T
     sigma = cam.defocus_sigma_px
     on, xs, ys, inside = _windows((cam.height, cam.width), x, y, sigma)
-    fx = _pixel_fractions(xs, x[on, None], sigma)
-    fy = _pixel_fractions(ys, y[on, None], sigma)
+    fx, fy = _pixel_fractions(xs, ys, x[on], y[on], sigma)
     deposit = (total[on, None, None] * (fy[:, :, None] * fx[:, None, :]))[inside]
     lit, inverse = np.unique((ys[:, :, None] * cam.width + xs[:, None, :])[inside], return_inverse=True)
     signal = np.bincount(inverse, deposit, lit.size).astype(float, copy=False)  # int64 when empty
@@ -288,7 +363,7 @@ def background_table(mean: float, sigma: float) -> tuple[np.ndarray, np.ndarray]
     step.
     """
     with np.errstate(over="ignore"):  # a tiny sigma: +-inf, so the CDF steps from 0 to 1
-        cdf = ndtr((np.arange(255) + 0.5 - mean) / sigma)
+        cdf = _ndtr((np.arange(255) + 0.5 - mean) / sigma)
     edges = np.arange(BACKGROUND_CELLS + 1) / BACKGROUND_CELLS
     low = np.searchsorted(cdf, edges[:-1], "right")
     high = np.searchsorted(cdf, edges[1:], "left")

@@ -67,12 +67,15 @@ def _as_saved(angles: np.ndarray) -> np.ndarray:
     ``save_catalog`` writes: an angle that ``radians`` maps one of
     ``degrees(angle)`` and its two float64 neighbours to stays (the search
     of ``star_catalog._degrees_text``); any other becomes
-    ``radians(degrees(angle))``."""
+    ``radians(degrees(angle))``.  The neighbours are tried only where
+    ``degrees(angle)`` itself does not map back."""
     degrees = np.degrees(angles)
-    kept = np.zeros(len(angles), dtype=bool)
-    for candidate in (degrees, np.nextafter(degrees, -np.inf), np.nextafter(degrees, np.inf)):
-        kept |= np.radians(candidate) == angles
-    return np.where(kept, angles, np.radians(degrees))
+    saved = np.radians(degrees)
+    moved = np.flatnonzero(saved != angles)
+    near, target = degrees[moved], angles[moved]
+    kept = (np.radians(np.nextafter(near, -np.inf)) == target) | (np.radians(np.nextafter(near, np.inf)) == target)
+    saved[moved[kept]] = target[kept]
+    return saved
 
 
 def solar_system() -> tuple[Planet, ...]:

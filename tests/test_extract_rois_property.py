@@ -3,9 +3,10 @@ labelling, and compute_centroid equals each box's exact quotients.
 
 The reference labels the whole frame with ``ndimage.label`` and boxes
 each component, one ``(x0, y0, x1, y1, span)`` tuple per component, the
-way extract_rois always has: row-major order of the
-seed pixel, a one-pixel margin clipped to the frame, and the span, the
-larger of the member pixels' x and y extents.
+way extract_rois always has: row-major order of the seed pixel, a
+one-pixel margin clipped to the frame, and the span, the larger of the
+member pixels' x and y extents.  extract_rois joins runs by union-find
+and uses no scipy; ``ndimage`` is the test's independent reference.
 
 The centroid reference sums I^2, x I^2 and y I^2 of each box as Python
 ints and rounds ``Fraction(sum(x I^2), sum(I^2))`` (and y) once; the
@@ -115,8 +116,44 @@ def test_uint8_frames_at_edge_thresholds(image, threshold):
     image=np.array([[0, 0, 200], [0, 200, 0], [0, 0, 0], [200, 0, 0]], dtype=np.uint8),
     threshold=100,
 )
+@example(  # a U: the bottom run touches the two runs above it, which it joins
+    image=np.array([[200, 0, 200], [200, 0, 200], [200, 200, 200]], dtype=np.uint8), threshold=100
+)
+@example(  # runs that touch only at a corner, to either side, and one that touches nothing
+    image=np.array([[200, 200, 0, 0, 0], [0, 0, 200, 0, 0], [0, 200, 0, 0, 0], [0, 0, 0, 0, 200]], dtype=np.uint8),
+    threshold=100,
+)
+@example(  # a comb: one run under four teeth, the last of which it touches only diagonally
+    image=np.array([[200, 0, 200, 0, 200, 0, 0, 200], [200, 200, 200, 200, 200, 200, 200, 0]], dtype=np.uint8),
+    threshold=100,
+)
+@example(  # a W over a U: two joins in one row, then a run below that joins their roots
+    image=np.array(
+        [
+            [200, 0, 200, 0, 200, 0, 200],
+            [200, 0, 200, 0, 200, 0, 200],
+            [200, 200, 200, 0, 200, 200, 200],
+            [0, 0, 200, 200, 200, 0, 0],
+        ],
+        dtype=np.uint8,
+    ),
+    threshold=100,
+)
 def test_sparse_uint8_frames(image, threshold):
     check(image, threshold)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 80), st.integers(1, 80)),
+    density=st.floats(0.3, 0.75),
+)
+def test_dense_frames(seed, shape, density):
+    # near the percolation density, components branch and merge many times,
+    # so union-find hooks roots under roots in chains
+    image = (np.random.default_rng(seed).random(shape) < density).astype(np.uint8) * 200
+    check(image, 100)
 
 
 @settings(max_examples=200, deadline=None)
