@@ -73,7 +73,8 @@ def extract_rois(image: np.ndarray, threshold: float) -> tuple[np.ndarray, np.nd
     rows = np.flatnonzero(image.max(axis=1) > level) if image.size else []
     if len(rows) == 0:
         return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64)
-    ends = _component_ends(*_runs(image[rows] > level, rows), width)
+    key = np.int32 if (int(rows[-1]) + 2) * (width + 1) < 2**31 else np.int64  # run keys y * (width + 1) + x
+    ends = _component_ends(*_runs(image[rows] > level, rows.astype(key)), width)
     lo, hi = ends[:, :2], ends[:, 2:]
     boxes = np.concatenate((np.maximum(lo - 1, 0), np.minimum(hi + 1, (width - 1, height - 1))), axis=1)
     return boxes, (hi - lo).max(axis=1)
@@ -82,20 +83,20 @@ def extract_rois(image: np.ndarray, threshold: float) -> tuple[np.ndarray, np.nd
 def _runs(lit: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The runs of pixels set in ``lit``, whose row k is frame row
     ``rows[k]``: ``(y, x0, x1)``, each run's row and first and last column,
-    in row-major order."""
+    in row-major order and in the integer type of ``rows``."""
     height, width = lit.shape
-    padded = np.zeros((height, width + 1), dtype=bool)  # a blank column past the last ends each run in its row
-    padded[:, :width] = lit
-    pixel = np.flatnonzero(padded)
-    step = pixel[1:] != pixel[:-1] + 1  # a run ends before each step
-    first, last = pixel[np.concatenate(([True], step))], pixel[np.concatenate((step, [True]))]
-    row, x0 = np.divmod(first, width + 1)
-    return rows[row], x0, x0 + (last - first)
+    padded = np.zeros((height, width + 2), dtype=bool)  # a blank column either side of each row
+    padded[:, 1:-1] = lit
+    # column x of a row differs from x - 1 where a run starts at x or ends at x - 1: (start, end) pairs
+    edge = np.flatnonzero(padded[:, 1:] != padded[:, :-1]).astype(rows.dtype).reshape(-1, 2)
+    row, x0 = np.divmod(edge[:, 0], width + 1)
+    return rows[row], x0, x0 + (edge[:, 1] - edge[:, 0] - 1)
 
 
 def _component_ends(y: np.ndarray, x0: np.ndarray, x1: np.ndarray, width: int) -> np.ndarray:
     """The lowest and highest x and y of each 8-connected component of the
-    runs ``x0..x1`` of row ``y`` (row-major order, ``x1 < width``): an
+    runs ``x0..x1`` of row ``y`` (row-major order, ``x1 < width``, keys
+    ``y * (width + 1) + x`` within the integer type of the three): an
     (n, 4) int64 array ``x0, y0, x1, y1``, one row per component in
     row-major order of its first pixel.
 
@@ -110,18 +111,20 @@ def _component_ends(y: np.ndarray, x0: np.ndarray, x1: np.ndarray, width: int) -
     its first pixel, and the roots in order number the components.
     """
     stride = width + 1  # keys y * stride + x, with a blank column between rows
-    start, end = y * stride + x0, y * stride + x1
-    reach = end - (stride - 1)  # a run above touches when it starts at or before this key
-    lo = np.searchsorted(end, start - (stride + 1))
+    start, reach = y * stride + x0, y * stride + x1  # reach holds each run's end key until the searchsorted
+    lo = np.searchsorted(reach, start - (stride + 1))
+    reach -= stride - 1  # a run above touches when it starts at or before this key
     runs = np.arange(len(start))
     touch = start[lo] <= reach
     parent = _roots(np.where(touch, lo, runs))
     # a run that touches the first run of its range may touch the next ones too
     below, above, contacts = runs[touch], lo[touch] + 1, []
+    del lo, touch  # the joins below hold the peak memory: drop what they do not read
     while (hit := start[above] <= reach[below]).any():
         below, above = below[hit], above[hit]
         contacts.append(np.stack((above, below)))
         above = above + 1
+    del start, reach, below, above
     if contacts:  # join their roots, renumbered from 0
         nodes, pairs = np.unique(parent[np.hstack(contacts)], return_inverse=True)
         pairs = pairs.reshape(2, -1)
@@ -137,12 +140,12 @@ def _component_ends(y: np.ndarray, x0: np.ndarray, x1: np.ndarray, width: int) -
         parent = parent[parent]
     root = parent == runs
     component = (np.cumsum(root) - 1)[parent]
-    ends = np.zeros((int(root.sum()), 4), dtype=np.int64)
+    ends = np.zeros((int(root.sum()), 4), dtype=y.dtype)  # ufunc.at is fast only on one dtype
     ends[:, 0], ends[:, 1] = width, y[root]
     np.minimum.at(ends[:, 0], component, x0)
     np.maximum.at(ends[:, 2], component, x1)
     np.maximum.at(ends[:, 3], component, y)
-    return ends
+    return ends.astype(np.int64)
 
 
 def _roots(parent: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import skysim
-from .config import PipelineConfig, load_config, parse_value, read_kv, save_config
+from .config import PipelineConfig, load_config, read_settings, save_config
 from .ephemeris import planets_at, save_ephemeris
 from .geometry import PointingAngles
 from .harness import (
@@ -148,22 +148,11 @@ _SCENE_KINDS = {
 _SCENE_REQUIRED = ("catalog", "alpha_rad", "delta_rad", "phi_rad")
 
 
-def _read_scene(path) -> dict:
-    """Typed scene values; an unknown key, a bad value or a missing key
-    names the file."""
-    kv = {}
-    for lineno, key, value in read_kv(path):
-        if key not in _SCENE_KINDS:
-            raise ValueError(f"{path} line {lineno}: unknown scene key '{key}'")
-        kv[key] = parse_value(path, lineno, key, value, _SCENE_KINDS[key])
+def _cmd_render(args) -> int:
+    kv = read_settings(args.scene, _SCENE_KINDS, "scene key", finite=True)  # checked before any file it names is read
     missing = [key for key in _SCENE_REQUIRED if key not in kv]
     if missing:
-        raise ValueError(f"{path}: missing scene key(s) {', '.join(missing)}")
-    return kv
-
-
-def _cmd_render(args) -> int:
-    kv = _read_scene(args.scene)
+        raise ValueError(f"{args.scene}: missing scene key(s) {', '.join(missing)}")
     cfg = load_config(kv["config"]) if "config" in kv else PipelineConfig()
     catalog = load_catalog(kv["catalog"])
     planets = planets_at(kv["ephemeris"], kv.get("epoch")) if "ephemeris" in kv else ()

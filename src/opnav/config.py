@@ -18,7 +18,7 @@ from .star_id import IdentifyConfig
 from .attitude_solver import RansacConfig
 from .beacon_detection import UncertaintyBudget
 from .renderer import PSF_TRUNCATION_SIGMAS, SceneSpec
-from .star_catalog import MAX_PAIR_STARS, StarCatalog
+from .star_catalog import MAX_PAIR_STARS, StarCatalog, read_lines
 
 # consensus_scores takes the agreement of every pair of RANSAC samples at
 # once, about 27 B per pair at its peak (160 B from a 45 deg threshold on,
@@ -215,39 +215,34 @@ NON_NEGATIVE_FIELDS = (
 _BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
 
 
-def read_kv(path):
-    """Yield ``(lineno, key, value)`` for each ``key=value`` line of a
-    text file; blank lines and ``#`` comments are skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path} line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            yield lineno, key.strip(), value.strip()
+def read_settings(path, kinds: dict, noun: str = "key", finite: bool = False) -> dict:
+    """The ``key=value`` lines of a text file (``read_lines``) as a dict of
+    ``kinds[key]`` values (bool, int, float or str; a bool is 1/0, true/false,
+    yes/no or on/off).  A line without ``=``, an unknown key, a value that does
+    not parse or, with ``finite``, a NaN or infinite float names its line."""
 
+    def parse(line: str) -> tuple:
+        if "=" not in line:
+            raise ValueError("expected key=value")
+        key, _, text = (part.strip() for part in line.partition("="))
+        if key not in kinds:
+            raise ValueError(f"unknown {noun} '{key}'")
+        kind = kinds[key]
+        try:
+            value = _BOOL_TEXT[text.lower()] if kind is bool else kind(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"{key} expects {kind.__name__}, got '{text}'") from None
+        if finite and kind is float and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got '{text}'")
+        return key, value
 
-def parse_value(path, lineno: int, key: str, value: str, kind: type):
-    """``value`` as a ``kind`` (bool, int, float or str); a bool is 1/0,
-    true/false, yes/no or on/off.  A value that does not parse names the
-    file, line and key."""
-    try:
-        return _BOOL_TEXT[value.lower()] if kind is bool else kind(value)
-    except (KeyError, ValueError):
-        raise ValueError(f"{path} line {lineno}: {key} expects {kind.__name__}, got '{value}'") from None
+    return dict(read_lines(path, parse))
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse key=value lines (``#`` comments) over the defaults, then
+    """Parse key=value lines (``read_settings``) over the defaults, then
     check every range (``PipelineConfig.validate``)."""
-    cfg = PipelineConfig()
-    names = {f.name for f in fields(PipelineConfig)}
-    for lineno, key, value in read_kv(path):
-        if key not in names:
-            raise ValueError(f"{path} line {lineno}: unknown key '{key}'")
-        setattr(cfg, key, parse_value(path, lineno, key, value, type(getattr(cfg, key))))
+    cfg = PipelineConfig(**read_settings(path, {f.name: type(f.default) for f in fields(PipelineConfig)}))
     cfg.validate()
     return cfg
 

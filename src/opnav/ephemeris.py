@@ -3,7 +3,7 @@
 A ``Planet`` is a name, an inertial position and an apparent magnitude.
 A table maps each epoch to the planets listed for it; no propagation or
 interpolation happens here.  File format: ``name,epoch,x_km,y_km,z_km,app_mag``
-per line, ``#`` starts a comment.
+per line, read by ``star_catalog.read_lines``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .star_catalog import read_lines
 
 
 class EphemerisError(ValueError):
@@ -35,33 +37,28 @@ class Planet:
 
 
 def load_ephemeris(path) -> dict[str, tuple[Planet, ...]]:
-    """Epoch -> planets, both in file order.
+    """Epoch -> planets, both in file order (``read_lines``).
 
     A line that does not parse, a non-finite position or magnitude or a
     repeated (name, epoch) raises EphemerisError naming the file and line.
     """
     table: dict[str, list[Planet]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{path} line {lineno}"
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 6:
-                raise EphemerisError(f"{where}: expected 6 fields, got {len(parts)}")
-            name, epoch = parts[0], parts[1]
-            try:
-                x, y, z, mag = (float(v) for v in parts[2:])
-            except ValueError as exc:
-                raise EphemerisError(f"{where}: unparseable field ({exc})") from None
-            planets = table.setdefault(epoch, [])
-            if any(p.name == name for p in planets):
-                raise EphemerisError(f"{where}: duplicate entry {(name, epoch)}")
-            try:
-                planets.append(Planet(name, [x, y, z], mag))
-            except EphemerisError as exc:
-                raise EphemerisError(f"{where}: {exc}") from None
+
+    def parse(line: str) -> None:
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 6:
+            raise ValueError(f"expected 6 fields, got {len(parts)}")
+        name, epoch = parts[0], parts[1]
+        try:
+            x, y, z, mag = (float(v) for v in parts[2:])
+        except ValueError as exc:
+            raise ValueError(f"unparseable field ({exc})") from None
+        planets = table.setdefault(epoch, [])
+        if any(p.name == name for p in planets):
+            raise ValueError(f"duplicate entry {(name, epoch)}")
+        planets.append(Planet(name, [x, y, z], mag))
+
+    read_lines(path, parse, EphemerisError)
     return {epoch: tuple(planets) for epoch, planets in table.items()}
 
 

@@ -75,6 +75,8 @@ class PointingAngles:
     def __post_init__(self):
         if not -math.pi / 2 <= self.delta <= math.pi / 2:
             raise ValueError(f"declination {self.delta} outside [-pi/2, pi/2]")
+        if not math.isfinite(self.alpha) or not math.isfinite(self.phi):
+            raise ValueError(f"pointing angles alpha {self.alpha} and phi {self.phi} must be finite")
         # twice: a tiny negative angle % TWO_PI rounds to TWO_PI itself
         object.__setattr__(self, "alpha", self.alpha % TWO_PI % TWO_PI)
         object.__setattr__(self, "phi", self.phi % TWO_PI % TWO_PI)

@@ -61,7 +61,7 @@ import numpy as np
 
 from .ephemeris import Planet
 from .geometry import CameraModel, PointingAngles, attitude_from_axis_azimuth, project_points
-from .star_catalog import StarCatalog
+from .star_catalog import StarCatalog, read_lines
 
 # Reference (anchor) camera photometric parameters.
 _REF_EXPOSURE_MS = 400.0
@@ -456,31 +456,26 @@ def write_truth(truth: GroundTruth, path) -> None:
 
 
 def read_truth(path) -> GroundTruth:
-    """Parse a ``write_truth`` sidecar.  A line with the wrong number of
-    fields or a value that does not parse raises ValueError naming the
-    file and line."""
-    attitude = None
-    objects = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                if line.startswith("#"):
-                    parts = line[1:].split()
-                    if parts[:1] == ["attitude"]:
-                        if len(parts) != 4:
-                            raise ValueError(f"expected 3 attitude angles, got {len(parts) - 1}")
-                        attitude = PointingAngles(float(parts[1]), float(parts[2]), float(parts[3]))
-                    continue
-                parts = line.split(",")
-                if len(parts) != 6:
-                    raise ValueError(f"expected 6 fields, got {len(parts)}")
-                kind, ident, x, y, peak, visible = parts
-                objects.append(TruthObject(kind, ident, float(x), float(y), float(peak), bool(int(visible))))
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
-    if attitude is None:
+    """Parse a ``write_truth`` sidecar (``read_lines``, ``#`` lines kept for
+    the attitude).  A line with the wrong number of fields or a value that
+    does not parse raises ValueError naming the file and line."""
+    attitude, objects = [], []
+
+    def parse(line: str) -> None:
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if parts[:1] == ["attitude"]:
+                if len(parts) != 4:
+                    raise ValueError(f"expected 3 attitude angles, got {len(parts) - 1}")
+                attitude.append(PointingAngles(float(parts[1]), float(parts[2]), float(parts[3])))
+            return
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise ValueError(f"expected 6 fields, got {len(parts)}")
+        kind, ident, x, y, peak, visible = parts
+        objects.append(TruthObject(kind, ident, float(x), float(y), float(peak), bool(int(visible))))
+
+    read_lines(path, parse, comments=True)
+    if not attitude:
         raise ValueError(f"{path}: missing attitude comment line")
-    return GroundTruth(objects=tuple(objects), attitude=attitude)
+    return GroundTruth(objects=tuple(objects), attitude=attitude[-1])

@@ -16,6 +16,7 @@ can only add candidates, never lose them.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -137,41 +138,57 @@ def catalog_from_records(rows) -> StarCatalog:
     return StarCatalog(np.array(ids, dtype=np.int64), ra, dec, mags, radec_to_unit(ra, dec))
 
 
-def load_catalog(path) -> StarCatalog:
-    """Parse a raw catalog file: one ``id,ra_deg,dec_deg,vmag`` row per star.
+def read_lines(path, parse, error=ValueError, comments=False) -> list:
+    """``parse(line)`` of each stripped line of the UTF-8 text file ``path``
+    (LF, CRLF or CR line ends, as ``open``), skipping blank lines and, unless
+    ``comments``, ``#`` lines.  A byte that is not UTF-8 or a ValueError
+    from ``parse`` raises ``error("<path> line N: <reason>")``."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the bytes before it decode, so count their lines
+        lineno = io.StringIO(blob[: exc.start].decode("utf-8"), newline=None).read().count("\n") + 1
+        raise error(f"{path} line {lineno}: byte 0x{blob[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
+    out = []
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.strip()
+        if not line or (line.startswith("#") and not comments):
+            continue
+        try:
+            out.append(parse(line))
+        except ValueError as exc:
+            raise error(f"{path} line {lineno}: {exc}") from None
+    return out
 
-    Lines starting with ``#`` (and blank lines) are skipped.  A line that
-    does not parse, or holds an id outside int64, a non-finite right
-    ascension or magnitude, or a declination outside [-90, 90], raises
-    CatalogError naming the file and line.
-    """
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{path} line {lineno}"
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise CatalogError(f"{where}: expected 4 comma-separated fields, got {len(parts)}")
-            try:
-                star_id = int(parts[0])
-                ra_deg = float(parts[1])
-                dec_deg = float(parts[2])
-                mag = float(parts[3])
-            except ValueError as exc:
-                raise CatalogError(f"{where}: unparseable field ({exc})") from None
-            if not -(2**63) <= star_id < 2**63:
-                raise CatalogError(f"{where}: star id {star_id} outside the int64 range")
-            if not math.isfinite(ra_deg):
-                raise CatalogError(f"{where}: right ascension {ra_deg} is not finite")
-            if not -90.0 <= dec_deg <= 90.0:
-                raise CatalogError(f"{where}: declination {dec_deg} outside [-90, 90]")
-            if not math.isfinite(mag):
-                raise CatalogError(f"{where}: magnitude {mag} is not finite")
-            # RA wraps twice: a tiny negative angle % TWO_PI rounds to TWO_PI itself
-            rows.append((star_id, math.radians(ra_deg) % TWO_PI % TWO_PI, math.radians(dec_deg), mag))
+
+def _catalog_row(line: str) -> tuple[int, float, float, float]:
+    """``(id, ra_rad, dec_rad, mag)`` of one ``id,ra_deg,dec_deg,vmag`` line."""
+    parts = line.split(",")
+    if len(parts) != 4:
+        raise ValueError(f"expected 4 comma-separated fields, got {len(parts)}")
+    try:
+        star_id, ra_deg, dec_deg, mag = int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])
+    except ValueError as exc:
+        raise ValueError(f"unparseable field ({exc})") from None
+    if not -(2**63) <= star_id < 2**63:
+        raise ValueError(f"star id {star_id} outside the int64 range")
+    if not math.isfinite(ra_deg):
+        raise ValueError(f"right ascension {ra_deg} is not finite")
+    if not -90.0 <= dec_deg <= 90.0:
+        raise ValueError(f"declination {dec_deg} outside [-90, 90]")
+    if not math.isfinite(mag):
+        raise ValueError(f"magnitude {mag} is not finite")
+    # RA wraps twice: a tiny negative angle % TWO_PI rounds to TWO_PI itself
+    return star_id, math.radians(ra_deg) % TWO_PI % TWO_PI, math.radians(dec_deg), mag
+
+
+def load_catalog(path) -> StarCatalog:
+    """Parse a raw catalog file (``read_lines``): one ``id,ra_deg,dec_deg,vmag``
+    row per star.  A line that does not parse, or holds an id outside int64,
+    a non-finite right ascension or magnitude, or a declination outside
+    [-90, 90], raises CatalogError naming the file and line."""
+    rows = read_lines(path, _catalog_row, CatalogError)
     try:
         return catalog_from_records(rows)
     except CatalogError as exc:

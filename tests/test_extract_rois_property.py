@@ -156,6 +156,22 @@ def test_dense_frames(seed, shape, density):
     check(image, 100)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    density=st.floats(0.3, 0.75),
+)
+def test_int64_keys_give_the_int32_components(seed, shape, density):
+    # a frame whose keys reach 2**31 (past the frame-size cap) takes int64
+    # keys; on any frame they must give the components of int32 keys
+    lit = np.random.default_rng(seed).random(shape) < density
+    rows = np.arange(shape[0])
+    ends = [centroiding._component_ends(*centroiding._runs(lit, rows.astype(key)), shape[1]) for key in (np.int32, np.int64)]
+    assert ends[0].dtype == ends[1].dtype == np.int64
+    assert ends[0].tolist() == ends[1].tolist()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     image=shapes.flatmap(

@@ -220,6 +220,9 @@ def test_pointing_angles_wrap_into_half_open_range():
 def test_pointing_angles_validate_ranges():
     with pytest.raises(ValueError):
         PointingAngles(alpha=0.0, delta=2.0, phi=0.0)
+    for alpha, phi in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            PointingAngles(alpha=alpha, delta=0.0, phi=phi)
     wrapped = PointingAngles(alpha=2 * math.pi + 0.5, delta=0.0, phi=-0.5)
     assert wrapped.alpha == pytest.approx(0.5)
     assert wrapped.phi == pytest.approx(2 * math.pi - 0.5)

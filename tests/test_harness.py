@@ -25,6 +25,7 @@ from opnav.geometry import (
     quaternion_from_matrix,
     rot2,
 )
+from opnav.ephemeris import save_ephemeris
 from opnav.harness import (
     AttitudeOutput,
     BeaconObservation,
@@ -732,6 +733,37 @@ class TestCli:
         r = _cli("render", "--scene", str(scene), "--out", str(tmp_path / "f.pgm"), "--truth", str(tmp_path / "t.csv"))
         assert r.returncode == 1
         assert r.stderr == f"error: {scene} line 4: {expected}\n"
+
+    @pytest.mark.parametrize("key", ["alpha_rad", "phi_rad", "sc_x_km", "mag_cutoff"])
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_render_rejects_non_finite_scene_value(self, tmp_path, key, text):
+        # a NaN pose rendered an empty frame and a NaN cutoff or position
+        # dropped every star or planet, each with exit 0
+        catalog = tmp_path / "catalog.csv"
+        save_catalog(catalog_from_records(DESK_STARS), catalog)
+        values = {"catalog": catalog, "alpha_rad": 0.7, "delta_rad": 0.21, "phi_rad": 1.01, key: text}
+        scene = tmp_path / "scene.cfg"
+        scene.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        r = _cli("render", "--scene", str(scene), "--out", str(tmp_path / "f.pgm"), "--truth", str(tmp_path / "t.csv"))
+        assert r.returncode == 1
+        lineno = list(values).index(key) + 1
+        assert r.stderr == f"error: {scene} line {lineno}: {key} must be finite, got '{text}'\n"
+        assert not (tmp_path / "f.pgm").exists()
+
+    @pytest.mark.parametrize("kind", ["scene", "config", "catalog", "ephemeris"])
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, kind):
+        catalog, eph, cfg = tmp_path / "catalog.csv", tmp_path / "planets.csv", tmp_path / "pipeline.cfg"
+        save_catalog(catalog_from_records(DESK_STARS), catalog)
+        save_ephemeris({"t0": solar_system()}, eph)
+        cfg.write_text("# defaults\n")
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(f"catalog={catalog}\nephemeris={eph}\nconfig={cfg}\nalpha_rad=0.7\ndelta_rad=0.21\nphi_rad=1.01\n")
+        bad = {"scene": scene, "config": cfg, "catalog": catalog, "ephemeris": eph}[kind]
+        lines = bad.read_bytes().splitlines(keepends=True)
+        bad.write_bytes(b"".join(lines[:1]) + b"# caf\xe9\n" + b"".join(lines[1:]))  # Latin-1, not UTF-8
+        r = _cli("render", "--scene", str(scene), "--out", str(tmp_path / "f.pgm"), "--truth", str(tmp_path / "t.csv"))
+        assert r.returncode == 1
+        assert r.stderr == f"error: {bad} line 2: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
 
     @pytest.mark.parametrize("cutoff_line, stars", [("", {1, 2, 3, 4, 5, 6}), ("mag_cutoff=2.2\n", {1, 2, 4})])
     def test_render_scene_mag_cutoff(self, tmp_path, cutoff_line, stars):

@@ -283,6 +283,24 @@ def test_threshold_t_zero_frame_solves_or_gives_att_none():
     assert out["seconds"] < 20
 
 
+def test_threshold_t_zero_extract_rois_memory():
+    out = _run_limited(
+        T0_FRAME
+        + """
+    threshold = compute_threshold(image, 0.0)
+    tracemalloc.start()
+    boxes = extract_rois(image, threshold)[0]
+    print(json.dumps({"boxes": len(boxes), "peak_mib": tracemalloc.get_traced_memory()[1] / 2**20}))
+    """,
+        seconds=120,
+    )
+    # about 252,000 runs: int32 keys, and the run keys and first touching
+    # runs dropped once the joins are found, give about 14 MiB (24.5 MiB
+    # with int64 keys held to the end)
+    assert out["boxes"] > 10_000
+    assert out["peak_mib"] <= 17
+
+
 def test_threshold_t_zero_centroid_pass_memory():
     out = _run_limited(
         T0_FRAME
