@@ -2,7 +2,10 @@
 
 A frame is a 2-D uint8 array (``compute_threshold`` rejects any other).
 The threshold is mean + T * std over the frame (population std), from
-exact integer sums.  Pixels strictly above it form 8-connected
+exact integer sums of the pixels and of their squares, taken over
+float32 runs of 256 pixels: a run's squares add up to at most
+256 * 255^2 < 2^24, so float32 holds every partial sum exactly, in any
+order.  Pixels strictly above the threshold form 8-connected
 components: the runs of such pixels along each row, joined by union-find
 to the runs they touch in the row above.  Each component is boxed with a
 one-pixel margin; its centroid is the first moment over every pixel I of
@@ -23,21 +26,25 @@ import math
 
 import numpy as np
 
-_UINT32_ROW_WIDTH = (2**32 - 1) // 255**2  # widest row whose sum of squares fits in uint32
-_SQUARE_BLOCK = 2**16  # pixels squared at a time, by compute_threshold and per block of compute_centroid
+_SQUARE_BLOCK = 2**16  # cells gathered at a time per block of compute_centroid
+_MOMENT_ROW = 256  # pixels per float32 run of compute_threshold: 256 * 255**2 < 2**24
+_MOMENT_BLOCK = 2**17  # pixels cast to float32 at a time by compute_threshold
 
 
 def compute_threshold(image: np.ndarray, t: float) -> float:
     """Intensity threshold mean + t * std over all pixels of the 2-D
     uint8 frame; any other frame raises ValueError.
 
-    Both moments are exact unsigned-integer sums, with no widening of the
-    frame beyond uint16: the mean is the correctly rounded quotient, the
-    variance the correctly rounded (n * sum(v^2) - sum(v)^2) / n^2.  Each
-    row is summed first, in uint32 up to ``_UINT32_ROW_WIDTH`` columns (the
-    same integers at about half the cost of uint64).  The squares are taken
-    ``max(1, _SQUARE_BLOCK // width)`` rows at a time into one reused uint16
-    buffer that stays in cache.
+    Both moments are exact integer sums: the mean is the correctly rounded
+    quotient, the variance the correctly rounded (n * sum(v^2) - sum(v)^2)
+    / n^2.  ``max(1, _MOMENT_BLOCK // width)`` rows at a time are cast into
+    one reused float32 buffer, zero-padded to whole runs of ``_MOMENT_ROW``
+    pixels, and each run is summed (``runs @ ones``) and dotted with itself
+    (``np.vecdot``).  A run's sum of squares is at most 256 * 255^2 =
+    16,646,400 < 2^24, so every partial sum of either moment is an integer
+    that float32 holds exactly, whatever the order of the additions, the
+    use of FMA or the BLAS kernel.  The runs' results are added in float64
+    (exact below 2^53) and across blocks as Python ints.
     """
     if image.dtype != np.uint8 or image.ndim != 2:
         raise ValueError(f"expected a 2-D uint8 frame, got a {image.ndim}-D {image.dtype} array")
@@ -45,15 +52,17 @@ def compute_threshold(image: np.ndarray, t: float) -> float:
         raise ValueError("empty image")
     n = image.size
     height, width = image.shape
-    row_sum = np.uint32 if width <= _UINT32_ROW_WIDTH else np.uint64
-    block = max(1, _SQUARE_BLOCK // width)
-    squares = np.empty((min(block, height), width), dtype=np.uint16)  # 255**2 fits in uint16
-    s1 = int(np.add.reduce(image, axis=1, dtype=row_sum).sum(dtype=np.uint64))
-    s2 = 0
+    block = max(1, _MOMENT_BLOCK // width)
+    buffer = np.empty(-(-min(block, height) * width // _MOMENT_ROW) * _MOMENT_ROW, dtype=np.float32)
+    ones = np.ones(_MOMENT_ROW, dtype=np.float32)
+    s1 = s2 = 0
     for start in range(0, height, block):
         rows = image[start : start + block]
-        sq = np.square(rows, dtype=np.uint16, out=squares[: len(rows)])
-        s2 += int(np.add.reduce(sq, axis=1, dtype=row_sum).sum(dtype=np.uint64))
+        np.copyto(buffer[: rows.size].reshape(rows.shape), rows)
+        buffer[rows.size :] = 0  # the last run's padding, and the rows a short last block leaves stale
+        runs = buffer[: -(-rows.size // _MOMENT_ROW) * _MOMENT_ROW].reshape(-1, _MOMENT_ROW)
+        s1 += int((runs @ ones).sum(dtype=np.float64))
+        s2 += int(np.vecdot(runs, runs).sum(dtype=np.float64))
     mean = s1 / n
     std = math.sqrt((n * s2 - s1 * s1) / (n * n))
     return float(mean + t * std)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,19 @@ class TestThreshold:
         img = np.array([[0, 2]], dtype=np.uint8)
         # population std of {0, 2} is 1, not sqrt(2)
         assert compute_threshold(img, 1.0) == 2.0
+
+    @pytest.mark.parametrize("view", [np.s_[:, :], np.s_[::2, 1::3]], ids=["4096x4096", "strided_2048x1365"])
+    def test_peak_memory_is_one_block(self, view):
+        """The float32 buffer holds one block of rows (512 KiB); a float copy
+        of the whole frame, or a copy of the strided view, would not fit."""
+        image = np.random.default_rng(9).integers(0, 256, (4096, 4096), dtype=np.uint8)[view]
+        tracemalloc.start()
+        try:
+            compute_threshold(image, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_empty_image_rejected(self):
         with pytest.raises(ValueError, match="^empty image$"):
