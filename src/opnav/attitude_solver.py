@@ -115,31 +115,12 @@ def principal_axes(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     """
     q = canonical_quaternions(branch_quaternions(rotations))
     qv = np.ascontiguousarray(q[:, 1:])
-    qv_norm = np.sqrt(qv[:, None, :] @ qv[:, :, None])[:, 0]
-    angle = 2.0 * np.fromiter(map(math.atan2, qv_norm[:, 0].tolist(), q[:, 0].tolist()), float, len(q))
+    qv_norm = np.sqrt(np.vecdot(qv, qv))
+    angle = 2.0 * np.fromiter(map(math.atan2, qv_norm.tolist(), q[:, 0].tolist()), float, len(q))
     indeterminate = angle < _DEGENERATE_AXIS_ANGLE
     axis = np.tile((0.0, 0.0, 1.0), (len(q), 1))
-    np.divide(qv, qv_norm, out=axis, where=~indeterminate[:, None])
+    np.divide(qv, qv_norm[:, None], out=axis, where=~indeterminate[:, None])
     return axis, angle, indeterminate
-
-
-def _agreement(axes, indeterminate, degenerate, threshold_rad: float) -> np.ndarray:
-    """agree[k, j]: sample axes k and j agree.
-
-    The test is angular_separation(a, b) <= threshold, taken bit for bit
-    as the scalar form takes it (``separations_within``).  Degenerate
-    samples agree with nothing.  Indeterminate axes carry no direction:
-    they only agree with each other.  Axis sign is meaningful and *not*
-    collapsed.
-    """
-    vec = np.asarray(axes, dtype=float).reshape(-1, 3)
-    ind = np.asarray(indeterminate, dtype=bool)
-    valid = ~np.asarray(degenerate, dtype=bool)
-    within = separations_within(vec[:, None, :], vec[None, :, :], threshold_rad)
-    either = ind[:, None] | ind[None, :]
-    agree = np.where(either, ind[:, None] & ind[None, :], within)
-    agree &= valid[:, None] & valid[None, :]
-    return agree
 
 
 def consensus_scores(axes, indeterminate, degenerate, threshold_rad: float) -> tuple[np.ndarray, np.ndarray]:
@@ -149,8 +130,20 @@ def consensus_scores(axes, indeterminate, degenerate, threshold_rad: float) -> t
     ``indeterminate`` flags; ``degenerate`` marks samples whose Wahba
     solve was degenerate (scored -1, never in any consensus set).  Returns
     the (k,) scores and the (k, k) agreement matrix, its diagonal cleared.
+
+    Axes k and j agree when angular_separation(a, b) <= threshold, taken
+    bit for bit as the scalar form takes it (``separations_within``).
+    Degenerate samples agree with nothing.  Indeterminate axes carry no
+    direction: they only agree with each other.  Axis sign is meaningful
+    and *not* collapsed.
     """
-    agree = _agreement(axes, indeterminate, degenerate, threshold_rad)
+    vec = np.asarray(axes, dtype=float).reshape(-1, 3)
+    ind = np.asarray(indeterminate, dtype=bool)
+    valid = ~np.asarray(degenerate, dtype=bool)
+    within = separations_within(vec[:, None, :], vec[None, :, :], threshold_rad)
+    either = ind[:, None] | ind[None, :]
+    agree = np.where(either, ind[:, None] & ind[None, :], within)
+    agree &= valid[:, None] & valid[None, :]
     np.fill_diagonal(agree, False)
     return np.where(degenerate, -1, agree.sum(axis=1)), agree
 
@@ -194,7 +187,7 @@ def ransac_attitude(matches, config: RansacConfig) -> AttitudeSolution | None:
     # Data-fitting pass: matches never drawn into a consensus sample are
     # kept when they agree with the consensus attitude, so thin sampling
     # cannot demote a perfectly consistent star.
-    predicted = (attitude @ n_all[:, :, None])[:, :, 0]
+    predicted = np.matvec(attitude, n_all)
     residual_ok = ~inlier & separations_within(c_all, predicted, threshold_rad)
     if residual_ok.any():
         inlier |= residual_ok

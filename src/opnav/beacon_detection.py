@@ -109,9 +109,9 @@ def _jacobians(k: np.ndarray, q: np.ndarray, a: np.ndarray, rho: np.ndarray, h: 
     dehom[:, 0, 0] = dehom[:, 1, 1] = 1.0 / h[:, 2]
     dehom[:, 0, 2] = -h[:, 0] / h2_sq
     dehom[:, 1, 2] = -h[:, 1] / h2_sq
-    qv_dot_rho = (qv[None, None, :] @ rho[:, :, None])[:, 0, 0]
+    qv_dot_rho = np.vecdot(qv, rho)
     inner = np.empty((n, 3, 10))
-    inner[:, :, 0] = 2.0 * q0 * rho - (2.0 * skew(qv) @ rho[:, :, None])[:, :, 0]
+    inner[:, :, 0] = 2.0 * q0 * rho - np.matvec(2.0 * skew(qv), rho)
     inner[:, :, 1:4] = (
         -2.0 * (rho[:, :, None] * qv[None, None, :])
         + (2.0 * qv_dot_rho)[:, None, None] * np.eye(3)

@@ -238,6 +238,8 @@ def _cmd_process(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     n, seed = _number("--n", args.n, int), _number("--seed", args.seed, int)
+    if seed < 0:
+        raise ValueError(f"--seed expects a non-negative integer, got '{args.seed}'")
     cfg = load_config(args.config) if args.config else PipelineConfig()
     try:
         sigma_r = [float(s) for s in args.sigma_r.split(",") if s]

@@ -12,6 +12,12 @@ Conventions shared by every module in this package:
 * Rotation matrices are passive (they transform coordinates, not
   vectors).  Quaternions are scalar-first (q0, qv) and describe the same
   passive rotation; the canonical representative has q0 >= 0.
+* A batched function gives each row the bits of its one-item call.  Row
+  dots and norms go through ``np.vecdot`` and matrix-vector products
+  through ``np.matvec``, which make for each row the BLAS call that ``@``
+  and ``np.linalg.norm`` make for one vector.  Operands keep the
+  contiguous rows of the one-item call: under OpenBLAS's Prescott kernel
+  the same values can dot differently as a fresh vector and as a row.
 """
 
 from __future__ import annotations
@@ -101,13 +107,10 @@ def canonical_quaternions(q: np.ndarray) -> np.ndarray:
     """Rows of ``q`` scaled to unit norm and flipped to q0 >= 0.
 
     A row is negated when its first nonzero entry is negative, which also
-    settles q0 == 0 by the first nonzero vector component.  Each norm is
-    the square root of a row dot through stacked ``matmul``, the dot
-    kernel ``np.linalg.norm`` takes for one vector, so a row comes out as
-    it would alone.
+    settles q0 == 0 by the first nonzero vector component.
     """
     q = np.asarray(q, dtype=float)
-    n = np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    n = np.sqrt(np.vecdot(q, q))[:, None]
     if not ((n > 0.0) & (n < math.inf)).all():
         raise ValueError("quaternion has zero or non-finite norm")
     q = q / n
@@ -233,23 +236,15 @@ def angular_separation(u, v) -> float:
 
 
 def angular_separations(u, v) -> np.ndarray:
-    """``angular_separation`` over broadcast (..., 3) arrays, bit for bit.
-
-    The cross product is written out as the separate multiplies and
-    subtracts that ``np.cross`` performs, so it holds the same bits.  The
-    row dot products go through stacked ``matmul``, which takes the same
-    dot kernel as the scalar form, and the final step is the same
-    ``math.atan2``, so a threshold test on the result decides exactly as
-    the scalar form would.
-    """
+    """``angular_separation`` over broadcast (..., 3) arrays, bit for bit,
+    so a threshold test on the result decides exactly as the scalar form
+    would."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     u = np.ascontiguousarray(u)
     v = np.ascontiguousarray(v)
-    cross = np.empty_like(u)
-    for k, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.subtract(u[..., a] * v[..., b], u[..., b] * v[..., a], out=cross[..., k])
-    sin = np.sqrt((cross[..., None, :] @ cross[..., :, None])[..., 0, 0])
-    cos = (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+    cross = np.cross(u, v)
+    sin = np.sqrt(np.vecdot(cross, cross))
+    cos = np.vecdot(u, v)
     angles = map(math.atan2, sin.ravel().tolist(), cos.ravel().tolist())
     return np.fromiter(angles, dtype=float, count=sin.size).reshape(sin.shape)
 
@@ -292,7 +287,7 @@ def separations_within(u, v, threshold_rad: float) -> np.ndarray:
     within = sin <= cos * (tan * (1.0 - _TAN_MARGIN))
     unsure = ~within & (sin < cos * (tan * (1.0 + _TAN_MARGIN)))
     for w in (u, v):
-        norm2 = np.einsum("...k,...k->...", w, w)
+        norm2 = np.vecdot(w, w)
         unsure |= ~((0.25 <= norm2) & (norm2 <= 4.0))
     if unsure.any():
         u, v = np.broadcast_arrays(u, v)
@@ -339,15 +334,13 @@ def project_points(
     px : (n, 2) pixels h[i, :2] / h[i, 2]; NaN where the third
         camera-frame component is <= 0 (behind the camera).
 
-    Each row goes through stacked ``matmul``, so it comes out as the
-    one-target products ``A @ rho`` and ``K @ rho_c`` would.  Raises
-    ValueError when a target coincides with the spacecraft position.
+    Raises ValueError when a target coincides with the spacecraft position.
     """
     rho = np.asarray(target_positions, dtype=float).reshape(-1, 3) - np.asarray(sc_position, dtype=float)
     if not rho.any(axis=1).all():
         raise ValueError("target coincides with the spacecraft position")
-    rho_c = (attitude_matrix @ rho[:, :, None])[:, :, 0]
-    h = (camera.intrinsic @ rho_c[:, :, None])[:, :, 0]
+    rho_c = np.matvec(attitude_matrix, rho)
+    h = np.matvec(camera.intrinsic, rho_c)
     with np.errstate(divide="ignore", invalid="ignore"):
         return rho, h, np.where(rho_c[:, 2:] > 0.0, h[:, :2] / h[:, 2:], np.nan)
 
@@ -358,18 +351,11 @@ def los_from_pixel(camera: CameraModel, pixel) -> np.ndarray:
 
 
 def los_from_pixels(camera: CameraModel, pixels) -> np.ndarray:
-    """Unit line-of-sight directions in C, one row per (x, y) pixel.
-
-    Each norm is the square root of a row dot through stacked ``matmul``,
-    the dot kernel ``np.linalg.norm`` takes for one vector.
-    """
+    """Unit line-of-sight directions in C, one row per (x, y) pixel."""
     xy = np.asarray(pixels, dtype=float).reshape(-1, 2)
     if not np.isfinite(xy).all():
         raise ValueError("pixel coordinates must be finite")
     cx, cy = camera.principal_point
     f = camera.focal_px
-    v = np.empty((len(xy), 3))
-    v[:, 0] = (xy[:, 0] - cx) / f
-    v[:, 1] = (xy[:, 1] - cy) / f
-    v[:, 2] = 1.0
-    return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+    v = np.column_stack(((xy[:, 0] - cx) / f, (xy[:, 1] - cy) / f, np.ones(len(xy))))
+    return v / np.sqrt(np.vecdot(v, v))[:, None]

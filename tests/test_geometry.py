@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opnav.geometry import (
     Attitude,
@@ -9,7 +11,9 @@ from opnav.geometry import (
     PointingAngles,
     angular_separation,
     attitude_from_axis_azimuth,
+    canonical_quaternions,
     los_from_pixel,
+    los_from_pixels,
     matrix_from_quaternion,
     project_point,
     project_star,
@@ -232,3 +236,44 @@ def test_attitude_canonical_hemisphere():
     a = Attitude(np.array([-0.5, 0.5, -0.5, 0.5]))
     assert a.q[0] >= 0
     np.testing.assert_allclose(np.linalg.norm(a.q), 1.0, atol=1e-15)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    fov_deg=st.sampled_from([10.0, 20.0, 40.0]),
+    pixels=st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)), min_size=1, max_size=20),
+)
+def test_los_rows_equal_one_pixel_norm(fov_deg, pixels):
+    """Each row of the batched line of sight is the pixel's vector built
+    alone over its ``np.linalg.norm``, bit for bit."""
+    camera = CameraModel(fov_deg=fov_deg)
+    cx, cy = camera.principal_point
+    f = camera.focal_px
+    got = los_from_pixels(camera, pixels)
+    for k, (x, y) in enumerate(pixels):
+        v = np.array([(x - cx) / f, (y - cy) / f, 1.0])
+        np.testing.assert_array_equal(_bits(got[k]), _bits(v / np.linalg.norm(v)))
+        np.testing.assert_array_equal(_bits(los_from_pixel(camera, (x, y))), _bits(got[k]))
+
+
+component = st.just(0.0) | st.floats(-1e3, 1e3).filter(lambda x: abs(x) >= 1e-3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(*[component] * 4).filter(any), min_size=1, max_size=20))
+def test_canonical_quaternion_rows_equal_one_quaternion_norm(rows):
+    """Row k of the batched canonical quaternions equals the one-row call,
+    ``Attitude`` and the sign-fixed ``q / np.linalg.norm(q)``, bit for bit;
+    zero components exercise the sign rule at q0 == 0."""
+    q = np.array(rows)
+    got = canonical_quaternions(q)
+    for k in range(len(q)):
+        u = q[k] / np.linalg.norm(q[k])
+        want = -u if u[np.flatnonzero(u)[0]] < 0 else u
+        np.testing.assert_array_equal(_bits(got[k]), _bits(want))
+        np.testing.assert_array_equal(_bits(canonical_quaternions(q[k : k + 1])[0]), _bits(want))
+        np.testing.assert_array_equal(_bits(Attitude(q[k]).q), _bits(want))

@@ -1068,10 +1068,13 @@ class TestCli:
             (["process", "--sigma-r", "abc"], "--sigma-r expects a number, got 'abc'"),
             (["montecarlo", "--n", "abc", "--seed", "1", "--sigma-r", "1e4"], "--n expects an integer, got 'abc'"),
             (["montecarlo", "--n", "2", "--seed", "1.5", "--sigma-r", "1e4"], "--seed expects an integer, got '1.5'"),
+            (["montecarlo", "--n", "2", "--seed", "-1", "--sigma-r", "1e4"],
+             "--seed expects a non-negative integer, got '-1'"),
             (["build-catalog", "--mlim", "5.5x"], "--mlim expects a number, got '5.5x'"),
             (["build-catalog", "--gamma-max-deg", ""], "--gamma-max-deg expects a number, got ''"),
         ],
-        ids=["process_sigma_r", "montecarlo_n", "montecarlo_seed", "build_catalog_mlim", "build_catalog_gamma_max_deg"],
+        ids=["process_sigma_r", "montecarlo_n", "montecarlo_seed", "montecarlo_negative_seed", "build_catalog_mlim",
+             "build_catalog_gamma_max_deg"],
     )
     def test_numeric_flag_that_does_not_parse_is_one_line(self, tmp_path, args, reason):
         """A numeric flag is checked before any file is read: none of these
