@@ -13,6 +13,7 @@ gate, and the closest accepted spike wins.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +44,13 @@ class UncertaintyBudget:
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
+    def variances(self) -> list[float]:
+        """Diagonal of the covariance, blocks (q0 | qv | r | r_bc)."""
+        return [0.0] + [self.sigma_qv**2] * 3 + [self.sigma_r_km**2] * 3 + [self.sigma_rbc_km**2] * 3
+
     def to_matrix(self) -> np.ndarray:
         """10x10 diagonal covariance, blocks (q0 | qv | r | r_bc)."""
-        d = np.concatenate(
-            [
-                [0.0],
-                np.full(3, self.sigma_qv**2),
-                np.full(3, self.sigma_r_km**2),
-                np.full(3, self.sigma_rbc_km**2),
-            ]
-        )
-        return np.diag(d)
+        return np.diag(self.variances())
 
 
 @dataclass(frozen=True)
@@ -123,9 +120,18 @@ def _jacobians(k: np.ndarray, q: np.ndarray, a: np.ndarray, rho: np.ndarray, h: 
     return dehom @ k @ inner
 
 
-def projection_covariance(jacobian: np.ndarray, budget: UncertaintyBudget) -> np.ndarray:
-    """P = F S F^T, symmetrized against round-off; F may be a stack."""
-    p = jacobian @ budget.to_matrix() @ np.swapaxes(jacobian, -1, -2)
+def projection_covariance(jacobian: np.ndarray, budget: UncertaintyBudget | Sequence[UncertaintyBudget]) -> np.ndarray:
+    """P = F S F^T, symmetrized against round-off.
+
+    F may be a stack, with one ``UncertaintyBudget`` for all of it or a
+    sequence of one budget per F; each P is the gemm of its own F and S.
+    """
+    if isinstance(budget, UncertaintyBudget):
+        s = budget.to_matrix()
+    else:
+        s, d = np.zeros((len(budget), 10, 10)), np.arange(10)
+        s[:, d, d] = [b.variances() for b in budget]
+    p = jacobian @ s @ np.swapaxes(jacobian, -1, -2)
     return 0.5 * (p + np.swapaxes(p, -1, -2))
 
 
@@ -190,7 +196,7 @@ def predict_projections(
     attitude_q: Attitude,
     sc_position_km: np.ndarray,
     beacon_positions_km,
-    budget: UncertaintyBudget,
+    budget: UncertaintyBudget | Sequence[UncertaintyBudget],
     floor_px: float = DEFAULT_ELLIPSE_FLOOR_PX,
 ) -> list[ProjectionPrediction | None]:
     """Expected pixel, floored covariance, and ellipse for every beacon.
@@ -198,14 +204,24 @@ def predict_projections(
     One entry per row of ``beacon_positions_km``: None when the expected
     projection is behind the camera.  Raises ValueError when a beacon
     sits at the spacecraft position.
+
+    The stacked form takes one spacecraft estimate per row, an (n, 3)
+    ``sc_position_km``, and a sequence of n budgets: each row then equals,
+    bit for bit, the one-beacon call with that row's estimate and budget.
+    One (3,) estimate and one ``UncertaintyBudget`` serve every row.
     """
     q = attitude_q.q
     a = matrix_from_quaternion(q)
     rho, h, px = project_points(camera, a, sc_position_km, beacon_positions_km)
     out: list[ProjectionPrediction | None] = [None] * len(rho)
+    per_row = not isinstance(budget, UncertaintyBudget)
+    if per_row and len(budget) != len(rho):
+        raise ValueError(f"{len(budget)} budgets for {len(rho)} beacon rows")
     front = np.flatnonzero(~np.isnan(px[:, 0]))
     if not len(front):
         return out
+    if per_row:
+        budget = [budget[i] for i in front.tolist()]
     jac = _jacobians(camera.intrinsic, q, a, rho[front], h[front])
     p = floor_covariance(projection_covariance(jac, budget), floor_px)
     for i, expected, cov, ellipse in zip(front.tolist(), px[front], p, covariance_ellipses(p)):

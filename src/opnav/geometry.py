@@ -327,6 +327,9 @@ def project_points(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pinhole projection of inertial-frame points, one row per target.
 
+    ``sc_position`` is one (3,) position, or an (n, 3) stack with one row
+    per target.
+
     Returns
     -------
     rho : (n, 3) spacecraft-to-target vectors in N.

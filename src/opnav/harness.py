@@ -29,13 +29,17 @@ each scenario is rendered, solved and scored once (the attitude half of
 the outcome, the primary planet, the scenario-level columns) and only
 the beacon gate and the beacon half of the label are swept per sigma_r,
 with the position-error direction shared across the sweep (this is also
-what makes failure rates monotone in sigma_r).
+what makes failure rates monotone in sigma_r).  The sweep is one stacked
+beacon pass per scenario: one ``detect_beacons`` call predicts the
+projection at every sigma_r's position estimate and budget, and each row
+equals the one-sigma_r call bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -122,28 +126,44 @@ def detect_beacons(
     camera: CameraModel,
     est_position_km: np.ndarray,
     planets,
-    budget: UncertaintyBudget,
+    budget: UncertaintyBudget | Sequence[UncertaintyBudget],
     floor_px: float,
-) -> dict[str, BeaconObservation]:
-    """Gate the spikes against each planet's predicted projection."""
+) -> dict[str, BeaconObservation] | list[dict[str, BeaconObservation]]:
+    """Gate the spikes against each planet's predicted projection.
+
+    A (3,) estimate with one ``UncertaintyBudget`` returns one dict.  The
+    stacked form takes a (k, 3) stack of estimates with a sequence of k
+    budgets and returns one dict per estimate, each equal bit for bit to
+    the one-estimate call with that row and budget: one
+    ``predict_projections`` call predicts every (estimate, planet) row,
+    and ``detect_beacon`` gates them one at a time.
+    """
+    est = np.asarray(est_position_km, dtype=float)
+    stacked = est.ndim == 2
+    k = len(est) if stacked else 1
+    if stacked and len(budget) != k:
+        raise ValueError(f"{len(budget)} budgets for {k} position estimates")
     solution = attitude_out.solution
     if solution is None:
-        return {planet.name: BeaconObservation(None, False, None, None) for planet in planets}
-    predictions = predict_projections(
-        camera, solution.quaternion, est_position_km, [p.position_km for p in planets], budget, floor_px
-    )
-    spikes = attitude_out.retry.centroids[list(attitude_out.spike_centroids)]
-    out: dict[str, BeaconObservation] = {}
-    for planet, prediction in zip(planets, predictions):
-        attempted = prediction is not None and camera.in_frame(*prediction.expected_px)
-        spike_index = None
-        selected = None
-        if attempted and len(spikes):
-            spike_index = detect_beacon(spikes, prediction)
-            if spike_index is not None:
-                selected = spikes[spike_index]
-        out[planet.name] = BeaconObservation(prediction, attempted, spike_index, selected)
-    return out
+        out = [{planet.name: BeaconObservation(None, False, None, None) for planet in planets} for _ in range(k)]
+    else:
+        positions = [p.position_km for p in planets]
+        if stacked:
+            est = np.repeat(est, len(planets), axis=0)
+            budget = [b for b in budget for _ in planets]
+            positions = positions * k
+        rows = iter(predict_projections(camera, solution.quaternion, est, positions, budget, floor_px))
+        spikes = attitude_out.retry.centroids[list(attitude_out.spike_centroids)]
+        out = [{planet.name: _gate(camera, spikes, next(rows)) for planet in planets} for _ in range(k)]
+    return out if stacked else out[0]
+
+
+def _gate(camera: CameraModel, spikes: np.ndarray, prediction: ProjectionPrediction | None) -> BeaconObservation:
+    """One planet's observation: its gate runs when the expected
+    projection is in frame and there are spikes."""
+    attempted = prediction is not None and camera.in_frame(*prediction.expected_px)
+    spike_index = detect_beacon(spikes, prediction) if attempted and len(spikes) else None
+    return BeaconObservation(prediction, attempted, spike_index, None if spike_index is None else spikes[spike_index])
 
 
 def rotation_error_rad(estimated: np.ndarray, true: np.ndarray) -> float:
@@ -382,54 +402,10 @@ def run_campaign(
     if repeated is not None:  # aggregate() selects a sigma_r's records by value
         raise ValueError(f"sigma_r {repeated!r} km is listed more than once")
     specs = sample_scenarios(n, master_seed, cfg, camera, planets)
-    records: list[ScenarioRecord] = []
-
-    for spec in specs:
-        render_seed = np.random.SeedSequence((master_seed, spec.index, 1))
-        ransac_seed = int(
-            np.random.SeedSequence((master_seed, spec.index, 2)).generate_state(1)[0]
-        )
-        eta = np.random.default_rng(
-            np.random.SeedSequence((master_seed, spec.index, 3))
-        ).standard_normal(3)
-
-        image, truth = render(cfg.scene(spec.pointing, spec.sc_position_km, catalog, spec.planets, render_seed))
-        attitude_out = solve_attitude(
-            image.data, camera, catalog, db, index, identify_cfg, cfg.ransac_config(ransac_seed)
-        )
-        retry, solution = attitude_out.retry, attitude_out.solution
-        planet = primary_planet(truth)
-        scored = tuple(p for p in spec.planets if planet is not None and p.name == planet.ident)
-        attitude = _attitude_outcome(truth, attitude_out, cfg)
-        scenario = ScenarioRecord(
-            scenario=spec.index,
-            sigma_r_km=math.nan,
-            planet_present=spec.planet_in_frame,
-            planet_name=planet.ident if planet else "",
-            planet_visible=bool(planet.visible) if planet else False,
-            truth_x=planet.x if planet else math.nan,
-            truth_y=planet.y if planet else math.nan,
-            n_centroids=len(retry.centroids) if retry else 0,
-            n_matches=len(solution.inlier_centroids) if solution else 0,
-            n_spikes=len(attitude_out.spike_centroids),
-            iterations=retry.iterations if retry else 0,
-            outcome=attitude,
-        )
-
-        for sigma_r, budget in zip(sigma_r_list, budgets):
-            est_pos = spec.sc_position_km + sigma_r * eta
-            beacons = detect_beacons(attitude_out, camera, est_pos, scored, budget, cfg.ellipse_floor_px)
-            obs = beacons[planet.ident] if planet else BeaconObservation(None, False, None, None)
-            ellipse = obs.prediction.ellipse if obs.prediction else Ellipse(math.nan, math.nan, math.nan)
-            expected = obs.prediction.expected_px if obs.prediction else (math.nan, math.nan)
-            selected = obs.selected_px if obs.selected_px is not None else (math.nan, math.nan)
-            records.append(replace(
-                scenario, sigma_r_km=sigma_r, outcome=_beacon_outcome(attitude, planet, beacons, attitude_out, cfg),
-                ellipse_a=ellipse.a, ellipse_b=ellipse.b, ellipse_psi=ellipse.psi,
-                expected_x=float(expected[0]), expected_y=float(expected[1]),
-                detected_x=float(selected[0]), detected_y=float(selected[1]),
-            ))
-
+    records = [
+        r for spec in specs
+        for r in _run_scenario(spec, master_seed, sigma_r_list, budgets, cfg, camera, identify_cfg, catalog, db, index)
+    ]
     rows = [aggregate(records, s) for s in sigma_r_list]
     n_present = sum(1 for s in specs if s.planet_in_frame)
     return CampaignReport(
@@ -439,6 +415,64 @@ def run_campaign(
         planet_present_fraction=n_present / n,
         elapsed_s=time.perf_counter() - t_start,
     )
+
+
+def _run_scenario(
+    spec: ScenarioSpec,
+    master_seed: int,
+    sigma_r_list: list[float],
+    budgets: list[UncertaintyBudget],
+    cfg: PipelineConfig,
+    camera: CameraModel,
+    identify_cfg: IdentifyConfig,
+    catalog: StarCatalog,
+    db: PairDatabase,
+    index: KVectorIndex,
+) -> list[ScenarioRecord]:
+    """Render, solve and score the attitude of one scenario, then gate its
+    beacon at every sigma_r in one stacked pass: one record per sigma_r,
+    in list order."""
+    render_seed = np.random.SeedSequence((master_seed, spec.index, 1))
+    ransac_seed = int(np.random.SeedSequence((master_seed, spec.index, 2)).generate_state(1)[0])
+    eta = np.random.default_rng(np.random.SeedSequence((master_seed, spec.index, 3))).standard_normal(3)
+
+    image, truth = render(cfg.scene(spec.pointing, spec.sc_position_km, catalog, spec.planets, render_seed))
+    attitude_out = solve_attitude(image.data, camera, catalog, db, index, identify_cfg, cfg.ransac_config(ransac_seed))
+    retry, solution = attitude_out.retry, attitude_out.solution
+    planet = primary_planet(truth)
+    scored = tuple(p for p in spec.planets if planet is not None and p.name == planet.ident)
+    attitude = _attitude_outcome(truth, attitude_out, cfg)
+    scenario = ScenarioRecord(
+        scenario=spec.index,
+        sigma_r_km=math.nan,
+        planet_present=spec.planet_in_frame,
+        planet_name=planet.ident if planet else "",
+        planet_visible=bool(planet.visible) if planet else False,
+        truth_x=planet.x if planet else math.nan,
+        truth_y=planet.y if planet else math.nan,
+        n_centroids=len(retry.centroids) if retry else 0,
+        n_matches=len(solution.inlier_centroids) if solution else 0,
+        n_spikes=len(attitude_out.spike_centroids),
+        iterations=retry.iterations if retry else 0,
+        outcome=attitude,
+    )
+
+    # The position-error direction eta is shared across the sweep.
+    est_pos = spec.sc_position_km + np.array(sigma_r_list)[:, None] * eta
+    sweep = detect_beacons(attitude_out, camera, est_pos, scored, budgets, cfg.ellipse_floor_px)
+    records = []
+    for sigma_r, beacons in zip(sigma_r_list, sweep):
+        obs = beacons[planet.ident] if planet else BeaconObservation(None, False, None, None)
+        ellipse = obs.prediction.ellipse if obs.prediction else Ellipse(math.nan, math.nan, math.nan)
+        expected = obs.prediction.expected_px if obs.prediction else (math.nan, math.nan)
+        selected = obs.selected_px if obs.selected_px is not None else (math.nan, math.nan)
+        records.append(replace(
+            scenario, sigma_r_km=sigma_r, outcome=_beacon_outcome(attitude, planet, beacons, attitude_out, cfg),
+            ellipse_a=ellipse.a, ellipse_b=ellipse.b, ellipse_psi=ellipse.psi,
+            expected_x=float(expected[0]), expected_y=float(expected[1]),
+            detected_x=float(selected[0]), detected_y=float(selected[1]),
+        ))
+    return records
 
 
 def is_beacon_failure(rec: ScenarioRecord) -> bool:

@@ -27,8 +27,10 @@ from opnav.geometry import (
 )
 from opnav.ephemeris import save_ephemeris
 from opnav.harness import (
+    CSV_HEADER,
     AttitudeOutput,
     BeaconObservation,
+    ScenarioRecord,
     aggregate,
     classify_outcome,
     run_campaign,
@@ -454,11 +456,15 @@ def test_frozen_campaign_digest(sky, tmp_path):
 
 def test_attitude_scored_once_per_scenario(sky, monkeypatch):
     """Only the beacon gate and label depend on sigma_r: the rotation and
-    pointing errors and the primary planet are computed once per scenario."""
+    pointing errors and the primary planet are computed once per scenario,
+    and the whole sweep is one stacked beacon pass per scenario."""
     from opnav import harness
 
     catalog, db, index = sky
-    calls = {"rotation_error_rad": 0, "pointing_error_rad": 0, "primary_planet": 0}
+    calls = {
+        "rotation_error_rad": 0, "pointing_error_rad": 0, "primary_planet": 0,
+        "detect_beacons": 0, "predict_projections": 0,
+    }
     for name in calls:
         def counted(*args, _name=name, _real=getattr(harness, name)):
             calls[_name] += 1
@@ -468,7 +474,45 @@ def test_attitude_scored_once_per_scenario(sky, monkeypatch):
     report = run_campaign(3, [1e4, 1e5, 1e6, 1e7], 20220209, PipelineConfig(), catalog, db, index, solar_system())
     assert len(report.records) == 12
     assert all(r.outcome.attitude_status != "none" for r in report.records)
-    assert calls == {"rotation_error_rad": 3, "pointing_error_rad": 3, "primary_planet": 3}
+    # every scenario has a solution, so each makes one predict_projections call
+    assert calls == {
+        "rotation_error_rad": 3, "pointing_error_rad": 3, "primary_planet": 3,
+        "detect_beacons": 3, "predict_projections": 3,
+    }
+
+
+def _fields_by_bits(record: ScenarioRecord) -> list:
+    """Every field of a record, its outcome's fields in its place, with
+    each float as its 64 bits."""
+    values = []
+    for value in dataclasses.astuple(record):
+        values += value if isinstance(value, tuple) else [value]
+    return [np.float64(v).view(np.int64).item() if isinstance(v, float) else v for v in values]
+
+
+def test_sweep_rows_independent_of_the_other_sigma_r(sky):
+    """The stacked beacon pass mixes no rows: each sigma_r's records of a
+    four-value sweep, and of the reversed sweep, equal those of a campaign
+    at that sigma_r alone, every field, floats by their bits."""
+    catalog, db, index = sky
+    sweep = [1e4, 1e5, 1e6, 1e7]
+
+    def by_sigma_r(sigma_r_list):
+        # seed 26 has an unsolved scenario, detections, and a planet whose
+        # expected projection leaves the frame at 1e7 km (1.I -> 1.III.D)
+        report = run_campaign(6, sigma_r_list, 26, PipelineConfig(), catalog, db, index, solar_system())
+        out = {}
+        for r in report.records:
+            out.setdefault(r.sigma_r_km, []).append(_fields_by_bits(r))
+        return out
+
+    alone = {}
+    for s in sweep:
+        alone.update(by_sigma_r([s]))
+    assert by_sigma_r(sweep) == alone
+    assert by_sigma_r(sweep[::-1]) == alone
+    label = CSV_HEADER.split(",").index("label")
+    assert len({tuple(row[label] for row in alone[s]) for s in sweep}) > 1
 
 
 def test_zero_uncertainty_noiseless_campaign_has_no_failures(sky):

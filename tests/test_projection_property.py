@@ -6,6 +6,11 @@ beacon; each entry must equal ``predict_projection`` for that beacon
 alone, and a one-beacon reference written with plain per-beacon NumPy
 products, bit for bit, with None for a beacon behind the camera.
 
+The stacked form gives each row its own spacecraft estimate and budget,
+as the Monte Carlo sigma_r sweep does: each row of ``predict_projections``
+and each dict of a stacked ``harness.detect_beacons`` call must equal the
+one-row call with that row's estimate and budget, bit for bit.
+
 ``render_field`` projects the stars of a cone around the boresight and
 every planet through ``project_points``; each truth pixel must equal
 ``project_star`` or ``project_point`` of that one target, bit for bit,
@@ -25,6 +30,7 @@ from opnav.beacon_detection import (
     predict_projection,
     predict_projections,
 )
+from opnav.attitude_solver import AttitudeSolution
 from opnav.config import PipelineConfig
 from opnav.ephemeris import Planet
 from opnav.geometry import (
@@ -34,11 +40,14 @@ from opnav.geometry import (
     attitude_from_axis_azimuth,
     matrix_from_quaternion,
     project_point,
+    project_points,
     project_star,
     skew,
 )
+from opnav.harness import AttitudeOutput, detect_beacons
 from opnav.renderer import SceneSpec, render_field
 from opnav.skysim import AU_KM
+from opnav.star_id import MATCH_DTYPE, MatchResult, RetryResult
 
 CAMERA = CameraModel()
 DEFAULT_SKY = PipelineConfig().sky()
@@ -131,6 +140,98 @@ def test_beacon_at_spacecraft_rejected_in_a_batch():
     sc = np.array([1e8, 2e8, 3e8])
     with pytest.raises(ValueError, match="coincides"):
         predict_projections(CAMERA, q, sc, [sc + [0.0, 0.0, 1e8], sc.copy()], UncertaintyBudget())
+
+
+def _assert_same_prediction(got, one):
+    assert (got is None) == (one is None)
+    if one is not None:
+        np.testing.assert_array_equal(_bits(got.expected_px), _bits(one.expected_px))
+        np.testing.assert_array_equal(_bits(got.covariance), _bits(one.covariance))
+        assert _bits([got.ellipse.a, got.ellipse.b, got.ellipse.psi]).tolist() == _bits(
+            [one.ellipse.a, one.ellipse.b, one.ellipse.psi]
+        ).tolist()
+
+
+def _attitude_output(q, a, spikes):
+    """A solved frame whose centroids after the three star inliers are
+    the given spikes."""
+    centroids = np.vstack([np.full((3, 2), 10.0), np.reshape(spikes, (-1, 2))])
+    retry = RetryResult(
+        result=MatchResult(matches=np.recarray(0, MATCH_DTYPE)),
+        threshold=45.0,
+        iterations=1,
+        centroids=centroids,
+        span=np.zeros(len(centroids), dtype=np.int64),
+        peak=np.zeros(len(centroids), dtype=np.int64),
+    )
+    solution = AttitudeSolution(matrix=a, quaternion=q, inlier_centroids=(0, 1, 2), consensus_score=3)
+    return AttitudeOutput(retry, solution, tuple(range(3, len(centroids))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    placements=st.lists(placement, min_size=0, max_size=2),
+    extra_sigma_r=st.lists(st.floats(1e2, 1e8), max_size=3),
+    sigma_qv=st.sampled_from([0.0, 1e-4, 1e-3]),
+    sigma_rbc=st.sampled_from([0.0, 1e3]),
+    floor_px=st.sampled_from([0.5, 3.0]),  # the gate inverts P: sigma_r 0 needs a floor
+    with_spikes=st.booleans(),
+)
+def test_stacked_sweep_rows_equal_one_row_calls(
+    seed, placements, extra_sigma_r, sigma_qv, sigma_rbc, floor_px, with_spikes
+):
+    rng = np.random.default_rng(seed)
+    q = Attitude(rng.standard_normal(4))
+    a = matrix_from_quaternion(q)
+    sc = rng.standard_normal(3) * 3.0 * AU_KM
+    planets = [
+        Planet(f"planet-{i}", _beacon_at(rng, a, sc, where), 0.0)
+        for i, where in enumerate(["boresight", *placements])
+    ]
+    # eta leans along the boresight, so a large enough sigma_r carries the
+    # estimate past the first planet and puts it behind the camera
+    eta = a.T @ (rng.standard_normal(3) * [1.0, 1.0, 0.0] + [0.0, 0.0, rng.uniform(0.5, 2.0)])
+    behind = 2.0 * (a[2] @ (planets[0].position_km - sc)) / (a[2] @ eta)
+    sigma_r = [0.0, behind, *extra_sigma_r]
+    rng.shuffle(sigma_r)
+    est = sc + np.array(sigma_r)[:, None] * eta
+    budgets = [UncertaintyBudget(sigma_qv=sigma_qv, sigma_r_km=s, sigma_rbc_km=sigma_rbc) for s in sigma_r]
+
+    # one spike near each planet in front of the camera, and one anywhere
+    px = project_points(CAMERA, a, sc, [p.position_km for p in planets])[2]
+    spikes = [xy + rng.normal(0.0, 3.0, 2) for xy in px if not math.isnan(xy[0])]
+    spikes.append(rng.uniform(0.0, 1000.0, 2))
+    attitude_out = _attitude_output(q, a, spikes if with_spikes else [])
+
+    rows = predict_projections(
+        CAMERA, q, np.repeat(est, len(planets), axis=0), [p.position_km for p in planets] * len(est),
+        [b for b in budgets for _ in planets], floor_px,
+    )
+    stacked = detect_beacons(attitude_out, CAMERA, est, planets, budgets, floor_px)
+    assert len(rows) == len(est) * len(planets) and len(stacked) == len(est)
+    assert rows[sigma_r.index(behind) * len(planets)] is None
+    for i, (est_i, budget) in enumerate(zip(est, budgets)):
+        one = detect_beacons(attitude_out, CAMERA, est_i, planets, budget, floor_px)
+        assert list(stacked[i]) == list(one) == [p.name for p in planets]
+        for j, planet in enumerate(planets):
+            got, ref = stacked[i][planet.name], one[planet.name]
+            _assert_same_prediction(rows[i * len(planets) + j], ref.prediction)
+            _assert_same_prediction(got.prediction, ref.prediction)
+            assert (got.attempted, got.spike_index) == (ref.attempted, ref.spike_index)
+            assert (got.selected_px is None) == (ref.selected_px is None)
+            if ref.selected_px is not None:
+                assert _bits(got.selected_px).tolist() == _bits(ref.selected_px).tolist()
+
+
+def test_stacked_form_needs_one_budget_per_row():
+    q = Attitude(np.array([1.0, 0.0, 0.0, 0.0]))
+    sc = np.array([1e8, 2e8, 3e8])
+    with pytest.raises(ValueError, match="2 budgets for 3 beacon rows"):
+        predict_projections(CAMERA, q, sc, [sc + [0.0, 0.0, 1e8]] * 3, [UncertaintyBudget()] * 2)
+    attitude_out = _attitude_output(q, matrix_from_quaternion(q), [])
+    with pytest.raises(ValueError, match="1 budgets for 2 position estimates"):
+        detect_beacons(attitude_out, CAMERA, np.stack([sc, sc]), [], [UncertaintyBudget()], 0.5)
 
 
 @settings(max_examples=60, deadline=None)
