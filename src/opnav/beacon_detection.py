@@ -48,10 +48,6 @@ class UncertaintyBudget:
         """Diagonal of the covariance, blocks (q0 | qv | r | r_bc)."""
         return [0.0] + [self.sigma_qv**2] * 3 + [self.sigma_r_km**2] * 3 + [self.sigma_rbc_km**2] * 3
 
-    def to_matrix(self) -> np.ndarray:
-        """10x10 diagonal covariance, blocks (q0 | qv | r | r_bc)."""
-        return np.diag(self.variances())
-
 
 @dataclass(frozen=True)
 class Ellipse:
@@ -120,18 +116,13 @@ def _jacobians(k: np.ndarray, q: np.ndarray, a: np.ndarray, rho: np.ndarray, h: 
     return dehom @ k @ inner
 
 
-def projection_covariance(jacobian: np.ndarray, budget: UncertaintyBudget | Sequence[UncertaintyBudget]) -> np.ndarray:
-    """P = F S F^T, symmetrized against round-off.
-
-    F may be a stack, with one ``UncertaintyBudget`` for all of it or a
-    sequence of one budget per F; each P is the gemm of its own F and S.
-    """
-    if isinstance(budget, UncertaintyBudget):
-        s = budget.to_matrix()
-    else:
-        s, d = np.zeros((len(budget), 10, 10)), np.arange(10)
-        s[:, d, d] = [b.variances() for b in budget]
-    p = jacobian @ s @ np.swapaxes(jacobian, -1, -2)
+def projection_covariance(jacobian: np.ndarray, variances) -> np.ndarray:
+    """P = F S F^T for the diagonal S of ``UncertaintyBudget.variances``,
+    symmetrized against round-off: one (10,) row for every F of a stack,
+    or an (n, 10) stack of one row per F.  ``(F * v) F^T`` takes exactly
+    the products F_ij s_j of the gemm with S, whose other terms are zeros
+    that change no sum."""
+    p = (jacobian * np.asarray(variances, dtype=float)[..., None, :]) @ np.swapaxes(jacobian, -1, -2)
     return 0.5 * (p + np.swapaxes(p, -1, -2))
 
 
@@ -168,10 +159,7 @@ def floor_covariance(p: np.ndarray, floor_px: float = DEFAULT_ELLIPSE_FLOOR_PX) 
     keeps the gate invertible.  P may be a stack."""
     min_eig = floor_px**2 / CHI2_GATE_3SIGMA
     vals, vecs = np.linalg.eigh(np.asarray(p, dtype=float))
-    vals = np.maximum(vals, min_eig)
-    diag = np.zeros(vecs.shape)
-    diag[..., 0, 0], diag[..., 1, 1] = vals[..., 0], vals[..., 1]
-    return vecs @ diag @ np.swapaxes(vecs, -1, -2)
+    return (vecs * np.maximum(vals, min_eig)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def predict_projection(
@@ -188,7 +176,7 @@ def predict_projection(
     projection is behind the camera; raises ValueError when the beacon
     sits at the spacecraft position.
     """
-    return predict_projections(camera, attitude_q, sc_position_km, [beacon_position_km], budget, floor_px)[0]
+    return predict_projections(camera, attitude_q, sc_position_km, [beacon_position_km], [budget], floor_px)[0]
 
 
 def predict_projections(
@@ -196,34 +184,30 @@ def predict_projections(
     attitude_q: Attitude,
     sc_position_km: np.ndarray,
     beacon_positions_km,
-    budget: UncertaintyBudget | Sequence[UncertaintyBudget],
+    budgets: Sequence[UncertaintyBudget],
     floor_px: float = DEFAULT_ELLIPSE_FLOOR_PX,
 ) -> list[ProjectionPrediction | None]:
-    """Expected pixel, floored covariance, and ellipse for every beacon.
+    """Expected pixel, floored covariance, and ellipse for every beacon row.
 
-    One entry per row of ``beacon_positions_km``: None when the expected
-    projection is behind the camera.  Raises ValueError when a beacon
-    sits at the spacecraft position.
-
-    The stacked form takes one spacecraft estimate per row, an (n, 3)
-    ``sc_position_km``, and a sequence of n budgets: each row then equals,
-    bit for bit, the one-beacon call with that row's estimate and budget.
-    One (3,) estimate and one ``UncertaintyBudget`` serve every row.
+    The one stacked path of the beacon stage: one budget per row of
+    ``beacon_positions_km``, and one (3,) ``sc_position_km`` or an (n, 3)
+    stack of one per row.  An entry is None when the expected projection
+    is behind the camera, and equals the one-beacon call with its row's
+    estimate and budget bit for bit.  Raises ValueError when a beacon sits
+    at the spacecraft position.
     """
     q = attitude_q.q
     a = matrix_from_quaternion(q)
     rho, h, px = project_points(camera, a, sc_position_km, beacon_positions_km)
+    if len(budgets) != len(rho):
+        raise ValueError(f"{len(budgets)} budgets for {len(rho)} beacon rows")
     out: list[ProjectionPrediction | None] = [None] * len(rho)
-    per_row = not isinstance(budget, UncertaintyBudget)
-    if per_row and len(budget) != len(rho):
-        raise ValueError(f"{len(budget)} budgets for {len(rho)} beacon rows")
     front = np.flatnonzero(~np.isnan(px[:, 0]))
     if not len(front):
         return out
-    if per_row:
-        budget = [budget[i] for i in front.tolist()]
     jac = _jacobians(camera.intrinsic, q, a, rho[front], h[front])
-    p = floor_covariance(projection_covariance(jac, budget), floor_px)
+    variances = [budgets[i].variances() for i in front.tolist()]
+    p = floor_covariance(projection_covariance(jac, variances), floor_px)
     for i, expected, cov, ellipse in zip(front.tolist(), px[front], p, covariance_ellipses(p)):
         out[i] = ProjectionPrediction(expected_px=expected, covariance=cov, ellipse=ellipse)
     return out

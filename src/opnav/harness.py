@@ -29,10 +29,11 @@ each scenario is rendered, solved and scored once (the attitude half of
 the outcome, the primary planet, the scenario-level columns) and only
 the beacon gate and the beacon half of the label are swept per sigma_r,
 with the position-error direction shared across the sweep (this is also
-what makes failure rates monotone in sigma_r).  The sweep is one stacked
-beacon pass per scenario: one ``detect_beacons`` call predicts the
-projection at every sigma_r's position estimate and budget, and each row
-equals the one-sigma_r call bit for bit.
+what makes failure rates monotone in sigma_r).  The beacon stage has one
+stacked path: one ``detect_beacons`` call per scenario predicts the
+projection at every sigma_r's position estimate with its own budget, and
+``opnav process`` and a single estimate take the same path as a one-row
+stack, so each row equals the one-sigma_r call bit for bit.
 """
 
 from __future__ import annotations
@@ -131,31 +132,30 @@ def detect_beacons(
 ) -> dict[str, BeaconObservation] | list[dict[str, BeaconObservation]]:
     """Gate the spikes against each planet's predicted projection.
 
-    A (3,) estimate with one ``UncertaintyBudget`` returns one dict.  The
-    stacked form takes a (k, 3) stack of estimates with a sequence of k
-    budgets and returns one dict per estimate, each equal bit for bit to
-    the one-estimate call with that row and budget: one
-    ``predict_projections`` call predicts every (estimate, planet) row,
-    and ``detect_beacon`` gates them one at a time.
+    Takes a (k, 3) stack of estimates with a sequence of k budgets and
+    returns one dict per estimate; a (3,) estimate with one
+    ``UncertaintyBudget`` is the one-row stack, and returns its dict.
+    Either way one ``predict_projections`` call predicts every
+    (estimate, planet) row, and ``detect_beacon`` gates them one at a
+    time, so each dict equals the one-estimate call bit for bit.
     """
     est = np.asarray(est_position_km, dtype=float)
-    stacked = est.ndim == 2
-    k = len(est) if stacked else 1
-    if stacked and len(budget) != k:
-        raise ValueError(f"{len(budget)} budgets for {k} position estimates")
+    single = est.ndim == 1
+    if single:
+        est, budget = est[None], [budget]
+    if len(budget) != len(est):
+        raise ValueError(f"{len(budget)} budgets for {len(est)} position estimates")
     solution = attitude_out.solution
     if solution is None:
-        out = [{planet.name: BeaconObservation(None, False, None, None) for planet in planets} for _ in range(k)]
+        out = [{planet.name: BeaconObservation(None, False, None, None) for planet in planets} for _ in est]
     else:
-        positions = [p.position_km for p in planets]
-        if stacked:
-            est = np.repeat(est, len(planets), axis=0)
-            budget = [b for b in budget for _ in planets]
-            positions = positions * k
-        rows = iter(predict_projections(camera, solution.quaternion, est, positions, budget, floor_px))
+        rows = iter(predict_projections(
+            camera, solution.quaternion, np.repeat(est, len(planets), axis=0),
+            [p.position_km for p in planets] * len(est), [b for b in budget for _ in planets], floor_px,
+        ))
         spikes = attitude_out.retry.centroids[list(attitude_out.spike_centroids)]
-        out = [{planet.name: _gate(camera, spikes, next(rows)) for planet in planets} for _ in range(k)]
-    return out if stacked else out[0]
+        out = [{planet.name: _gate(camera, spikes, next(rows)) for planet in planets} for _ in est]
+    return out[0] if single else out
 
 
 def _gate(camera: CameraModel, spikes: np.ndarray, prediction: ProjectionPrediction | None) -> BeaconObservation:

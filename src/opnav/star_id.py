@@ -255,12 +255,10 @@ def identify_with_retry(
         xy, span, peak, threshold = find_centroids(image, t)
         if len(xy) < MIN_ASTERISM:
             return None
-        keep = None
-        if len(xy) > MAX_STAR_ID_CENTROIDS:  # the brightest (ties in ROI order), in ROI order
-            keep = np.sort(np.argsort(-peak, kind="stable")[:MAX_STAR_ID_CENTROIDS])
-        result = identify_stars(xy if keep is None else xy[keep], camera, catalog, db, index, config.epsilon_rad)
+        # the brightest (ties in ROI order), in ROI order: all of them up to the cap
+        keep = np.sort(np.argsort(-peak, kind="stable")[:MAX_STAR_ID_CENTROIDS])
+        result = identify_stars(xy[keep], camera, catalog, db, index, config.epsilon_rad)
         if result is not None:
-            if keep is not None:  # matches index every centroid
-                result.matches["centroid_index"] = keep[result.matches["centroid_index"]]
+            result.matches["centroid_index"] = keep[result.matches["centroid_index"]]  # matches index every centroid
             return RetryResult(result, threshold, iteration + 1, xy, span, peak)
     return None

@@ -96,7 +96,7 @@ class TestProjectionCovariance:
         rng = np.random.default_rng(42)
         q, sc, beacon = _random_config(rng)
         f = projection_jacobian(camera, q, sc, beacon)
-        p = projection_covariance(f, UncertaintyBudget(0.0, 0.0, 0.0))
+        p = projection_covariance(f, UncertaintyBudget(0.0, 0.0, 0.0).variances())
         np.testing.assert_array_equal(p, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("field", ["sigma_qv", "sigma_r_km", "sigma_rbc_km"])
@@ -109,8 +109,8 @@ class TestProjectionCovariance:
         rng = np.random.default_rng(43)
         q, sc, beacon = _random_config(rng)
         f = projection_jacobian(camera, q, sc, beacon)
-        p1 = projection_covariance(f, UncertaintyBudget(0.0, 1e5, 0.0))
-        p2 = projection_covariance(f, UncertaintyBudget(0.0, 2e5, 0.0))
+        p1 = projection_covariance(f, UncertaintyBudget(0.0, 1e5, 0.0).variances())
+        p2 = projection_covariance(f, UncertaintyBudget(0.0, 2e5, 0.0).variances())
         np.testing.assert_allclose(p2, 4.0 * p1, rtol=1e-12)
 
     def test_symmetric_psd(self, camera):
@@ -118,7 +118,7 @@ class TestProjectionCovariance:
         for _ in range(20):
             q, sc, beacon = _random_config(rng)
             f = projection_jacobian(camera, q, sc, beacon)
-            p = projection_covariance(f, UncertaintyBudget(1e-4, 1e5, 1e3))
+            p = projection_covariance(f, UncertaintyBudget(1e-4, 1e5, 1e3).variances())
             np.testing.assert_array_equal(p, p.T)
             assert np.linalg.eigvalsh(p).min() >= 0
 
@@ -127,7 +127,7 @@ class TestProjectionCovariance:
         q, sc, beacon = _random_config(rng)
         budget = UncertaintyBudget(sigma_qv=1e-4, sigma_r_km=1e5, sigma_rbc_km=0.0)
         f = projection_jacobian(camera, q, sc, beacon)
-        p = projection_covariance(f, budget)
+        p = projection_covariance(f, budget.variances())
         nominal = project_point(camera, matrix_from_quaternion(q), sc, beacon)
         n = 100_000
         dq = rng.normal(0.0, budget.sigma_qv, (n, 3))

@@ -935,12 +935,15 @@ class TestCli:
                 "defocus_sigma_px=1e17",
                 "defocus_sigma_px 1e+17 gives a 800000000000000001 px PSF box, wider than the 1024 px frame",
             ),
+            # no floor under a zero budget: at sigma_r 0 the gate would invert a zero covariance
+            ("sigma_qv=0\nellipse_floor_px=0", "ellipse_floor_px must be > 0"),
         ],
         ids=[
             "fov", "exposure", "zero_defocus", "fov_wide", "sigma", "iterations", "cutoff",
             "inf_exposure", "inf_fov", "inf_delta_max", "inf_background_sigma", "inf_sigma_x", "inf_defocus",
             "nan_wrong_beacon", "nan_threshold_t", "inf_anchor_mag", "nan_cutoff", "bool_typo",
             "ransac_samples_cap", "sky_star_count_cap", "frame_pixel_cap", "wide_defocus", "huge_defocus",
+            "zero_floor",
         ],
     )
     def test_montecarlo_rejects_out_of_range_config(self, tmp_path, line, reason):

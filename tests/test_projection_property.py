@@ -88,7 +88,7 @@ def reference_prediction(camera, q, sc, beacon, budget, floor_px):
     inner[:, 4:7] = -a
     inner[:, 7:10] = a
     f = dehom @ k @ inner
-    p = f @ budget.to_matrix() @ f.T
+    p = f @ np.diag(budget.variances()) @ f.T
     p = 0.5 * (p + p.T)
     vals, vecs = np.linalg.eigh(p)
     p = vecs @ np.diag(np.maximum(vals, floor_px**2 / CHI2_GATE_3SIGMA)) @ vecs.T
@@ -109,7 +109,7 @@ def reference_prediction(camera, q, sc, beacon, budget, floor_px):
     seed=st.integers(0, 2**32 - 1),
     placements=st.lists(placement, min_size=0, max_size=9),
     sigma_qv=st.sampled_from([0.0, 1e-4, 1e-3]),
-    sigma_r=st.floats(1e2, 1e8),
+    sigma_r=st.one_of(st.just(0.0), st.floats(1e2, 1e8)),
     sigma_rbc=st.sampled_from([0.0, 1e3]),
     floor_px=st.sampled_from([0.0, 0.5, 3.0]),
 )
@@ -121,7 +121,7 @@ def test_all_planet_pass_equals_per_planet(seed, placements, sigma_qv, sigma_r, 
     beacons = [_beacon_at(rng, a, sc, where) for where in placements]
     budget = UncertaintyBudget(sigma_qv=sigma_qv, sigma_r_km=sigma_r, sigma_rbc_km=sigma_rbc)
 
-    batch = predict_projections(CAMERA, q, sc, beacons, budget, floor_px)
+    batch = predict_projections(CAMERA, q, sc, beacons, [budget] * len(beacons), floor_px)
     assert len(batch) == len(beacons)
     for beacon, got in zip(beacons, batch):
         one = predict_projection(CAMERA, q, sc, beacon, budget, floor_px)
@@ -139,7 +139,7 @@ def test_beacon_at_spacecraft_rejected_in_a_batch():
     q = Attitude(np.array([1.0, 0.0, 0.0, 0.0]))
     sc = np.array([1e8, 2e8, 3e8])
     with pytest.raises(ValueError, match="coincides"):
-        predict_projections(CAMERA, q, sc, [sc + [0.0, 0.0, 1e8], sc.copy()], UncertaintyBudget())
+        predict_projections(CAMERA, q, sc, [sc + [0.0, 0.0, 1e8], sc.copy()], [UncertaintyBudget()] * 2)
 
 
 def _assert_same_prediction(got, one):
